@@ -1,143 +1,54 @@
-"""Exhaustive codeword-weight enumeration kernels.
+"""Exhaustive codeword-weight enumeration by numpy blocks.
 
-The walk visits one representative per scalar class of nonzero codewords:
-for each leading message coordinate the coefficient is pinned to 1 and the
-tail coordinates sweep a mixed-radix reflected Gray sequence over the prime
-subfield digits, so every step costs one scaled-row addition.  An optional
-syndrome (generator matrix of a second code) is maintained incrementally to
-support minimum-weight searches over set differences like C1 \\ C2-perp.
+The enumeration visits one representative per scalar class of nonzero
+codewords.  For each leading message coordinate the coefficient is pinned
+to 1, and the tail coordinates run over all prime-subfield digit vectors of
+the scaled rows omega^j * G_i.  The lowest tail digits (up to 4096
+combinations) form a precomputed block of codewords.  An odometer over the
+remaining digits keeps the block's common prefix, so each step costs one
+table lookup over the whole block.
 
-Two interchangeable backends: a numba @njit kernel and a pure-numpy block
-enumerator.  Selection: QCKIT_NO_NUMBA=1 (or a failed numba import) forces
-numpy; callers may also pass backend="numba"/"numpy" explicitly.  Both
-backends enumerate the same codeword set; when a budget truncates the walk
-mid-stream the numpy backend rounds to whole blocks, so partial-run reports
-may differ between backends (exact runs never do).
+An optional syndrome matrix (the Gram matrix of the scaled rows against a
+second code) is carried through the same blocks.  Codewords with a zero
+syndrome are skipped, which gives minimum weights over set differences
+such as C1 \\ C2-perp.  A budget truncates the enumeration at a whole block.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(fn):
-            return fn
-
-        return deco if not (args and callable(args[0])) else args[0]
 
 
 def numba_enabled() -> bool:
-    return HAVE_NUMBA and os.environ.get("QCKIT_NO_NUMBA", "") not in ("1", "true", "yes")
+    """Always False: enumeration is numpy only.  Kept because the benchmark's
+    environment record (perfbench/worker.py) reads it."""
+    return False
 
 
-@njit(cache=True)
-def _walk_kernel(rows_pos, rows_neg, syn_pos, syn_neg, add_tab, p, t, k, budget, stop_at):
-    """Returns (best_weight, visited, completed)."""
-    n = rows_pos.shape[1]
-    ns = syn_pos.shape[1]
-    best = n + 1
-    visited = np.int64(0)
-    cw = np.zeros(n, dtype=np.int64)
-    sy = np.zeros(ns, dtype=np.int64)
-    for lead in range(k):
-        ltail = (k - 1 - lead) * t
-        for i in range(n):
-            cw[i] = 0
-        for i in range(ns):
-            sy[i] = 0
-        wt = 0
-        snz = 0
-        # apply leading row (coefficient 1 on coordinate `lead`)
-        base = lead * t
-        for i in range(n):
-            v = rows_pos[base, i]
-            if v != 0:
-                cw[i] = v
-                wt += 1
-        for i in range(ns):
-            v = syn_pos[base, i]
-            if v != 0:
-                sy[i] = v
-                snz += 1
-        a = np.zeros(ltail + 1, dtype=np.int64)
-        o = np.ones(ltail + 1, dtype=np.int64)
-        f = np.arange(ltail + 2, dtype=np.int64)
-        while True:
-            if ns == 0 or snz != 0:
-                if wt < best:
-                    best = wt
-                    if best <= stop_at:
-                        return best, visited + 1, 0
-            visited += 1
-            if visited >= budget:
-                return best, visited, 0
-            j = f[0]
-            f[0] = 0
-            if j >= ltail:
-                break
-            ridx = base + t + j
-            up = o[j] == 1
-            a[j] += o[j]
-            if up:
-                row = rows_pos[ridx]
-                srow = syn_pos[ridx]
-            else:
-                row = rows_neg[ridx]
-                srow = syn_neg[ridx]
-            for i in range(n):
-                v = row[i]
-                if v != 0:
-                    old = cw[i]
-                    new = add_tab[old, v]
-                    cw[i] = new
-                    if old == 0:
-                        wt += 1
-                    elif new == 0:
-                        wt -= 1
-            for i in range(ns):
-                v = srow[i]
-                if v != 0:
-                    old = sy[i]
-                    new = add_tab[old, v]
-                    sy[i] = new
-                    if old == 0:
-                        snz += 1
-                    elif new == 0:
-                        snz -= 1
-            if a[j] == 0 or a[j] == p - 1:
-                o[j] = -o[j]
-                f[j] = f[j + 1]
-                f[j + 1] = j + 1
-    return best, visited, 1
+def gray_min_weight(rows, syn, add_tab, p, t, k, budget):
+    """Minimum weight over the nonzero scalar classes, within `budget` codewords.
 
-
-def _walk_numpy(rows_pos, rows_neg, syn_pos, syn_neg, add_tab, p, t, k, budget, stop_at):
-    """Block-enumerating fallback with the same result contract."""
-    n = rows_pos.shape[1]
-    ns = syn_pos.shape[1]
+    `rows` holds the k*t scaled rows and `syn` their syndromes (k*t by 0 when
+    no syndrome is tracked).  Returns (best, visited, complete); best is n + 1
+    when no codeword qualified.
+    """
+    n = rows.shape[1]
+    ns = syn.shape[1]
     best = n + 1
     visited = 0
-    # digit value -> multiple of a row (v copies added together)
-    def multiples(row):
-        out = [np.zeros(len(row), dtype=np.int64)]
-        for _ in range(1, p):
-            out.append(add_tab[out[-1], row])
-        return out
+
+    def expand(block, row):
+        """block + v*row for every digit v, stacked digit-major."""
+        mult = np.zeros(len(row), dtype=np.int64)
+        out = []
+        for _ in range(p):
+            out.append(add_tab[block, mult[None, :]])
+            mult = add_tab[mult, row]
+        return np.concatenate(out, axis=0)
 
     for lead in range(k):
         ltail = (k - 1 - lead) * t
         base = lead * t
-        start = rows_pos[base].copy()
-        start_s = syn_pos[base].copy()
         # low block over the trailing digits
         low = 0
         size = 1
@@ -147,37 +58,26 @@ def _walk_numpy(rows_pos, rows_neg, syn_pos, syn_neg, add_tab, p, t, k, budget, 
         T = np.zeros((1, n), dtype=np.int64)
         TS = np.zeros((1, ns), dtype=np.int64)
         for d in range(low):
-            ridx = base + t + d
-            mults = multiples(rows_pos[ridx])
-            smults = multiples(syn_pos[ridx]) if ns else [np.zeros(0, dtype=np.int64)] * p
-            T = np.concatenate([add_tab[T, mv[None, :]] for mv in mults], axis=0)
+            T = expand(T, rows[base + t + d])
             if ns:
-                TS = np.concatenate([add_tab[TS, sv[None, :]] for sv in smults], axis=0)
-            else:
-                TS = np.zeros((T.shape[0], 0), dtype=np.int64)
+                TS = expand(TS, syn[base + t + d])
         nhigh = ltail - low
         # odometer over the high digits, prefix maintained incrementally
-        prefix = start
-        prefix_s = start_s
+        prefix = rows[base]
+        prefix_s = syn[base]
         digits = np.zeros(nhigh, dtype=np.int64)
-        high_rows = [rows_pos[base + t + low + i] for i in range(nhigh)]
-        high_srows = [syn_pos[base + t + low + i] for i in range(nhigh)]
+        high_rows = rows[base + t + low:base + t + ltail]
+        high_srows = syn[base + t + low:base + t + ltail]
         while True:
-            block = add_tab[T, prefix[None, :]]
-            wts = np.count_nonzero(block, axis=1)
+            wts = np.count_nonzero(add_tab[T, prefix[None, :]], axis=1)
             if ns:
-                sblock = add_tab[TS, prefix_s[None, :]]
-                keep = np.count_nonzero(sblock, axis=1) > 0
+                keep = np.count_nonzero(add_tab[TS, prefix_s[None, :]], axis=1) > 0
                 wts = wts[keep]
             visited += T.shape[0]
             if wts.size:
-                w = int(wts.min())
-                if w < best:
-                    best = w
-                    if best <= stop_at:
-                        return best, visited, 0
+                best = min(best, int(wts.min()))
             if visited >= budget:
-                return best, visited, 0
+                return best, visited, False
             # advance odometer
             pos = 0
             while pos < nhigh:
@@ -192,32 +92,4 @@ def _walk_numpy(rows_pos, rows_neg, syn_pos, syn_neg, add_tab, p, t, k, budget, 
                 pos += 1
             if pos == nhigh:
                 break
-    return best, visited, 1
-
-
-def gray_min_weight(rows_pos, rows_neg, syn_pos, syn_neg, add_tab, p, t, k,
-                    budget, stop_at=0, backend=None):
-    """Minimum nonzero-class codeword weight; see module docstring."""
-    if k == 0:
-        return rows_pos.shape[1] + 1, 0, 1
-    args = (
-        np.ascontiguousarray(rows_pos, dtype=np.int64),
-        np.ascontiguousarray(rows_neg, dtype=np.int64),
-        np.ascontiguousarray(syn_pos, dtype=np.int64),
-        np.ascontiguousarray(syn_neg, dtype=np.int64),
-        np.ascontiguousarray(add_tab, dtype=np.int64),
-        p,
-        t,
-        k,
-        np.int64(budget),
-        np.int64(stop_at),
-    )
-    if backend is None:
-        backend = "numba" if numba_enabled() else "numpy"
-    if backend == "numba":
-        best, visited, complete = _walk_kernel(*args)
-    elif backend == "numpy":
-        best, visited, complete = _walk_numpy(*args)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return int(best), int(visited), bool(complete)
+    return best, visited, True

@@ -1,7 +1,7 @@
 """Command-line front door.
 
 Subcommands: factor, cosets, decompose, build, verify, gobound, family,
-quantum, reproduce, bench.  Exit codes: 0 success, 1 domain or check failure,
+quantum, reproduce.  Exit codes: 0 success, 1 domain or check failure,
 2 usage errors.  JSON output (--json / --out) carries the same values as the
 text rendering.
 """
@@ -179,13 +179,6 @@ def cmd_reproduce(args) -> int:
     return 1 if any(r.failed for r in reports) else 0
 
 
-def cmd_bench(args) -> int:
-    from . import benchmark
-
-    benchmark.run(repeats=args.repeats)
-    return 0
-
-
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qckit",
                                 description="quasi-cyclic code construction and certification")
@@ -256,9 +249,6 @@ def make_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.set_defaults(fn=cmd_reproduce)
 
-    sp = sub.add_parser("bench", help="compare the numba and numpy enumeration backends")
-    sp.add_argument("--repeats", type=int, default=3)
-    sp.set_defaults(fn=cmd_bench)
     return p
 
 

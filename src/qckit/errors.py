@@ -68,6 +68,10 @@ class BudgetTooSmallForExact(QCKitError):
     pass
 
 
+class EnumerationIncomplete(QCKitError):
+    """An exhaustive weight enumeration ended before it covered every class."""
+
+
 class RepeatedEvaluationPoint(QCKitError):
     pass
 

@@ -268,8 +268,8 @@ class GF:
 
     @property
     def gen(self) -> int:
-        """The residue of x (value p) for t > 1, else p - 1... no: a generator
-        of the field as an algebra; for prime fields just 1."""
+        """A generator of the field as an F_p-algebra: the residue of x (value p)
+        for t > 1, so 1, x, ..., x^(t-1) is a basis over F_p; 1 for prime fields."""
         return self.p if self.t > 1 else 1
 
     def elements(self):
@@ -427,35 +427,7 @@ class GF:
     def has_tables(self) -> bool:
         return self.order <= TABLE_MAX_ORDER
 
-    # -- array helpers (fall back to python loops for big orders) ---------------
-
-    def add_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.t == 1:
-            return (a + b) % self.p
-        if self.has_tables:
-            add, _, _, _ = self.tables()
-            return add[a, b]
-        out = np.broadcast(a, b)
-        flat = [self.add(int(x), int(y)) for x, y in out]
-        return np.array(flat, dtype=np.int64).reshape(out.shape)
-
-    def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.t == 1:
-            return (a * b) % self.p
-        if self.has_tables:
-            _, mul, _, _ = self.tables()
-            return mul[a, b]
-        out = np.broadcast(a, b)
-        flat = [self.mul(int(x), int(y)) for x, y in out]
-        return np.array(flat, dtype=np.int64).reshape(out.shape)
-
-    def neg_arr(self, a: np.ndarray) -> np.ndarray:
-        if self.t == 1:
-            return (-a) % self.p
-        if self.has_tables:
-            _, _, neg, _ = self.tables()
-            return neg[a]
-        return np.array([self.neg(int(x)) for x in a.ravel()], dtype=np.int64).reshape(a.shape)
+    # -- array helpers --------------------------------------------------------
 
     def pow_arr(self, a: np.ndarray, n: int) -> np.ndarray:
         return np.array([self.pow_(int(x), n) for x in a.ravel()], dtype=np.int64).reshape(a.shape)

@@ -16,6 +16,7 @@ from . import _kernels
 from .errors import (
     BudgetTooSmallForExact,
     DimensionMismatch,
+    EnumerationIncomplete,
     InvalidSubfieldOrder,
     LengthMismatch,
     MixedFields,
@@ -389,17 +390,17 @@ class DistanceReport:
         }
 
 
-def _scaled_rows(field: GF, gen: np.ndarray):
-    """Rows omega^j * G_i for the prime-digit Gray walk, plus negatives."""
+def _scaled_rows(field: GF, gen: np.ndarray) -> np.ndarray:
+    """Rows omega^j * G_i over the prime-subfield digits, for block enumeration."""
     k, n = gen.shape
     t = field.t
-    pos = np.zeros((k * t, n), dtype=np.int64)
-    _, mul, neg, _ = field.tables()
+    rows = np.zeros((k * t, n), dtype=np.int64)
+    _, mul, _, _ = field.tables()
     omega_pow = 1
     for j in range(t):
-        pos[np.arange(k) * t + j] = mul[omega_pow, gen]
+        rows[np.arange(k) * t + j] = mul[omega_pow, gen]
         omega_pow = field.mul(omega_pow, field.gen)
-    return pos, neg[pos]
+    return rows
 
 
 def class_count(q: int, k: int) -> int:
@@ -408,9 +409,9 @@ def class_count(q: int, k: int) -> int:
 
 
 def min_distance(c: LinearCode, budget: int = DEFAULT_BUDGET, mode: str = "auto",
-                 fallback: bool = False, target: int | None = None,
-                 backend: str | None = None) -> DistanceReport:
-    """Exhaustive (Gray-walk) minimum distance, or an upper bound within budget.
+                 fallback: bool = False) -> DistanceReport:
+    """Exhaustive minimum distance by block enumeration, or an upper bound
+    within budget.
 
     Exact mode needs q^k <= budget; with fallback=True an over-budget request
     degrades to bound mode instead of raising.
@@ -450,23 +451,24 @@ def min_distance(c: LinearCode, budget: int = DEFAULT_BUDGET, mode: str = "auto"
                         word = [field.add(w, field.mul(coef, int(r))) for w, r in zip(word, row)]
                 best = min(best, sum(1 for w in word if w))
         return DistanceReport("exact", best, best, reps, budget)
-    pos, negr = _scaled_rows(field, c.gen)
+    rows = _scaled_rows(field, c.gen)
     add, _, _, _ = field.tables()
-    empty = np.zeros((pos.shape[0], 0), dtype=np.int64)
-    reps = class_count(q, k)
+    no_syn = np.zeros((rows.shape[0], 0), dtype=np.int64)
     if mode == "exact":
+        reps = class_count(q, k)
         best, visited, complete = _kernels.gray_min_weight(
-            pos, negr, empty, empty, add, field.p, field.t, k, reps + 1, 0, backend)
-        assert complete and visited == reps
+            rows, no_syn, add, field.p, field.t, k, reps + 1)
+        if not complete or visited != reps:
+            raise EnumerationIncomplete(
+                f"exact enumeration visited {visited} of {reps} classes (complete={complete})")
         return DistanceReport("exact", best, best, visited, budget)
-    stop = target if target is not None else 0
     best, visited, _ = _kernels.gray_min_weight(
-        pos, negr, empty, empty, add, field.p, field.t, k, budget, stop, backend)
+        rows, no_syn, add, field.p, field.t, k, budget)
     return DistanceReport("lower-upper", None, best if best <= n else None, visited, budget)
 
 
-def min_weight_outside(c1: LinearCode, c2: LinearCode, budget: int = DEFAULT_BUDGET,
-                       backend: str | None = None) -> tuple[int, int]:
+def min_weight_outside(c1: LinearCode, c2: LinearCode,
+                       budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
     """Exact min weight over c1 \\ c2^perp-euclidean, i.e. codewords of c1 not
     orthogonal to all of c2. Returns (weight, enumerated); weight n + 1 when
     the difference is empty."""
@@ -477,14 +479,13 @@ def min_weight_outside(c1: LinearCode, c2: LinearCode, budget: int = DEFAULT_BUD
         return c1.n + 1, 0  # empty difference: c2^perp is everything
     if q**k > budget:
         raise BudgetTooSmallForExact(f"q^k = {q}^{k} exceeds budget {budget}")
-    pos, negr = _scaled_rows(field, c1.gen)
+    rows = _scaled_rows(field, c1.gen)
     add, _, _, _ = field.tables()
-    syn_pos = _gram(field, pos, c2.gen)
-    syn_neg = _gram(field, negr, c2.gen)
     reps = class_count(q, k)
     best, visited, complete = _kernels.gray_min_weight(
-        pos, negr, syn_pos, syn_neg, add, field.p, field.t, k, reps + 1, 0, backend)
-    assert complete
+        rows, _gram(field, rows, c2.gen), add, field.p, field.t, k, reps + 1)
+    if not complete:
+        raise EnumerationIncomplete(f"enumeration of c1 stopped after {visited} of {reps} classes")
     return best, visited
 
 

@@ -241,20 +241,6 @@ def cyclotomic_cosets(q: int, m: int) -> CosetTable:
     return CosetTable(q, m, tuple(cosets))
 
 
-def _coset_count(q: int, m: int) -> int:
-    seen = [False] * m
-    count = 0
-    for s in range(m):
-        if seen[s]:
-            continue
-        count += 1
-        x = s
-        while not seen[x]:
-            seen[x] = True
-            x = (x * q) % m
-    return count
-
-
 def three_factor_scan(q: int, m_max: int, prime_only: bool = True) -> list[int]:
     """All m <= m_max where x^m - 1 splits into exactly three irreducible
     factors over F_q, counted via cyclotomic cosets.
@@ -267,7 +253,7 @@ def three_factor_scan(q: int, m_max: int, prime_only: bool = True) -> list[int]:
     for m in range(1, m_max + 1):
         if gcd(m, q) != 1:
             continue
-        if _coset_count(q, m) == 3 and (not prime_only or is_prime(m)):
+        if len(cyclotomic_cosets(q, m).cosets) == 3 and (not prime_only or is_prime(m)):
             out.append(m)
     return out
 

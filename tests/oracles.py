@@ -1,7 +1,7 @@
 """Independent reference oracles used by the tests.
 
 These deliberately avoid the library paths they are checking: distances come
-from a plain counting-order enumeration (no Gray walk, no numba), duals from
+from a plain counting-order enumeration (no block enumeration), duals from
 brute-force orthogonality over the whole ambient space, irreducibility from
 trial division, and mid-size distances from a MacWilliams transform of the
 naive dual enumeration.

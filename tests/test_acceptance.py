@@ -91,7 +91,8 @@ def test_criterion_2_d_table():
 
 def _certified_distance_f4(code):
     """Minimum distance of a code over F_4 from the MacWilliams transform of
-    its Euclidean dual's weight distribution, independently of the Gray walk.
+    its Euclidean dual's weight distribution, independently of the block
+    enumerator.
 
     The dual is enumerated in counting order with the 4x4 multiplication
     table and XOR addition (F_4 indices are coefficient bit vectors).  It is
@@ -251,12 +252,11 @@ def test_criterion_8_oracle_equivalence():
         if c.k == 0 or fld.order**c.k > 10**5:
             continue
         want = naive_min_distance(c)
-        got_nb = min_distance(c, backend="numba").d_exact
-        got_np = min_distance(c, backend="numpy").d_exact
-        assert want == got_nb == got_np, (fld, n, c.k, want, got_nb, got_np)
+        got = min_distance(c).d_exact
+        assert want == got, (fld, n, c.k, want, got)
         checked += 1
     elapsed = time.time() - t0
     ok = checked >= 40
-    _line(8, ok, f"Gray-walk enumerator matches the counting-order oracle on "
-                 f"{checked} codes, both backends ({elapsed:.1f}s)")
+    _line(8, ok, f"block enumerator matches the counting-order oracle on "
+                 f"{checked} codes ({elapsed:.1f}s)")
     assert ok

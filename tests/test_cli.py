@@ -194,11 +194,3 @@ def test_unassigned_slots_default_to_zero(tmp_path, capsys):
     rc, payload = run_json(["build", "--spec", str(path)], capsys)
     assert rc == 0 and payload["k"] == 1
     assert payload["distance"]["d_exact"] == 21  # repetition-like single slot
-
-
-def test_benchmark_smoke(capsys):
-    from qckit import benchmark
-
-    benchmark.run(repeats=1)
-    out = capsys.readouterr().out
-    assert "speedup" in out and "[21,12]_4" in out

@@ -4,6 +4,7 @@ import pytest
 from qckit.errors import (
     BudgetTooSmallForExact,
     DimensionMismatch,
+    EnumerationIncomplete,
     LengthMismatch,
     MixedFields,
     OrderNotSquare,
@@ -26,6 +27,7 @@ from qckit.lincode import (
     is_galois_closed,
     juxtapose,
     min_distance,
+    min_weight_outside,
     subspace_leq,
     zero_code,
     _gram,
@@ -115,7 +117,7 @@ def test_min_distance_budget_handling():
     assert rep2.mode == "lower-upper" and rep2.enumerated >= 100
 
 
-def test_min_distance_matches_naive_oracle_both_backends():
+def test_min_distance_matches_naive_oracle():
     rng = np.random.default_rng(42)
     for fld in (F2, F3, F4, F5, F9):
         for _ in range(6):
@@ -124,9 +126,18 @@ def test_min_distance_matches_naive_oracle_both_backends():
             c = code_from_rows(fld, n, rng.integers(0, fld.order, size=(k, n)))
             if c.k == 0 or fld.order**c.k > 10**5:
                 continue
-            want = naive_min_distance(c)
-            assert min_distance(c, backend="numba").d_exact == want
-            assert min_distance(c, backend="numpy").d_exact == want
+            assert min_distance(c).d_exact == naive_min_distance(c)
+
+
+def test_incomplete_enumeration_raises(monkeypatch):
+    from qckit import _kernels
+
+    monkeypatch.setattr(_kernels, "gray_min_weight", lambda *args: (1, 1, False))
+    c = code_from_rows(F2, 4, [(1, 1, 0, 0), (0, 0, 1, 1)])
+    with pytest.raises(EnumerationIncomplete):
+        min_distance(c, mode="exact")
+    with pytest.raises(EnumerationIncomplete):
+        min_weight_outside(c, c)
 
 
 def test_min_distance_large_field_scalar_path():
@@ -263,10 +274,6 @@ def test_galois_closed_direct_sum_decomposition():
 def test_min_distance_bound_mode_target_early_exit():
     rng = np.random.default_rng(31)
     c = code_from_rows(F2, 40, rng.integers(0, 2, size=(18, 40)))
-    # stepwise early exit is a property of the numba walk; the numpy block
-    # enumerator rounds to whole blocks (see the kernels module docstring)
-    rep = min_distance(c, budget=500, mode="bound", target=c.n, backend="numba")
-    assert rep.mode == "lower-upper" and rep.enumerated < 500
-    for backend in ("numba", "numpy"):
-        rep2 = min_distance(c, budget=500, mode="bound", backend=backend)
-        assert rep2.enumerated >= 500 and rep2.d_upper is not None
+    rep = min_distance(c, budget=500, mode="bound")
+    assert rep.mode == "lower-upper"
+    assert rep.enumerated >= 500 and rep.d_upper is not None

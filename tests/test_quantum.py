@@ -151,7 +151,7 @@ def test_min_weight_outside_symmetry():
     assert w == 2 and seen == 2**c.k - 1
 
 
-def test_min_weight_outside_backends_and_oracle():
+def test_min_weight_outside_matches_oracle():
     import numpy as np
     from qckit.gf import field_make
 
@@ -166,8 +166,7 @@ def test_min_weight_outside_backends_and_oracle():
         c2 = code_from_rows(fld, n, rng.integers(0, fld.order, size=(k2, n)))
         if c1.k == 0:
             continue
-        a = min_weight_outside(c1, c2, backend="numba")
-        b = min_weight_outside(c1, c2, backend="numpy")
+        got = min_weight_outside(c1, c2)
         # counting-order oracle with an explicit orthogonality test
         q = fld.order
         best = n + 1
@@ -189,4 +188,4 @@ def test_min_weight_outside_backends_and_oracle():
                     break
             if not in_perp:
                 best = min(best, sum(1 for w in word if w))
-        assert a[0] == b[0] == best, (fld, n, k1, k2, a, b, best)
+        assert got[0] == best, (fld, n, k1, k2, got, best)
