@@ -11,7 +11,8 @@ table lookup over the whole block.
 An optional syndrome matrix (the Gram matrix of the scaled rows against a
 second code) is carried through the same blocks.  Codewords with a zero
 syndrome are skipped, which gives minimum weights over set differences
-such as C1 \\ C2-perp.  A budget truncates the enumeration at a whole block.
+such as C1 \\ C2-perp.  A budget stops the enumeration after exactly that
+many codewords.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ def gray_min_weight(rows, syn, add_tab, p, t, k, budget):
     """Minimum weight over the nonzero scalar classes, within `budget` codewords.
 
     `rows` holds the k*t scaled rows and `syn` their syndromes (k*t by 0 when
-    no syndrome is tracked).  Returns (best, visited, complete); best is n + 1
-    when no codeword qualified.
+    no syndrome is tracked).  Returns (best, visited, complete) with
+    visited <= budget; best is n + 1 when no codeword qualified.
     """
     n = rows.shape[1]
     ns = syn.shape[1]
@@ -69,11 +70,12 @@ def gray_min_weight(rows, syn, add_tab, p, t, k, budget):
         high_rows = rows[base + t + low:base + t + ltail]
         high_srows = syn[base + t + low:base + t + ltail]
         while True:
-            wts = np.count_nonzero(add_tab[T, prefix[None, :]], axis=1)
+            take = max(0, min(T.shape[0], budget - visited))  # the budget may end inside a block
+            wts = np.count_nonzero(add_tab[T[:take], prefix[None, :]], axis=1)
             if ns:
-                keep = np.count_nonzero(add_tab[TS, prefix_s[None, :]], axis=1) > 0
+                keep = np.count_nonzero(add_tab[TS[:take], prefix_s[None, :]], axis=1) > 0
                 wts = wts[keep]
-            visited += T.shape[0]
+            visited += take
             if wts.size:
                 best = min(best, int(wts.min()))
             if visited >= budget:

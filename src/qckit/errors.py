@@ -42,6 +42,10 @@ class NoRootOfThatOrder(QCKitError):
     pass
 
 
+class InvalidLogTable(QCKitError):
+    """The log/antilog arrays of a field could not be built consistently."""
+
+
 # polynomial ring
 class NotCoprime(QCKitError):
     pass
@@ -99,6 +103,14 @@ class ConstituentNotHSO(QCKitError):
 
 class SlotSNotESO(QCKitError):
     pass
+
+
+class RankMismatch(QCKitError):
+    """An assembled QC code's rank differs from its constituent dimension."""
+
+
+class DualMismatch(QCKitError):
+    """The constituent-level dual of a QC code differs from its flat dual."""
 
 
 # distance bound

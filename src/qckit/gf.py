@@ -10,8 +10,10 @@ from highest to lowest degree.  The canonical embedding of a subfield sends
 its generator to the least root of its modulus in the target field.  Both
 rules are deterministic, so two fields with equal (p, t) are interchangeable.
 
-Small fields carry lazily built log/antilog and full add/mul numpy tables;
-the scalar API below never requires them.
+Fields up to LOG_MAX_ORDER carry lazily built log/antilog arrays, which the
+elementwise array arithmetic (add_arr, mul_arr, ...) uses; fields up to
+TABLE_MAX_ORDER also carry full add/mul tables for the block enumerator.
+The scalar API below never requires either.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from .errors import (
     DivisionByZero,
+    InvalidLogTable,
     InvalidSubfieldOrder,
     MixedFields,
     NoEmbedding,
@@ -35,7 +38,7 @@ from .errors import (
 DEFAULT_ORDER_CAP = 2**62  # keeps element indices inside int64 for numpy paths
 TABLE_MAX_ORDER = 1024  # full q x q numpy tables (quadratic build cost)
 BRUTE_ROOT_MAX = 4096  # brute-force root scans for embeddings
-LOG_MAX_ORDER = 65536  # scalar log/antilog tables
+LOG_MAX_ORDER = 65536  # log/antilog arrays (scalar and array multiplication)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +367,13 @@ class GF:
         return self.from_coeffs(_pmod(prod, list(self.modulus), self.p))
 
     def _build_logs(self):
+        """exp/log arrays for a primitive element g.  log[0] is the sentinel 2n
+        and exp is zero from index 2n on, so exp[log[a] + log[b]] is the
+        product a * b for every pair, zero included (n = order - 1)."""
         n = self.order - 1
         prime_divs = list(factorize(n))
         g = None
-        for cand in range(2, self.order):
+        for cand in range(2, self.order) if n > 1 else (1,):  # F_2: units are {1}
             ok = True
             for r in prime_divs:
                 x = cand
@@ -386,16 +392,18 @@ class GF:
             if ok:
                 g = cand
                 break
-        assert g is not None
-        exp = np.zeros(2 * n, dtype=np.int64)
-        log = np.zeros(self.order, dtype=np.int64)
+        if g is None:
+            raise InvalidLogTable(f"no primitive element found in {self!r}")
+        exp = np.zeros(4 * n + 1, dtype=np.int64)
+        log = np.full(self.order, 2 * n, dtype=np.int64)
         x = 1
         for i in range(n):
             exp[i] = x
             exp[i + n] = x
             log[x] = i
             x = self._raw_mul(x, g)
-        assert x == 1
+        if x != 1:
+            raise InvalidLogTable(f"powers of {g} do not cycle back to 1 in {self!r}")
         self._exp = exp
         self._log = log
 
@@ -427,10 +435,58 @@ class GF:
     def has_tables(self) -> bool:
         return self.order <= TABLE_MAX_ORDER
 
-    # -- array helpers --------------------------------------------------------
+    # -- elementwise array arithmetic -----------------------------------------
+    #
+    # Element-index arrays in, element-index arrays out, with numpy
+    # broadcasting.  Addition works digit by digit on the base-p expansion;
+    # multiplication and powers go through the log/antilog arrays.  Orders
+    # above LOG_MAX_ORDER have no log arrays and multiply entry by entry.
 
-    def pow_arr(self, a: np.ndarray, n: int) -> np.ndarray:
-        return np.array([self.pow_(int(x), n) for x in a.ravel()], dtype=np.int64).reshape(a.shape)
+    def add_arr(self, a, b) -> np.ndarray:
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        p = self.p
+        if self.t == 1:
+            return (a + b) % p
+        if p == 2:
+            return a ^ b
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        pw = 1
+        for _ in range(self.t):
+            out += (a // pw + b // pw) % p * pw  # higher digits add multiples of p
+            pw *= p
+        return out
+
+    def neg_arr(self, a) -> np.ndarray:
+        a = np.asarray(a, dtype=np.int64)
+        p = self.p
+        if self.t == 1:
+            return -a % p
+        out = np.zeros(a.shape, dtype=np.int64)
+        pw = 1
+        for _ in range(self.t):
+            out += -(a // pw) % p * pw
+            pw *= p
+        return out
+
+    def mul_arr(self, a, b) -> np.ndarray:
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if self.order > LOG_MAX_ORDER:
+            return np.frompyfunc(self.mul, 2, 1)(a.astype(object), b.astype(object)).astype(np.int64)
+        if self.t == 1:
+            return a * b % self.p
+        exp, log = self._logs()
+        return exp[log[a] + log[b]]
+
+    def pow_arr(self, a, n: int) -> np.ndarray:
+        a = np.asarray(a, dtype=np.int64)
+        if self.order > LOG_MAX_ORDER:
+            return np.frompyfunc(lambda x: self.pow_(x, n), 1, 1)(a.astype(object)).astype(np.int64)
+        if n < 0 and (a == 0).any():
+            raise DivisionByZero(f"inverse of zero in {self!r}")
+        exp, log = self._logs()
+        return np.where(a == 0, 0 if n else 1, exp[log[a] * (n % (self.order - 1)) % (self.order - 1)])
 
 
 _FIELD_CACHE: dict[tuple[int, int], GF] = {}

@@ -24,86 +24,87 @@ from .errors import (
     RepeatedEvaluationPoint,
     ZeroMultiplier,
 )
-from .gf import GF, Felt, factorize
+from .gf import GF, LOG_MAX_ORDER, Felt, factorize
 
 DEFAULT_BUDGET = 2**24
 
 
 # ---------------------------------------------------------------------------
-# echelon forms
+# echelon forms and products
+#
+# Matrices hold element indices in int64 arrays, and every primitive works on
+# whole arrays through the field's elementwise arithmetic (GF.add_arr etc.).
+
+_PANEL = 16  # columns eliminated per panel before one product updates the rest
 
 
-def _rref(field: GF, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    rows, n = mat.shape
-    if rows == 0:
-        return mat.reshape(0, n), ()
-    if field.has_tables:
-        add, mul, neg, inv = field.tables()
-        r = mat.copy()
-        pivots = []
-        row = 0
-        for col in range(n):
-            if row == rows:
-                break
-            piv = None
-            for i in range(row, rows):
-                if r[i, col] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            if piv != row:
-                r[[row, piv]] = r[[piv, row]]
-            r[row] = mul[inv[r[row, col]], r[row]]
-            others = np.nonzero(r[:, col])[0]
-            others = others[others != row]
-            if others.size:
-                factors = neg[r[others, col]]
-                r[others] = add[r[others], mul[factors[:, None], r[row][None, :]]]
-            pivots.append(col)
-            row += 1
-        return np.ascontiguousarray(r[:row]), tuple(pivots)
-    # generic scalar path for fields without lookup tables
-    r = [list(map(int, row)) for row in mat]
-    pivots = []
-    row = 0
+def _matmul(field: GF, a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
+    """acc + a @ b over the field; a is (k, n), b is (n, j), acc defaults to zero."""
+    if acc is None:
+        acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    n = a.shape[1]
+    if field.t == 1 and field.order <= LOG_MAX_ORDER:
+        # float64 products are exact while every partial sum stays below 2^53
+        p = field.p
+        step = 2**53 // (p - 1) ** 2
+        for s in range(0, n, step):
+            prod = a[:, s:s + step].astype(np.float64) @ b[s:s + step].astype(np.float64)
+            acc = (acc + prod.astype(np.int64)) % p
+        return acc
     for col in range(n):
-        if row == rows:
-            break
-        piv = next((i for i in range(row, rows) if r[i][col] != 0), None)
-        if piv is None:
-            continue
-        r[row], r[piv] = r[piv], r[row]
-        inv = field.inv(r[row][col])
-        r[row] = [field.mul(inv, v) for v in r[row]]
-        for i in range(rows):
-            if i != row and r[i][col] != 0:
-                c = r[i][col]
-                r[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(r[i], r[row])]
-        pivots.append(col)
-        row += 1
-    return np.array(r[:row], dtype=np.int64).reshape(row, n), tuple(pivots)
+        acc = field.add_arr(acc, field.mul_arr(a[:, col, None], b[col]))
+    return acc
 
 
 def _gram(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b.T over the field; a is (k, n), b is (j, n)."""
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
-    if field.has_tables:
-        add, mul, _, _ = field.tables()
-        prod = mul[a[:, None, :], b[None, :, :]]
-        acc = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
-        for col in range(a.shape[1]):
-            acc = add[acc, prod[:, :, col]]
-        return acc
-    out = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[0]):
-            s = 0
-            for col in range(a.shape[1]):
-                s = field.add(s, field.mul(int(a[i, col]), int(b[j, col])))
-            out[i, j] = s
-    return out
+    return _matmul(field, a, b.T)
+
+
+def _rref(field: GF, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form of mat and its pivot columns.
+
+    Gauss-Jordan by column panels.  A panel is eliminated on its own columns
+    while the same row operations are recorded as coefficients on the
+    panel's pivot rows; one product with those rows then updates every
+    column right of the panel.  Rows are never swapped: pivot rows are
+    gathered in pivot order at the end, which gives the same (unique)
+    reduced form.
+    """
+    rows, n = mat.shape
+    r = np.array(mat, dtype=np.int64)
+    free = np.ones(rows, dtype=bool)  # rows not yet holding a pivot
+    pivot_rows: list[int] = []
+    pivots: list[int] = []
+    for c0 in range(0, n, _PANEL):
+        if len(pivots) == rows:
+            break
+        w = min(n, c0 + _PANEL) - c0
+        # panel columns, then one coefficient column per pivot row found in it
+        a = np.zeros((rows, 2 * w), dtype=np.int64)
+        a[:, :w] = r[:, c0:c0 + w]
+        found: list[int] = []
+        for j in range(w):
+            cand = np.flatnonzero(free & (a[:, j] != 0))
+            if cand.size == 0:
+                continue
+            i = int(cand[0])
+            a[i, w + len(found)] = 1
+            a[i, j:] = field.mul_arr(a[i, j:], field.inv(int(a[i, j])))
+            factors = field.neg_arr(a[:, j])
+            factors[i] = 0
+            a[:, j:] = field.add_arr(a[:, j:], field.mul_arr(factors[:, None], a[i, j:]))
+            free[i] = False
+            found.append(i)
+            pivots.append(c0 + j)
+        r[:, c0:c0 + w] = a[:, :w]
+        if found and c0 + w < n:
+            # rows become coef @ (old pivot rows), plus their old value off the pivot rows
+            old = r[found, c0 + w:]
+            r[found, c0 + w:] = 0
+            r[:, c0 + w:] = _matmul(field, a[:, w:w + len(found)], old, r[:, c0 + w:])
+        pivot_rows += found
+    return r[pivot_rows], tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -153,24 +154,33 @@ class LinearCode:
 
 
 def code_from_rows(field: GF, n: int, rows) -> LinearCode:
-    vals = []
-    for row in rows:
-        row = list(row)
-        if len(row) != n:
-            raise LengthMismatch(f"row length {len(row)} != {n}")
-        out = []
-        for v in row:
-            if isinstance(v, Felt):
-                if v.field != field:
-                    raise MixedFields(f"row entry from {v.field!r}, expected {field!r}")
-                out.append(v.val)
-            else:
-                v = int(v)
-                if not 0 <= v < field.order:
-                    raise MixedFields(f"element index {v} out of range for {field!r}")
-                out.append(v)
-        vals.append(out)
-    mat = np.array(vals, dtype=np.int64).reshape(len(vals), n)
+    """The code spanned by `rows`: an integer array of element indices, or
+    rows of element indices and Felt values."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.ndim == 2:
+        if rows.shape[1] != n:
+            raise LengthMismatch(f"row length {rows.shape[1]} != {n}")
+        mat = rows.astype(np.int64)
+    else:
+        vals = []
+        for row in rows:
+            row = list(row)
+            if len(row) != n:
+                raise LengthMismatch(f"row length {len(row)} != {n}")
+            out = []
+            for v in row:
+                if isinstance(v, Felt):
+                    if v.field != field:
+                        raise MixedFields(f"row entry from {v.field!r}, expected {field!r}")
+                    v = v.val
+                out.append(int(v))
+            vals.append(out)
+        try:
+            mat = np.array(vals, dtype=np.int64).reshape(len(vals), n)
+        except OverflowError:
+            raise MixedFields(f"element index beyond int64 for {field!r}") from None
+    bad = (mat < 0) | (mat >= field.order)
+    if bad.any():
+        raise MixedFields(f"element index {mat[bad][0]} out of range for {field!r}")
     gen, pivots = _rref(field, mat)
     return LinearCode(field, n, gen, pivots)
 
@@ -188,14 +198,12 @@ def zero_code(field: GF, n: int) -> LinearCode:
 
 
 def dual_euclidean(c: LinearCode) -> LinearCode:
-    field, n, g, pivots = c.field, c.n, c.gen, c.pivots
-    k = c.k
-    free = [j for j in range(n) if j not in set(pivots)]
-    rows = np.zeros((len(free), n), dtype=np.int64)
-    for idx, fcol in enumerate(free):
-        rows[idx, fcol] = 1
-        for i, pcol in enumerate(pivots):
-            rows[idx, pcol] = field.neg(int(g[i, fcol]))
+    """Parity rows -A^T | I from the RREF generator, recanonicalized."""
+    field, n, g, pivots = c.field, c.n, c.gen, list(c.pivots)
+    free = np.setdiff1d(np.arange(n), pivots)
+    rows = np.zeros((free.size, n), dtype=np.int64)
+    rows[np.arange(free.size), free] = 1
+    rows[:, pivots] = field.neg_arr(g[:, free].T)
     gen, piv = _rref(field, rows)
     return LinearCode(field, n, gen, piv)
 
@@ -221,25 +229,10 @@ def subspace_leq(c1: LinearCode, c2: LinearCode) -> bool:
         return True
     if c1.k > c2.k:
         return False
-    field = c1.field
-    piv = {col: i for i, col in enumerate(c2.pivots)}
-    if field.has_tables:
-        add, mul, neg, _ = field.tables()
-        rows = c1.gen.copy()
-        for col, i in piv.items():
-            mask = rows[:, col] != 0
-            if mask.any():
-                rows[mask] = add[rows[mask], mul[neg[rows[mask, col]][:, None], c2.gen[i][None, :]]]
-        return not rows.any()
-    for row in c1.gen:
-        row = list(map(int, row))
-        for col, i in piv.items():
-            if row[col] != 0:
-                f = row[col]
-                row = [field.sub(a, field.mul(f, b)) for a, b in zip(row, c2.gen[i])]
-        if any(row):
-            return False
-    return True
+    # c2's generator is the identity on its pivots, so a row x lies in c2
+    # exactly when x equals x[pivots] @ G2
+    spanned = _matmul(c1.field, c1.gen[:, list(c2.pivots)], c2.gen)
+    return bool(np.array_equal(spanned, c1.gen))
 
 
 @dataclass(frozen=True)
@@ -395,10 +388,9 @@ def _scaled_rows(field: GF, gen: np.ndarray) -> np.ndarray:
     k, n = gen.shape
     t = field.t
     rows = np.zeros((k * t, n), dtype=np.int64)
-    _, mul, _, _ = field.tables()
     omega_pow = 1
     for j in range(t):
-        rows[np.arange(k) * t + j] = mul[omega_pow, gen]
+        rows[np.arange(k) * t + j] = field.mul_arr(omega_pow, gen)
         omega_pow = field.mul(omega_pow, field.gen)
     return rows
 
@@ -492,10 +484,9 @@ def min_weight_outside(c1: LinearCode, c2: LinearCode,
 def codeword_weights(c: LinearCode) -> np.ndarray:
     """Weights of all q^k codewords in message counting order (oracle-sized)."""
     field = c.field
-    add, mul, _, _ = field.tables()
     words = np.zeros((1, c.n), dtype=np.int64)
     for i in range(c.k - 1, -1, -1):
         row = c.gen[i]
-        stack = [add[words, mul[v, row][None, :]] for v in range(field.order)]
+        stack = [field.add_arr(words, field.mul_arr(v, row)) for v in range(field.order)]
         words = np.concatenate(stack, axis=0)
     return np.count_nonzero(words, axis=1)

@@ -27,9 +27,11 @@ import numpy as np
 
 from .errors import (
     ConstituentNotHSO,
+    DualMismatch,
     FieldMismatch,
     LengthMismatch,
     OrderingViolated,
+    RankMismatch,
     SlotSNotESO,
     UnknownConstituentDistance,
 )
@@ -104,7 +106,7 @@ class CrtDecomposition:
             exceptional = d == 1 and (2 * u) % m == 0
             slots.append(Slot("selfrec", i, f, u, d, cf, exceptional))
         self.slots: tuple[Slot, ...] = tuple(slots)
-        self._trace_tabs: dict[int, dict[int, int]] = {}
+        self._trace_tabs: dict[int, np.ndarray] = {}
 
     @property
     def n(self) -> int:
@@ -123,8 +125,10 @@ class CrtDecomposition:
     def alpha_pow(self, e: int) -> int:
         return self._alpha_pows[e % self.m]
 
-    def _trace_table(self, cfield: GF) -> dict[int, int]:
-        """K-value of the embedded subfield -> relative trace down to F_q."""
+    def _trace_table(self, cfield: GF) -> np.ndarray:
+        """Relative trace down to F_q of every element of the constituent
+        field, indexed by its value in cfield; computed in K on the embedded
+        copy."""
         key = cfield.t
         tab = self._trace_tabs.get(key)
         if tab is not None:
@@ -132,17 +136,11 @@ class CrtDecomposition:
         K, base = self.common_field, self.q_field
         fwd, _ = _embedding_pair(cfield, K)
         _, base_inv = _embedding_pair(base, K)
-        q = base.order
-        d = cfield.t // base.t
-        tab = {}
-        for x in range(cfield.order):
-            z = int(fwd[x])
-            acc = z
-            y = z
-            for _ in range(d - 1):
-                y = K.pow_(y, q)
-                acc = K.add(acc, y)
-            tab[z] = base_inv[acc]
+        acc = y = fwd
+        for _ in range(cfield.t // base.t - 1):
+            y = K.pow_arr(y, base.order)
+            acc = K.add_arr(acc, y)
+        tab = np.array([base_inv[int(z)] for z in acc], dtype=np.int64)
         self._trace_tabs[key] = tab
         return tab
 
@@ -362,31 +360,26 @@ def assemble_qc(decomp: CrtDecomposition, assignment: ConstituentAssignment) -> 
     """Span the trace formula over an F_q-basis of every constituent code."""
     assignment.validate(decomp)
     K = decomp.common_field
-    base = decomp.q_field
     m, ell = decomp.m, decomp.ell
-    gens = []
+    blocks = []
     for slot, code in assignment.slot_codes(decomp):
         if code.k == 0:
             continue
         F = slot.cfield
-        fwd, _ = _embedding_pair(F, K)
+        _, back = _embedding_pair(F, K)
         trace_tab = decomp._trace_table(F)
-        apow = [decomp.alpha_pow((-g * slot.exponent) % m) for g in range(m)]
-        for row in code.gen:
-            scale = 1
-            for _ in range(slot.degree):
-                zs = [int(fwd[F.mul(scale, int(v))]) for v in row]
-                flat = np.zeros(m * ell, dtype=np.int64)
-                for g in range(m):
-                    ag = apow[g]
-                    off = g * ell
-                    for j, z in enumerate(zs):
-                        flat[off + j] = trace_tab[K.mul(z, ag)]
-                gens.append(flat)
-                scale = F.mul(scale, F.gen)
-    lin = code_from_rows(base, m * ell, gens)
+        # alpha^(-g u) lies in the embedded copy of F, so the products are taken in F
+        apow = np.array([back[decomp.alpha_pow(-g * slot.exponent)] for g in range(m)], dtype=np.int64)
+        basis = np.array([F.pow_(F.gen, i) for i in range(slot.degree)], dtype=np.int64)
+        coef = F.mul_arr(basis[:, None], apow[None, :])  # (degree, m)
+        # entry (row, basis element, g, j) of the trace formula
+        vals = trace_tab[F.mul_arr(code.gen[:, None, None, :], coef[None, :, :, None])]
+        blocks.append(vals.reshape(-1, m * ell))
+    rows = np.concatenate(blocks) if blocks else np.zeros((0, m * ell), dtype=np.int64)
+    lin = code_from_rows(decomp.q_field, m * ell, rows)
     expected = dim_from_constituents(decomp, assignment)
-    assert lin.k == expected, f"rank {lin.k} != constituent dimension {expected}"
+    if lin.k != expected:
+        raise RankMismatch(f"rank {lin.k} != constituent dimension {expected}")
     return QcCode(lin, m, ell, decomp, assignment)
 
 
@@ -434,8 +427,7 @@ def extract_assignment(decomp: CrtDecomposition, flat: LinearCode) -> Constituen
 
 def is_shift_invariant(qc: QcCode) -> bool:
     """Closure under T^ell, the row shift of the m x ell array form."""
-    shifted = [np.roll(row, qc.ell) for row in qc.lin.gen]
-    gen, piv = _rref(qc.field, np.array(shifted, dtype=np.int64).reshape(-1, qc.n))
+    gen, piv = _rref(qc.field, np.roll(qc.lin.gen, qc.ell, axis=1))
     return subspace_leq(LinearCode(qc.field, qc.n, gen, piv), qc.lin)
 
 
@@ -539,7 +531,8 @@ def qc_dual(qc: QcCode, cross_assert: bool = True) -> QcCode:
     pred = ConstituentAssignment(tuple(pairs), tuple(selfrec))
     if cross_assert:
         rebuilt = assemble_qc(qc.decomp, pred)
-        assert rebuilt.lin == flat_dual, "constituent-level dual disagrees with the flat dual"
+        if rebuilt.lin != flat_dual:
+            raise DualMismatch("constituent-level dual disagrees with the flat dual")
     return QcCode(flat_dual, qc.m, qc.ell, qc.decomp, pred)
 
 

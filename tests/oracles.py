@@ -2,7 +2,8 @@
 
 These deliberately avoid the library paths they are checking: distances come
 from a plain counting-order enumeration (no block enumeration), duals from
-brute-force orthogonality over the whole ambient space, irreducibility from
+brute-force orthogonality over the whole ambient space, echelon forms and
+Gram matrices from one scalar field operation per entry, irreducibility from
 trial division, and mid-size distances from a MacWilliams transform of the
 naive dual enumeration.
 """
@@ -30,6 +31,42 @@ def naive_min_distance(code) -> int | None:
                 word = [field.add(w, field.mul(coef, int(r))) for w, r in zip(word, row)]
         best = min(best, sum(1 for w in word if w))
     return best
+
+
+def scalar_rref(field, mat):
+    """Textbook Gauss-Jordan on lists with GF.add/mul/inv; returns (rows, pivots)."""
+    r = [[int(v) for v in row] for row in mat]
+    n = len(mat[0]) if len(mat) else 0
+    pivots = []
+    row = 0
+    for col in range(n):
+        piv = next((i for i in range(row, len(r)) if r[i][col] != 0), None)
+        if piv is None:
+            continue
+        r[row], r[piv] = r[piv], r[row]
+        inv = field.inv(r[row][col])
+        r[row] = [field.mul(inv, v) for v in r[row]]
+        for i in range(len(r)):
+            if i != row and r[i][col] != 0:
+                f = field.neg(r[i][col])
+                r[i] = [field.add(a, field.mul(f, b)) for a, b in zip(r[i], r[row])]
+        pivots.append(col)
+        row += 1
+    return r[:row], tuple(pivots)
+
+
+def scalar_gram(field, a, b):
+    """a @ b.T entry by entry with GF.add/mul."""
+    out = []
+    for x in a:
+        line = []
+        for y in b:
+            s = 0
+            for u, v in zip(x, y):
+                s = field.add(s, field.mul(int(u), int(v)))
+            line.append(s)
+        out.append(line)
+    return out
 
 
 def brute_dual_vectors(code):

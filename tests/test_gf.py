@@ -3,6 +3,7 @@ import pytest
 
 from qckit.errors import (
     DivisionByZero,
+    InvalidLogTable,
     InvalidSubfieldOrder,
     MixedFields,
     NonPrimeCharacteristic,
@@ -11,6 +12,7 @@ from qckit.errors import (
     OrderCapExceeded,
 )
 from qckit.gf import (
+    GF,
     Felt,
     embed,
     felt,
@@ -230,3 +232,33 @@ def test_trace_identity_on_same_field():
     f4 = field_make(2, 2)
     for v in range(4):
         assert trace_rel(felt(f4, v), f4).val == v
+
+
+@pytest.mark.parametrize("raw_mul", [
+    lambda self, a, b: 1,  # every candidate has order 1: no primitive element
+    lambda self, a, b: (a + b) % 9,  # 2 passes the order test, its powers never return to 1
+])
+def test_log_table_checks_raise(raw_mul, monkeypatch):
+    # typed errors, so the checks also run under python -O
+    fld = GF(3, 2, field_make(3, 2).modulus)  # uncached twin: builds its own logs
+    monkeypatch.setattr(GF, "_raw_mul", raw_mul)
+    with pytest.raises(InvalidLogTable):
+        fld.mul(2, 3)
+
+
+def test_array_arithmetic_matches_scalar():
+    rng = np.random.default_rng(5)
+    for p, t in ((2, 1), (7, 1), (2, 3), (3, 2), (5, 5), (65537, 1)):
+        fld = field_make(p, t)
+        a = rng.integers(0, fld.order, size=200)
+        b = rng.integers(0, fld.order, size=200)
+        a[:7] = 0
+        b[5:9] = 0
+        assert fld.add_arr(a, b).tolist() == [fld.add(int(x), int(y)) for x, y in zip(a, b)]
+        assert fld.neg_arr(a).tolist() == [fld.neg(int(x)) for x in a]
+        assert fld.mul_arr(a, b).tolist() == [fld.mul(int(x), int(y)) for x, y in zip(a, b)]
+        for e in (0, 1, p, fld.order - 1, 3 * fld.order + 2, -2):
+            base = a if e >= 0 else b[b != 0]
+            assert fld.pow_arr(base, e).tolist() == [fld.pow_(int(x), e) for x in base]
+        with pytest.raises(DivisionByZero):
+            fld.pow_arr(a, -1)

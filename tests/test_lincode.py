@@ -11,7 +11,7 @@ from qckit.errors import (
     RepeatedEvaluationPoint,
     ZeroMultiplier,
 )
-from qckit.gf import field_make
+from qckit.gf import LOG_MAX_ORDER, field_make
 from qckit.lincode import (
     DistanceReport,
     LinearCode,
@@ -31,9 +31,10 @@ from qckit.lincode import (
     subspace_leq,
     zero_code,
     _gram,
+    _rref,
 )
 
-from oracles import brute_dual_vectors, naive_min_distance
+from oracles import brute_dual_vectors, naive_min_distance, scalar_gram, scalar_rref
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -59,6 +60,14 @@ def test_code_from_rows():
         code_from_rows(F3, 5, [(1, 1)])
     with pytest.raises(MixedFields):
         code_from_rows(F3, 2, [(1, 7)])
+    # integer arrays take one vectorized check and raise the same errors
+    with pytest.raises(LengthMismatch):
+        code_from_rows(F3, 5, np.ones((2, 4), dtype=np.int64))
+    for bad in (-1, 3):
+        with pytest.raises(MixedFields):
+            code_from_rows(F3, 2, np.array([[1, 0], [bad, 1]]))
+    with pytest.raises(MixedFields):
+        code_from_rows(F3, 2, [(1, 2**70)])
     # dependent and duplicate rows collapse
     assert code_from_rows(F3, 3, [(1, 1, 0), (2, 2, 0), (1, 1, 0)]).k == 1
 
@@ -276,4 +285,51 @@ def test_min_distance_bound_mode_target_early_exit():
     c = code_from_rows(F2, 40, rng.integers(0, 2, size=(18, 40)))
     rep = min_distance(c, budget=500, mode="bound")
     assert rep.mode == "lower-upper"
-    assert rep.enumerated >= 500 and rep.d_upper is not None
+    assert rep.enumerated == 500 and rep.d_upper is not None
+
+
+# prime and extension fields with log arrays, then one prime and one
+# extension field above LOG_MAX_ORDER (entrywise multiplication)
+ORACLE_FIELDS = ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 6), (5, 5), (65537, 1), (2, 17))
+# (rows, columns); 12 x 20 and 24 x 40 span several elimination panels
+ORACLE_SHAPES = ((0, 6), (1, 5), (4, 9), (7, 7), (9, 5), (12, 20), (24, 40))
+
+
+def _degenerate_matrix(fld, rng, k, n):
+    """Random k x n matrix with an all-zero column, a zero row and a row that
+    is a combination of two others, where the shape allows."""
+    mat = rng.integers(0, fld.order, size=(k, n))
+    if n > 2:
+        mat[:, 2] = 0
+    if k > 3:
+        mat[1] = 0
+        c = int(rng.integers(1, fld.order))
+        mat[3] = [fld.add(int(a), fld.mul(c, int(b))) for a, b in zip(mat[0], mat[2])]
+    return mat
+
+
+def _oracle_leq(c1, c2):
+    if c1.k == 0:
+        return True
+    return len(scalar_rref(c1.field, np.vstack([c2.gen, c1.gen]))[1]) == c2.k
+
+
+@pytest.mark.parametrize("p,t", ORACLE_FIELDS)
+def test_array_linear_algebra_matches_scalar_oracle(p, t):
+    fld = field_make(p, t)
+    rng = np.random.default_rng(100 * p + t)
+    # entrywise multiplication above LOG_MAX_ORDER is slow: skip the largest shape
+    for k, n in ORACLE_SHAPES if fld.order <= LOG_MAX_ORDER else ORACLE_SHAPES[:-1]:
+        mat = _degenerate_matrix(fld, rng, k, n)
+        gen, piv = _rref(fld, mat)
+        assert (gen.tolist(), piv) == scalar_rref(fld, mat), (k, n)
+        other = rng.integers(0, fld.order, size=(3, n))
+        assert _gram(fld, mat, other).tolist() == scalar_gram(fld, mat, other)
+        c = LinearCode(fld, n, gen, piv)
+        d = dual_euclidean(c)
+        assert d.k == n - c.k and (d.gen.tolist(), d.pivots) == scalar_rref(fld, d.gen)
+        assert all(v == 0 for row in scalar_gram(fld, c.gen, d.gen) for v in row)
+        half = LinearCode(fld, n, *_rref(fld, mat[: k // 2]))
+        rand = LinearCode(fld, n, *_rref(fld, other))
+        for c1, c2 in ((half, c), (c, half), (rand, c), (c, rand), (d, c), (c, d), (c, full_space(fld, n))):
+            assert subspace_leq(c1, c2) == _oracle_leq(c1, c2), (k, n)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from qckit import qc as qc_module
 from qckit.errors import (
     ConstituentNotHSO,
+    DualMismatch,
     LengthMismatch,
     OrderingViolated,
+    RankMismatch,
     SlotSNotESO,
 )
 from qckit.gf import field_make
@@ -211,6 +214,21 @@ def test_qc_dual(ex41, dec47):
     assert qc_dual(qc).lin == qc.lin
 
 
+def test_assembly_rank_check_raises(dec47, monkeypatch):
+    # a typed error, so the check also runs under python -O
+    monkeypatch.setattr(qc_module, "dim_from_constituents", lambda decomp, asn: 99)
+    with pytest.raises(RankMismatch):
+        assemble_qc(dec47, assignment_all_full(dec47))
+
+
+def test_qc_dual_cross_check_raises(ex41, monkeypatch):
+    real = qc_module.assemble_qc
+    monkeypatch.setattr(qc_module, "assemble_qc",
+                        lambda decomp, asn: real(decomp, assignment_all_zero(decomp)))
+    with pytest.raises(DualMismatch):
+        qc_dual(ex41)
+
+
 def test_missing_provenance_dual(ex41):
     from qckit.qc import QcCode
 
@@ -343,6 +361,22 @@ def test_family_level2_materialization_eso():
 
     assert not _gram(F3, lv2.qc.lin.gen, lv2.qc.lin.gen).any()
     assert is_shift_invariant(lv2.qc)
+
+
+def test_duality_class_memory_at_n605():
+    # G G^T and the dual at n = 605 stay small: no k x k x n product table
+    import tracemalloc
+
+    lin = build_family(_cor35_plan(u_max=2, materialize_max=605))[1].qc.lin
+    assert (lin.n, lin.k) == (605, 302)
+    tracemalloc.start()
+    try:
+        flags = duality_class(lin)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert flags.eso
+    assert peak < 32 * 2**20, f"duality_class peaked at {peak / 2**20:.1f} MB"
 
 
 def test_family_level2_materialization_edc():
