@@ -55,6 +55,24 @@ class ZeroConstantTerm(QCKitError):
     pass
 
 
+class DependentPowerBasis(QCKitError):
+    """The powers 1, beta, ..., beta^(d-1) of a coset root are dependent over
+    the base field, so its minimal polynomial does not have degree d."""
+
+
+class MinimalPolynomialMismatch(QCKitError):
+    """A computed minimal polynomial does not vanish at its root."""
+
+
+class ReciprocalMismatch(QCKitError):
+    """The factor of the negated coset is not the reciprocal of the factor
+    of the coset."""
+
+
+class FactorProductMismatch(QCKitError):
+    """The computed factors of x^m - 1 do not multiply back to x^m - 1."""
+
+
 # linear codes
 class LengthMismatch(QCKitError):
     pass

@@ -11,9 +11,10 @@ its generator to the least root of its modulus in the target field.  Both
 rules are deterministic, so two fields with equal (p, t) are interchangeable.
 
 Fields up to LOG_MAX_ORDER carry lazily built log/antilog arrays, which the
-elementwise array arithmetic (add_arr, mul_arr, ...) uses; fields up to
-TABLE_MAX_ORDER also carry full add/mul tables for the block enumerator.
-The scalar API below never requires either.
+elementwise array arithmetic (add_arr, mul_arr, ...) uses.  Fields up to
+TABLE_MAX_ORDER can also build full add/mul tables (`tables()`); the library
+itself no longer reads them, and they stay for the benchmark harness in
+perfbench/.  The scalar API below never requires either.
 """
 
 from __future__ import annotations
@@ -410,7 +411,8 @@ class GF:
     # -- numpy element tables ----------------------------------------------------
 
     def tables(self):
-        """(add, mul, neg, inv) numpy lookup tables; only for small orders."""
+        """(add, mul, neg, inv) numpy lookup tables; only for small orders.
+        Unused by the library; perfbench/ builds and traces them."""
         if self._tables is None:
             if self.order > TABLE_MAX_ORDER:
                 raise OrderCapExceeded(
@@ -446,10 +448,10 @@ class GF:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         p = self.p
-        if self.t == 1:
-            return (a + b) % p
         if p == 2:
             return a ^ b
+        if self.t == 1:
+            return (a + b) % p
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
         pw = 1
         for _ in range(self.t):

@@ -1,5 +1,6 @@
 """Linear codes over a finite field: canonical generator matrices, duals,
-exhaustive minimum distance, GRS constructors, copies, and Galois closure.
+minimum distance by the Brouwer-Zimmermann algorithm, GRS constructors,
+copies, and Galois closure.
 
 A code is identified with its reduced row echelon generator matrix, so code
 equality is matrix equality and set-level statements (involution of duals,
@@ -8,11 +9,11 @@ C = C^q, ...) are decidable by comparison.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     BudgetTooSmallForExact,
     DimensionMismatch,
@@ -357,8 +358,10 @@ class DistanceReport:
     """Result of a weight enumeration.
 
     mode "exact" certifies d_exact over all nonzero codewords; "lower-upper"
-    reports the best upper bound found within the enumeration budget.  The
-    zero code gets the undefined sentinel n + 1 so it never poisons minima.
+    reports the certified interval [d_lower, d_upper] reached within the
+    enumeration budget, and d_lower == d_upper when the engine certified the
+    distance before the budget ran out.  The zero code gets the undefined
+    sentinel n + 1 so it never poisons minima, and d_lower None.
     """
 
     mode: str
@@ -367,6 +370,7 @@ class DistanceReport:
     enumerated: int
     budget: int
     zero_code: bool = False
+    d_lower: int | None = None
 
     @property
     def value(self) -> int:
@@ -376,6 +380,7 @@ class DistanceReport:
         return {
             "mode": self.mode,
             "d_exact": self.d_exact,
+            "d_lower": self.d_lower,
             "d_upper": self.d_upper,
             "enumerated": self.enumerated,
             "budget": self.budget,
@@ -383,27 +388,117 @@ class DistanceReport:
         }
 
 
-def _scaled_rows(field: GF, gen: np.ndarray) -> np.ndarray:
-    """Rows omega^j * G_i over the prime-subfield digits, for block enumeration."""
+_BLOCK = 4096  # most codewords built and scored by one array step
+
+
+def _information_sets(field: GF, gen: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """Systematic generators Gamma_j of the code with r_j, their number of
+    pivots on columns that no earlier Gamma has a pivot on.
+
+    Each Gamma_j is the RREF of the generator with the unused columns put
+    first, read back in the original column order, so it is the identity on
+    its pivot columns.  The sets stop when the unused columns have rank 0.
+    """
+    n = gen.shape[1]
+    used = np.zeros(n, dtype=bool)
+    sets = []
+    while True:
+        fresh = np.flatnonzero(~used)
+        order = np.concatenate([fresh, np.flatnonzero(used)])
+        g, piv = _rref(field, gen[:, order])
+        new = [c for c in piv if c < fresh.size]
+        if not new:
+            return sets
+        gamma = np.empty_like(g)
+        gamma[:, order] = g
+        used[order[new]] = True
+        sets.append((gamma, len(new)))
+
+
+def _message_blocks(k: int, w: int, q: int):
+    """Messages of weight w whose first nonzero coefficient is 1, one per
+    scalar class, as (support, coefficient) arrays of at most _BLOCK rows."""
+    patterns = (q - 1) ** (w - 1)  # coefficients after the leading 1
+    per_block = max(1, _BLOCK // patterns)
+    supports = itertools.combinations(range(k), w)
+    while True:
+        chunk = itertools.chain.from_iterable(itertools.islice(supports, per_block))
+        supp = np.fromiter(chunk, dtype=np.int64).reshape(-1, w)
+        if not len(supp):
+            return
+        for start in range(0, patterns, _BLOCK):
+            idx = np.arange(start, min(patterns, start + _BLOCK), dtype=np.int64)
+            coef = np.ones((idx.size, w), dtype=np.int64)
+            for s in range(1, w):
+                coef[:, s] = idx % (q - 1) + 1  # base-(q-1) digits are the nonzero elements
+                idx //= q - 1
+            yield np.repeat(supp, len(coef), axis=0), np.tile(coef, (len(supp), 1))
+
+
+def _combine(field: GF, rows: np.ndarray, supp: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Row i of the result is sum_s coef[i, s] * rows[supp[i, s]]."""
+    out = rows[supp[:, 0]]  # leading coefficient 1
+    for s in range(1, supp.shape[1]):
+        term = rows[supp[:, s]]
+        if field.order > 2:  # over F_2 every coefficient is 1
+            term = field.mul_arr(coef[:, s, None], term)
+        out = field.add_arr(out, term)
+    return out
+
+
+def _min_weight(field: GF, gen: np.ndarray, syn: np.ndarray | None,
+                budget: int | None) -> tuple[int, int, int]:
+    """Brouwer-Zimmermann minimum weight of the code spanned by gen (k >= 1
+    independent rows), or of its codewords not orthogonal to every row of
+    syn.  Returns (best, lower, visited): best is the least weight seen
+    (n + 1 if none qualified), lower <= min(best, d) is the certified lower
+    bound, and the result is certified exactly when lower == best.
+
+    Stage (w, j) visits every message of weight w on Gamma_j, one per scalar
+    class.  A codeword none of the finished stages produced has message
+    weight above w_j on every Gamma_j, so it carries at least
+    w_j + 1 - (k - r_j) nonzeros on the r_j fresh pivot columns of each
+    Gamma_j, which are disjoint; the engine stops when that sum reaches
+    best, or when one Gamma_j has had every message.  With syn, codewords
+    with a zero syndrome are skipped: the bound holds for every codeword
+    not visited, so it holds for the difference set as well.  A budget stops
+    the engine after exactly that many codewords; None runs to the end.
+    """
     k, n = gen.shape
-    t = field.t
-    rows = np.zeros((k * t, n), dtype=np.int64)
-    omega_pow = 1
-    for j in range(t):
-        rows[np.arange(k) * t + j] = field.mul_arr(omega_pow, gen)
-        omega_pow = field.mul(omega_pow, field.gen)
-    return rows
+    q = field.order
+    sets = [(g, r, None if syn is None else _gram(field, g, syn))
+            for g, r in _information_sets(field, gen)]
+    done = [0] * len(sets)  # w_j: message weight enumerated in full on Gamma_j
 
+    def bound() -> int:
+        return sum(max(0, wj + 1 - (k - rj)) for wj, (_, rj, _) in zip(done, sets))
 
-def class_count(q: int, k: int) -> int:
-    """Number of scalar classes of nonzero messages."""
-    return (q**k - 1) // (q - 1)
+    best, lower, visited = n + 1, bound(), 0
+    for w in range(1, k + 1):
+        for j, (g, _, s) in enumerate(sets):
+            for supp, coef in _message_blocks(k, w, q):
+                cut = budget is not None and visited + len(supp) > budget
+                if cut:  # the budget ends inside this stage
+                    supp, coef = supp[:budget - visited], coef[:budget - visited]
+                visited += len(supp)
+                wts = np.count_nonzero(_combine(field, g, supp, coef), axis=1)
+                if s is not None:
+                    wts = wts[_combine(field, s, supp, coef).any(axis=1)]
+                if wts.size:
+                    best = min(best, int(wts.min()))
+                if cut:
+                    return best, min(best, lower), visited
+            done[j] = w
+            lower = bound()
+            if w == k or lower >= best:
+                return best, best, visited
+    raise AssertionError("unreachable: the last stage enumerates every message")  # pragma: no cover
 
 
 def min_distance(c: LinearCode, budget: int = DEFAULT_BUDGET, mode: str = "auto",
                  fallback: bool = False) -> DistanceReport:
-    """Exhaustive minimum distance by block enumeration, or an upper bound
-    within budget.
+    """Minimum distance by the Brouwer-Zimmermann engine: exact, or a
+    certified interval [d_lower, d_upper] within `budget` codewords.
 
     Exact mode needs q^k <= budget; with fallback=True an over-budget request
     degrades to bound mode instead of raising.
@@ -412,9 +507,6 @@ def min_distance(c: LinearCode, budget: int = DEFAULT_BUDGET, mode: str = "auto"
     q = field.order
     if k == 0:
         return DistanceReport("exact", n + 1, None, 0, budget, zero_code=True)
-    if k == 1:
-        w = int(np.count_nonzero(c.gen[0]))
-        return DistanceReport("exact", w, w, 1, budget)
     exact_possible = q**k <= budget
     if mode == "exact" and not exact_possible:
         if not fallback:
@@ -422,48 +514,22 @@ def min_distance(c: LinearCode, budget: int = DEFAULT_BUDGET, mode: str = "auto"
         mode = "bound"
     if mode == "auto":
         mode = "exact" if exact_possible else "bound"
-    if not field.has_tables:
-        # large-order constituent fields: scalar-path exhaustive walk
-        reps = class_count(q, k)
-        if mode != "exact" or reps > 2**16:
-            raise BudgetTooSmallForExact(
-                f"field order {q} has no lookup tables; only small exact runs supported"
-            )
-        best = n + 1
-        for lead in range(k):
-            tail = k - 1 - lead
-            for digits in range(q**tail):
-                msg = digits
-                word = [int(v) for v in c.gen[lead]]
-                for i in range(tail):
-                    coef = msg % q
-                    msg //= q
-                    if coef:
-                        row = c.gen[lead + 1 + i]
-                        word = [field.add(w, field.mul(coef, int(r))) for w, r in zip(word, row)]
-                best = min(best, sum(1 for w in word if w))
-        return DistanceReport("exact", best, best, reps, budget)
-    rows = _scaled_rows(field, c.gen)
-    add, _, _, _ = field.tables()
-    no_syn = np.zeros((rows.shape[0], 0), dtype=np.int64)
     if mode == "exact":
-        reps = class_count(q, k)
-        best, visited, complete = _kernels.gray_min_weight(
-            rows, no_syn, add, field.p, field.t, k, reps + 1)
-        if not complete or visited != reps:
+        best, lower, visited = _min_weight(field, c.gen, None, None)
+        if lower < best:
             raise EnumerationIncomplete(
-                f"exact enumeration visited {visited} of {reps} classes (complete={complete})")
-        return DistanceReport("exact", best, best, visited, budget)
-    best, visited, _ = _kernels.gray_min_weight(
-        rows, no_syn, add, field.p, field.t, k, budget)
-    return DistanceReport("lower-upper", None, best if best <= n else None, visited, budget)
+                f"exact enumeration stopped at [{lower}, {best}] after {visited} codewords")
+        return DistanceReport("exact", best, best, visited, budget, d_lower=best)
+    best, lower, visited = _min_weight(field, c.gen, None, budget)
+    return DistanceReport("lower-upper", None, best if best <= n else None, visited, budget,
+                          d_lower=lower)
 
 
 def min_weight_outside(c1: LinearCode, c2: LinearCode,
                        budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
     """Exact min weight over c1 \\ c2^perp-euclidean, i.e. codewords of c1 not
-    orthogonal to all of c2. Returns (weight, enumerated); weight n + 1 when
-    the difference is empty."""
+    orthogonal to all of c2. Returns (weight, codewords visited); weight
+    n + 1 when the difference is empty."""
     if c1.field != c2.field or c1.n != c2.n:
         raise LengthMismatch("codes live in different ambient spaces")
     field, k, q = c1.field, c1.k, c1.field.order
@@ -471,13 +537,10 @@ def min_weight_outside(c1: LinearCode, c2: LinearCode,
         return c1.n + 1, 0  # empty difference: c2^perp is everything
     if q**k > budget:
         raise BudgetTooSmallForExact(f"q^k = {q}^{k} exceeds budget {budget}")
-    rows = _scaled_rows(field, c1.gen)
-    add, _, _, _ = field.tables()
-    reps = class_count(q, k)
-    best, visited, complete = _kernels.gray_min_weight(
-        rows, _gram(field, rows, c2.gen), add, field.p, field.t, k, reps + 1)
-    if not complete:
-        raise EnumerationIncomplete(f"enumeration of c1 stopped after {visited} of {reps} classes")
+    best, lower, visited = _min_weight(field, c1.gen, c2.gen, None)
+    if lower < best:
+        raise EnumerationIncomplete(
+            f"enumeration of c1 stopped at [{lower}, {best}] after {visited} codewords")
     return best, visited
 
 

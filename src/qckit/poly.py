@@ -16,7 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from math import gcd
 
-from .errors import DivisionByZero, MixedFields, NotCoprime, ZeroConstantTerm
+from .errors import (
+    DependentPowerBasis,
+    DivisionByZero,
+    FactorProductMismatch,
+    MinimalPolynomialMismatch,
+    MixedFields,
+    NotCoprime,
+    ReciprocalMismatch,
+    ZeroConstantTerm,
+)
 from .gf import GF, Felt, _embedding_pair, field_make, is_prime, multiplicative_order, primitive_mth_root
 
 
@@ -335,7 +344,9 @@ def _minpoly_over_base(K: GF, base: GF, coords: _FqCoords, beta: int, d: int) ->
                 rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(rows[i], rows[r])]
         piv_cols.append(col)
         r += 1
-    assert piv_cols == list(range(d)), "power basis of beta unexpectedly dependent"
+    if piv_cols != list(range(d)):
+        raise DependentPowerBasis(
+            f"powers of {beta} up to degree {d - 1} are dependent over {base!r}")
     sol = [rows[i][d] for i in range(d)]
     return Poly.make(f, sol + [1])
 
@@ -396,7 +407,9 @@ def factor_xm1(q_field: GF, m: int) -> FactorSet:
     for coset in table.cosets:
         beta = K.pow_(alpha, coset[0])
         mp = _minpoly_over_base(K, q_field, coords, beta, len(coset))
-        assert mp.eval_in(K, beta) == 0
+        if mp.eval_in(K, beta) != 0:
+            raise MinimalPolynomialMismatch(
+                f"minimal polynomial {mp} does not vanish at {beta} in {K!r}")
         coset_factor[coset] = mp
 
     pairs = []
@@ -415,7 +428,9 @@ def factor_xm1(q_field: GF, m: int) -> FactorSet:
         else:
             g2 = coset_factor[neg_coset]
             rep_of[g2.coeffs] = neg_coset[0]
-            assert g2 == f.reciprocal()
+            if g2 != f.reciprocal():
+                raise ReciprocalMismatch(
+                    f"factor {g2} of coset {neg_coset} is not the reciprocal of {f}")
             pair = (f, g2) if f.lex_key() <= g2.lex_key() else (g2, f)
             pairs.append(pair)
             done.add(coset)
@@ -437,5 +452,7 @@ def factor_xm1(q_field: GF, m: int) -> FactorSet:
     prod = Poly.one(q_field)
     for f in fs.factors:
         prod = prod * f
-    assert prod == Poly.x_pow_minus_one(q_field, m), "factor product check failed"
+    if prod != Poly.x_pow_minus_one(q_field, m):
+        raise FactorProductMismatch(
+            f"the factors of x^{m} - 1 over {q_field!r} multiply to {prod}")
     return fs

@@ -1,7 +1,7 @@
 """Independent reference oracles used by the tests.
 
 These deliberately avoid the library paths they are checking: distances come
-from a plain counting-order enumeration (no block enumeration), duals from
+from a plain counting-order enumeration (no information sets), duals from
 brute-force orthogonality over the whole ambient space, echelon forms and
 Gram matrices from one scalar field operation per entry, irreducibility from
 trial division, and mid-size distances from a MacWilliams transform of the

@@ -11,7 +11,6 @@ README section "Reference-material defects found by the suite" and in
 test_gobound's frozen counterexamples.
 """
 
-import os
 import time
 
 import numpy as np
@@ -91,8 +90,8 @@ def test_criterion_2_d_table():
 
 def _certified_distance_f4(code):
     """Minimum distance of a code over F_4 from the MacWilliams transform of
-    its Euclidean dual's weight distribution, independently of the block
-    enumerator.
+    its Euclidean dual's weight distribution, independently of the distance
+    engine.
 
     The dual is enumerated in counting order with the 4x4 multiplication
     table and XOR addition (F_4 indices are coefficient bit vectors).  It is
@@ -161,8 +160,6 @@ def test_criterion_4_example42_default():
     assert ok
 
 
-@pytest.mark.skipif(os.environ.get("QCKIT_LONG", "") != "1",
-                    reason="2^30-codeword enumeration; set QCKIT_LONG=1 to run")
 @pytest.mark.paperdefect
 def test_criterion_4_example42_long():
     t0 = time.time()
@@ -174,11 +171,11 @@ def test_criterion_4_example42_long():
     dec, asn, _ = _example42_assignment()
     go = go_bound(dec, asn)
     ok = (status == "fail" and exact == 8 and go.d_go == 14 and go.d_sound == 6 <= exact
-          and elapsed < 1800)
+          and elapsed < 60)
     _line("4-long", ok,
-          f"exhaustive run: published d >= 14 reported {status} with exact d = {exact}; "
+          f"exact run: published d >= 14 reported {status} with exact d = {exact}; "
           f"formula d_GO = {go.d_go}, sound bound {go.d_sound} ({elapsed:.0f}s)")
-    assert elapsed < 1800
+    assert elapsed < 60
     assert status == "fail" and exact == 8, (
         f"the distance claim should fail with exact d = 8, got {status} with d = {exact}; "
         f"see the README section \"Reference-material defects found by the suite\"")
@@ -257,6 +254,6 @@ def test_criterion_8_oracle_equivalence():
         checked += 1
     elapsed = time.time() - t0
     ok = checked >= 40
-    _line(8, ok, f"block enumerator matches the counting-order oracle on "
+    _line(8, ok, f"distance engine matches the counting-order oracle on "
                  f"{checked} codes ({elapsed:.1f}s)")
     assert ok

@@ -33,6 +33,13 @@ from qckit.lincode import (
     _gram,
     _rref,
 )
+from qckit.qc import (
+    ConstituentAssignment,
+    PairAssignment,
+    SelfrecAssignment,
+    assemble_qc,
+    decompose_ring,
+)
 
 from oracles import brute_dual_vectors, naive_min_distance, scalar_gram, scalar_rref
 
@@ -123,7 +130,9 @@ def test_min_distance_budget_handling():
     rep = min_distance(c, budget=100, mode="exact", fallback=True)
     assert rep.mode == "lower-upper" and rep.d_upper >= 1
     rep2 = min_distance(c, budget=100, mode="auto")
-    assert rep2.mode == "lower-upper" and rep2.enumerated >= 100
+    # the identity generator certifies d = 1 after its weight-1 messages
+    assert rep2.mode == "lower-upper" and rep2.enumerated <= 100
+    assert rep2.d_lower == rep2.d_upper == 1
 
 
 def test_min_distance_matches_naive_oracle():
@@ -136,12 +145,34 @@ def test_min_distance_matches_naive_oracle():
             if c.k == 0 or fld.order**c.k > 10**5:
                 continue
             assert min_distance(c).d_exact == naive_min_distance(c)
+    # shapes that stress the information sets: zero columns (never a pivot),
+    # repeated columns, k = n (one set), and k = 2 with n >= 10 (many sets)
+    for p, t in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 6), (5, 5)):
+        fld = field_make(p, t)
+        for k, n in ((1, 6), (2, 7), (3, 8), (1, 1), (2, 2), (4, 4), (7, 7), (2, 10), (2, 13)):
+            if fld.order**k > 5000:
+                continue
+            mat = rng.integers(0, fld.order, size=(k, n))
+            for shape in ("random", "zero columns", "repeated columns"):
+                if shape == "zero columns":
+                    mat[:, [0, n // 2]] = 0
+                elif shape == "repeated columns":
+                    mat[:, n // 2:] = mat[:, :n - n // 2]
+                c = code_from_rows(fld, n, mat)
+                if c.k:
+                    assert min_distance(c).d_exact == naive_min_distance(c), (fld, k, n, shape)
+    # the only weight-2 class is g_1 - g_2, whose message on each of the three
+    # information sets has weight 2 and a coefficient other than 1
+    c = code_from_rows(F3, 7, [(1, 0, 0, 0, 2, 0, 1), (0, 1, 0, 0, 2, 0, 1),
+                               (0, 0, 1, 0, 2, 1, 2), (0, 0, 0, 1, 0, 2, 2)])
+    assert min_distance(c).d_exact == naive_min_distance(c) == 2
 
 
 def test_incomplete_enumeration_raises(monkeypatch):
-    from qckit import _kernels
+    from qckit import lincode
 
-    monkeypatch.setattr(_kernels, "gray_min_weight", lambda *args: (1, 1, False))
+    # the engine reports the open interval [1, 2]: not certified
+    monkeypatch.setattr(lincode, "_min_weight", lambda *args: (2, 1, 1))
     c = code_from_rows(F2, 4, [(1, 1, 0, 0), (0, 0, 1, 1)])
     with pytest.raises(EnumerationIncomplete):
         min_distance(c, mode="exact")
@@ -149,10 +180,64 @@ def test_incomplete_enumeration_raises(monkeypatch):
         min_weight_outside(c, c)
 
 
-def test_min_distance_large_field_scalar_path():
+def test_min_distance_large_field():
     f3125 = field_make(5, 5)
     c = grs_code(f3125, [0, 1, 2, 3], [1, 1, 1, 1], 1)
     assert min_distance(c).d_exact == 4
+    # MDS codes over F_3125 and above LOG_MAX_ORDER: d = n - k + 1
+    for fld, n, k in ((f3125, 12, 2), (field_make(65537, 1), 5, 1), (field_make(2, 17), 6, 1)):
+        c = grs_code(fld, range(1, n + 1), range(1, n + 1), k)
+        assert min_distance(c).d_exact == n - k + 1, fld
+
+
+def test_min_distance_bound_mode_is_sound():
+    # codes whose d is known: random ones checked by the oracle, MDS codes,
+    # and example41's [21,12]_4 (d = 5, certified by MacWilliams in criterion 3)
+    rng = np.random.default_rng(17)
+    known = []
+    for fld, k, n in ((F2, 8, 20), (F3, 6, 14), (F4, 5, 12), (F9, 3, 9)):
+        c = code_from_rows(fld, n, rng.integers(0, fld.order, size=(k, n)))
+        known.append((c, naive_min_distance(c)))
+    # d = 2 only on the last row of the first information set, so a budget
+    # that ends inside the first stage must not count that stage as done
+    light = code_from_rows(F2, 12, [(1, 0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 1),
+                                    (0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1),
+                                    (0, 0, 1, 0, 1, 0, 1, 1, 1, 0, 1, 1),
+                                    (0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1)])
+    known.append((light, naive_min_distance(light)))
+    for fld, n, k in ((F9, 8, 4), (field_make(5, 5), 10, 3), (field_make(65537, 1), 8, 3)):
+        known.append((grs_code(fld, range(1, n + 1), [1] * n, k), n - k + 1))
+    dec = decompose_ring(F4, 7, 3)
+    F64 = dec.pair_slots[0][0].cfield
+    asn = ConstituentAssignment((PairAssignment(code_from_rows(F64, 3, [(F64.gen,) * 3])),),
+                                (SelfrecAssignment(full_space(F4, 3)),))
+    known.append((assemble_qc(dec, asn).lin, 5))
+    for c, d in known:
+        for budget in (0, 1, 5, 40, 300, 3000):
+            rep = min_distance(c, budget=budget, mode="bound")
+            assert rep.mode == "lower-upper" and rep.d_exact is None
+            assert rep.enumerated <= budget
+            upper = rep.d_upper if rep.d_upper is not None else c.n + 1
+            assert 1 <= rep.d_lower <= d <= upper, (c, budget, rep)
+            if rep.enumerated < budget:  # stopped early: certified
+                assert rep.d_lower == rep.d_upper == d
+
+
+def test_min_distance_memory_example42():
+    import tracemalloc
+
+    from qckit.reproduce import _example42_assignment
+
+    dec, asn, _ = _example42_assignment()
+    code = assemble_qc(dec, asn).lin  # [56,30]_2, d = 8 after about 349k codewords
+    tracemalloc.start()
+    try:
+        rep = min_distance(code, budget=2**31, mode="exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.d_exact == 8
+    assert peak < 16e6, f"engine peaked at {peak / 1e6:.1f} MB"
 
 
 def test_duality_class_examples():

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from qckit.errors import NotCoprime, ZeroConstantTerm
+from qckit import poly
+from qckit.errors import (
+    DependentPowerBasis,
+    FactorProductMismatch,
+    MinimalPolynomialMismatch,
+    NotCoprime,
+    ReciprocalMismatch,
+    ZeroConstantTerm,
+)
 from qckit.gf import field_make
 from qckit.poly import Poly, cyclotomic_cosets, factor_xm1, three_factor_scan
 
@@ -132,3 +140,18 @@ def test_scan_matches_order_criterion_for_primes():
         for m in three_factor_scan(q, 100):
             if is_prime(m):
                 assert multiplicative_order(q, m) == (m - 1) // 2
+
+
+# Each factor_xm1 self-check, broken by a monkeypatch, raises its typed error,
+# so the checks also run under python -O.  x^7 - 1 over F_2 has a reciprocal
+# pair of cubics, so every check is reached.
+@pytest.mark.parametrize("owner,attr,fake,error", [
+    (poly._FqCoords, "coords", lambda self, x: (0,) * self.w, DependentPowerBasis),
+    (Poly, "eval_in", lambda self, big, x: 1, MinimalPolynomialMismatch),
+    (Poly, "reciprocal", lambda self: Poly.one(self.field), ReciprocalMismatch),
+    (Poly, "x_pow_minus_one", staticmethod(lambda field, m: Poly.one(field)), FactorProductMismatch),
+])
+def test_factor_checks_raise(owner, attr, fake, error, monkeypatch):
+    monkeypatch.setattr(owner, attr, fake)
+    with pytest.raises(error):
+        factor_xm1(F2, 7)

@@ -148,7 +148,7 @@ def test_singleton_audit():
 def test_min_weight_outside_symmetry():
     c = _edc_2144()
     w, seen = min_weight_outside(c, c)
-    assert w == 2 and seen == 2**c.k - 1
+    assert w == 2 and 0 < seen <= 2**c.k - 1
 
 
 def test_min_weight_outside_matches_oracle():
@@ -157,6 +157,7 @@ def test_min_weight_outside_matches_oracle():
 
     rng = np.random.default_rng(77)
     fields = [field_make(2, 1), field_make(3, 1), field_make(2, 2)]
+    pairs = []
     for trial in range(18):
         fld = fields[trial % 3]
         n = int(rng.integers(4, 9))
@@ -164,6 +165,15 @@ def test_min_weight_outside_matches_oracle():
         k2 = int(rng.integers(0, min(n, 4) + 1))
         c1 = code_from_rows(fld, n, rng.integers(0, fld.order, size=(k1, n)))
         c2 = code_from_rows(fld, n, rng.integers(0, fld.order, size=(k2, n)))
+        pairs.append((c1, c2))
+    # c1 = c2, k2 = 0 and c2 = c1^perp (empty difference), each over F_2 and
+    # F_5, and a dual-containing code with itself
+    for fld in (field_make(2, 1), field_make(5, 1)):
+        c = code_from_rows(fld, 9, rng.integers(0, fld.order, size=(3, 9)))
+        pairs += [(c, c), (c, code_from_rows(fld, 9, [])), (c, dual_euclidean(c))]
+    pairs.append((_edc_2144(), _edc_2144()))
+    for c1, c2 in pairs:
+        fld, n = c1.field, c1.n
         if c1.k == 0:
             continue
         got = min_weight_outside(c1, c2)
@@ -188,4 +198,4 @@ def test_min_weight_outside_matches_oracle():
                     break
             if not in_perp:
                 best = min(best, sum(1 for w in word if w))
-        assert got[0] == best, (fld, n, k1, k2, got, best)
+        assert got[0] == best, (c1, c2, got, best)
