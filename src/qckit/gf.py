@@ -11,10 +11,11 @@ its generator to the least root of its modulus in the target field.  Both
 rules are deterministic, so two fields with equal (p, t) are interchangeable.
 
 Fields up to LOG_MAX_ORDER carry lazily built log/antilog arrays, which the
-elementwise array arithmetic (add_arr, mul_arr, ...) uses.  Fields up to
-TABLE_MAX_ORDER can also build full add/mul tables (`tables()`); the library
-itself no longer reads them, and they stay for the benchmark harness in
-perfbench/.  The scalar API below never requires either.
+elementwise array arithmetic (add_arr, mul_arr, ...) uses; odd-characteristic
+extension fields up to ADD_TABLE_MAX_ORDER also build an add table for it.
+Fields up to TABLE_MAX_ORDER can also build full add/mul tables (`tables()`);
+the library itself no longer reads them, and they stay for the benchmark
+harness in perfbench/.  The scalar API below never requires either.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ DEFAULT_ORDER_CAP = 2**62  # keeps element indices inside int64 for numpy paths
 TABLE_MAX_ORDER = 1024  # full q x q numpy tables (quadratic build cost)
 BRUTE_ROOT_MAX = 4096  # brute-force root scans for embeddings
 LOG_MAX_ORDER = 65536  # log/antilog arrays (scalar and array multiplication)
+ADD_TABLE_MAX_ORDER = 256  # q x q int64 add table for odd extension fields: 512 KB at most
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +217,7 @@ class GF:
         "_exp",
         "_log",
         "_tables",
+        "_add",
         "_frob_maps",
     )
 
@@ -226,6 +229,7 @@ class GF:
         self._exp = None
         self._log = None
         self._tables = None
+        self._add = None
         self._frob_maps = {}
 
     # -- representation ----------------------------------------------------
@@ -439,10 +443,26 @@ class GF:
 
     # -- elementwise array arithmetic -----------------------------------------
     #
-    # Element-index arrays in, element-index arrays out, with numpy
-    # broadcasting.  Addition works digit by digit on the base-p expansion;
-    # multiplication and powers go through the log/antilog arrays.  Orders
-    # above LOG_MAX_ORDER have no log arrays and multiply entry by entry.
+    # Element-index arrays in, new element-index arrays out, with numpy
+    # broadcasting.  In characteristic 2 addition is XOR and negation the
+    # identity.  Other extension fields work digit by digit on the base-p
+    # expansion; up to ADD_TABLE_MAX_ORDER they add through a table instead.
+    # Multiplication and powers go through the log/antilog arrays; orders
+    # above LOG_MAX_ORDER have none and multiply entry by entry.
+
+    def _add_table(self) -> np.ndarray:
+        """Flat add table of an odd-characteristic extension field, built from
+        the digits of every element index at once: a + b is at a * order + b."""
+        if self._add is None:
+            x = np.arange(self.order, dtype=np.int64)
+            add = np.zeros((self.order, self.order), dtype=np.int64)
+            pw = 1
+            for _ in range(self.t):
+                digit = x // pw % self.p
+                add += (digit[:, None] + digit) % self.p * pw
+                pw *= self.p
+            self._add = add.ravel()
+        return self._add
 
     def add_arr(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
@@ -452,6 +472,8 @@ class GF:
             return a ^ b
         if self.t == 1:
             return (a + b) % p
+        if self.order <= ADD_TABLE_MAX_ORDER:
+            return self._add_table()[a * self.order + b]
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
         pw = 1
         for _ in range(self.t):
@@ -462,6 +484,8 @@ class GF:
     def neg_arr(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         p = self.p
+        if p == 2:
+            return a.copy()
         if self.t == 1:
             return -a % p
         out = np.zeros(a.shape, dtype=np.int64)
@@ -476,6 +500,8 @@ class GF:
         b = np.asarray(b, dtype=np.int64)
         if self.order > LOG_MAX_ORDER:
             return np.frompyfunc(self.mul, 2, 1)(a.astype(object), b.astype(object)).astype(np.int64)
+        if self.order == 2:
+            return a & b
         if self.t == 1:
             return a * b % self.p
         exp, log = self._logs()

@@ -70,7 +70,8 @@ def _rref(field: GF, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     panel's pivot rows; one product with those rows then updates every
     column right of the panel.  Rows are never swapped: pivot rows are
     gathered in pivot order at the end, which gives the same (unique)
-    reduced form.
+    reduced form.  A pivot row is scaled only when its pivot is not 1, and
+    it updates only the rows with a nonzero entry in its column.
     """
     rows, n = mat.shape
     r = np.array(mat, dtype=np.int64)
@@ -86,15 +87,19 @@ def _rref(field: GF, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         a[:, :w] = r[:, c0:c0 + w]
         found: list[int] = []
         for j in range(w):
-            cand = np.flatnonzero(free & (a[:, j] != 0))
-            if cand.size == 0:
+            col = a[:, j]
+            nonzero = col != 0
+            i = int((nonzero & free).argmax())
+            if not (nonzero[i] and free[i]):
                 continue
-            i = int(cand[0])
             a[i, w + len(found)] = 1
-            a[i, j:] = field.mul_arr(a[i, j:], field.inv(int(a[i, j])))
-            factors = field.neg_arr(a[:, j])
-            factors[i] = 0
-            a[:, j:] = field.add_arr(a[:, j:], field.mul_arr(factors[:, None], a[i, j:]))
+            if col[i] != 1:
+                a[i, j:] = field.mul_arr(a[i, j:], field.inv(int(col[i])))
+            nonzero[i] = False
+            others = nonzero.nonzero()[0]  # rows the pivot row must clear
+            if others.size:
+                factors = field.neg_arr(col[others])
+                a[others, j:] = field.add_arr(a[others, j:], field.mul_arr(factors[:, None], a[i, j:]))
             free[i] = False
             found.append(i)
             pivots.append(c0 + j)
@@ -391,24 +396,26 @@ class DistanceReport:
 _BLOCK = 4096  # most codewords built and scored by one array step
 
 
-def _information_sets(field: GF, gen: np.ndarray) -> list[tuple[np.ndarray, int]]:
+def _information_sets(field: GF, gen: np.ndarray, pivots) -> list[tuple[np.ndarray, int]]:
     """Systematic generators Gamma_j of the code with r_j, their number of
     pivots on columns that no earlier Gamma has a pivot on.
 
-    Each Gamma_j is the RREF of the generator with the unused columns put
-    first, read back in the original column order, so it is the identity on
-    its pivot columns.  The sets stop when the unused columns have rank 0.
+    gen must be in RREF with pivot columns `pivots`, so Gamma_0 is gen itself
+    with r_0 = k.  Each later Gamma_j is the RREF of gen with the unused
+    columns put first, read back in the original column order, so it is the
+    identity on its pivot columns.  The sets stop when gen is zero on the
+    unused columns: they have rank 0, and no elimination is needed to see it.
     """
-    n = gen.shape[1]
-    used = np.zeros(n, dtype=bool)
-    sets = []
+    used = np.zeros(gen.shape[1], dtype=bool)
+    used[list(pivots)] = True
+    sets = [(gen, len(pivots))]
     while True:
         fresh = np.flatnonzero(~used)
+        if not gen[:, fresh].any():
+            return sets
         order = np.concatenate([fresh, np.flatnonzero(used)])
         g, piv = _rref(field, gen[:, order])
         new = [c for c in piv if c < fresh.size]
-        if not new:
-            return sets
         gamma = np.empty_like(g)
         gamma[:, order] = g
         used[order[new]] = True
@@ -438,7 +445,14 @@ def _message_blocks(k: int, w: int, q: int):
 def _combine(field: GF, rows: np.ndarray, supp: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """Row i of the result is sum_s coef[i, s] * rows[supp[i, s]]."""
     out = rows[supp[:, 0]]  # leading coefficient 1
-    for s in range(1, supp.shape[1]):
+    w, p = supp.shape[1], field.p
+    if field.t == 1 and p > 2 and w * (p - 1) ** 2 < 2**63:
+        # the int64 sum is exact: its w terms are each at most (p - 1)^2, so
+        # one reduction mod p finishes the block
+        for s in range(1, w):
+            out += coef[:, s, None] * rows[supp[:, s]]
+        return out % p
+    for s in range(1, w):
         term = rows[supp[:, s]]
         if field.order > 2:  # over F_2 every coefficient is 1
             term = field.mul_arr(coef[:, s, None], term)
@@ -446,13 +460,14 @@ def _combine(field: GF, rows: np.ndarray, supp: np.ndarray, coef: np.ndarray) ->
     return out
 
 
-def _min_weight(field: GF, gen: np.ndarray, syn: np.ndarray | None,
+def _min_weight(field: GF, gen: np.ndarray, pivots, syn: np.ndarray | None,
                 budget: int | None) -> tuple[int, int, int]:
-    """Brouwer-Zimmermann minimum weight of the code spanned by gen (k >= 1
-    independent rows), or of its codewords not orthogonal to every row of
-    syn.  Returns (best, lower, visited): best is the least weight seen
-    (n + 1 if none qualified), lower <= min(best, d) is the certified lower
-    bound, and the result is certified exactly when lower == best.
+    """Brouwer-Zimmermann minimum weight of the code whose RREF generator is
+    gen (k >= 1 rows) with pivot columns `pivots`, or of its codewords not
+    orthogonal to every row of syn.  Returns (best, lower, visited): best is
+    the least weight seen (n + 1 if none qualified), lower <= min(best, d) is
+    the certified lower bound, and the result is certified exactly when
+    lower == best.
 
     Stage (w, j) visits every message of weight w on Gamma_j, one per scalar
     class.  A codeword none of the finished stages produced has message
@@ -467,7 +482,7 @@ def _min_weight(field: GF, gen: np.ndarray, syn: np.ndarray | None,
     k, n = gen.shape
     q = field.order
     sets = [(g, r, None if syn is None else _gram(field, g, syn))
-            for g, r in _information_sets(field, gen)]
+            for g, r in _information_sets(field, gen, pivots)]
     done = [0] * len(sets)  # w_j: message weight enumerated in full on Gamma_j
 
     def bound() -> int:
@@ -515,12 +530,12 @@ def min_distance(c: LinearCode, budget: int = DEFAULT_BUDGET, mode: str = "auto"
     if mode == "auto":
         mode = "exact" if exact_possible else "bound"
     if mode == "exact":
-        best, lower, visited = _min_weight(field, c.gen, None, None)
+        best, lower, visited = _min_weight(field, c.gen, c.pivots, None, None)
         if lower < best:
             raise EnumerationIncomplete(
                 f"exact enumeration stopped at [{lower}, {best}] after {visited} codewords")
         return DistanceReport("exact", best, best, visited, budget, d_lower=best)
-    best, lower, visited = _min_weight(field, c.gen, None, budget)
+    best, lower, visited = _min_weight(field, c.gen, c.pivots, None, budget)
     return DistanceReport("lower-upper", None, best if best <= n else None, visited, budget,
                           d_lower=lower)
 
@@ -537,7 +552,7 @@ def min_weight_outside(c1: LinearCode, c2: LinearCode,
         return c1.n + 1, 0  # empty difference: c2^perp is everything
     if q**k > budget:
         raise BudgetTooSmallForExact(f"q^k = {q}^{k} exceeds budget {budget}")
-    best, lower, visited = _min_weight(field, c1.gen, c2.gen, None)
+    best, lower, visited = _min_weight(field, c1.gen, c1.pivots, c2.gen, None)
     if lower < best:
         raise EnumerationIncomplete(
             f"enumeration of c1 stopped at [{lower}, {best}] after {visited} codewords")

@@ -94,7 +94,9 @@ def css(c1: LinearCode, c2: LinearCode, mode: str = "bound",
         if given is not None:
             return given
         rep = min_distance(c, budget, mode="auto")
-        return rep.d_exact if rep.d_exact is not None else 1
+        if rep.d_exact is not None:  # exact, or the zero code's sentinel n + 1
+            return rep.d_exact
+        return max(1, rep.d_lower)  # the budgeted run's certified lower bound
 
     dd1 = classical_d(c1, d1)
     dd2 = classical_d(c2, d2)

@@ -1,7 +1,8 @@
 """Independent reference oracles used by the tests.
 
 These deliberately avoid the library paths they are checking: distances come
-from a plain counting-order enumeration (no information sets), duals from
+from a plain counting-order enumeration (no information sets), information
+sets from one scalar elimination per set, duals from
 brute-force orthogonality over the whole ambient space, echelon forms and
 Gram matrices from one scalar field operation per entry, irreducibility from
 trial division, and mid-size distances from a MacWilliams transform of the
@@ -53,6 +54,30 @@ def scalar_rref(field, mat):
         pivots.append(col)
         row += 1
     return r[:row], tuple(pivots)
+
+
+def eliminated_information_sets(field, gen):
+    """Greedy information sets by elimination alone: scalar RREF of gen with
+    the not-yet-used columns first, read back in the original column order,
+    until an elimination finds no pivot on an unused column (rank 0).
+    Returns [(Gamma_j as lists, r_j)]."""
+    n = len(gen[0])
+    used = [False] * n
+    sets = []
+    while True:
+        fresh = [c for c in range(n) if not used[c]]
+        order = fresh + [c for c in range(n) if used[c]]
+        rows, piv = scalar_rref(field, [[int(row[c]) for c in order] for row in gen])
+        new = [pos for pos in piv if pos < len(fresh)]
+        if not new:
+            return sets
+        gamma = [[0] * n for _ in rows]
+        for i, row in enumerate(rows):
+            for pos, c in enumerate(order):
+                gamma[i][c] = row[pos]
+        for pos in new:
+            used[order[pos]] = True
+        sets.append((gamma, len(new)))
 
 
 def scalar_gram(field, a, b):

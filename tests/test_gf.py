@@ -12,6 +12,7 @@ from qckit.errors import (
     OrderCapExceeded,
 )
 from qckit.gf import (
+    ADD_TABLE_MAX_ORDER,
     GF,
     Felt,
     embed,
@@ -247,8 +248,13 @@ def test_log_table_checks_raise(raw_mul, monkeypatch):
 
 
 def test_array_arithmetic_matches_scalar():
+    # every branch: F_2 (XOR, AND), characteristic 2 (XOR, identity negation),
+    # prime fields, odd extension fields with an add table (F_9, F_243)
+    # and above ADD_TABLE_MAX_ORDER on the digit loop (F_289, F_3125), and an
+    # order above LOG_MAX_ORDER
+    assert 243 <= ADD_TABLE_MAX_ORDER < 289
     rng = np.random.default_rng(5)
-    for p, t in ((2, 1), (7, 1), (2, 3), (3, 2), (5, 5), (65537, 1)):
+    for p, t in ((2, 1), (7, 1), (2, 2), (2, 3), (2, 6), (3, 2), (3, 5), (17, 2), (5, 5), (65537, 1)):
         fld = field_make(p, t)
         a = rng.integers(0, fld.order, size=200)
         b = rng.integers(0, fld.order, size=200)

@@ -30,7 +30,9 @@ from qckit.lincode import (
     min_weight_outside,
     subspace_leq,
     zero_code,
+    _combine,
     _gram,
+    _information_sets,
     _rref,
 )
 from qckit.qc import (
@@ -41,7 +43,13 @@ from qckit.qc import (
     decompose_ring,
 )
 
-from oracles import brute_dual_vectors, naive_min_distance, scalar_gram, scalar_rref
+from oracles import (
+    brute_dual_vectors,
+    eliminated_information_sets,
+    naive_min_distance,
+    scalar_gram,
+    scalar_rref,
+)
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -188,6 +196,66 @@ def test_min_distance_large_field():
     for fld, n, k in ((f3125, 12, 2), (field_make(65537, 1), 5, 1), (field_make(2, 17), 6, 1)):
         c = grs_code(fld, range(1, n + 1), range(1, n + 1), k)
         assert min_distance(c).d_exact == n - k + 1, fld
+    # primes on both sides of _combine's one-reduction guard w (p - 1)^2 < 2^63:
+    # 2^31 - 1 takes it for message weight 2, 2^31 + 11 never does.  Blocks of
+    # weight 2..4 with every entry and coefficient at p - 1 (the largest
+    # terms) and random ones must match scalar sums; weight 4 at 2^31 - 1 and
+    # weight 3 at 2^31 + 11 would overflow int64 without the guard.
+    rng = np.random.default_rng(11)
+    for p in (2**31 - 1, 2**31 + 11):
+        fld = field_make(p, 1)
+        for w in (2, 3, 4):
+            rows = rng.integers(0, p, size=(6, 5))
+            rows[0] = p - 1
+            supp = np.array([list(range(w)), list(range(6 - w, 6)), [0] * w])
+            coef = rng.integers(1, p, size=(3, w))
+            coef[:, 0] = 1
+            coef[2, 1:] = p - 1
+            want = [[0] * 5 for _ in supp]
+            for i in range(len(supp)):
+                for s in range(w):
+                    want[i] = [fld.add(x, fld.mul(int(coef[i, s]), int(y)))
+                               for x, y in zip(want[i], rows[supp[i, s]])]
+            assert _combine(fld, rows, supp, coef).tolist() == want, (p, w)
+        # and the engine over them: k = 3 runs budgeted weight-2 blocks, and a
+        # naive enumeration of p^3 messages is out of reach, so the check is
+        # the MDS distance n - k + 1
+        c = grs_code(fld, range(1, 9), [1] * 8, 3)
+        rep = min_distance(c, budget=3000, mode="bound")
+        assert rep.enumerated == 3000 and rep.d_lower <= 6 == rep.d_upper, (p, rep)
+
+
+def test_information_sets_match_elimination_oracle(monkeypatch):
+    from qckit import lincode
+
+    rng = np.random.default_rng(23)
+    seen = set()
+    for p, t in ((2, 1), (3, 1), (2, 2), (3, 2), (5, 5)):
+        fld = field_make(p, t)
+        for k, n in ((1, 5), (3, 9), (4, 4), (2, 11), (5, 12), (6, 6)):
+            for shape in ("random", "zero columns"):
+                mat = rng.integers(0, fld.order, size=(k, n))
+                if shape == "zero columns":
+                    mat[:, [1, n // 2]] = 0
+                c = code_from_rows(fld, n, mat)
+                if c.k == 0:
+                    continue
+                sets = _information_sets(fld, c.gen, c.pivots)
+                assert [(g.tolist(), r) for g, r in sets] == \
+                    eliminated_information_sets(fld, c.gen), (fld, k, n, shape)
+                # Gamma_0 is the generator itself: one elimination per later set
+                calls = []
+
+                def counted(*args):
+                    calls.append(args)
+                    return _rref(*args)
+
+                monkeypatch.setattr(lincode, "_rref", counted)
+                min_distance(c, budget=1000)
+                monkeypatch.setattr(lincode, "_rref", _rref)
+                assert len(calls) == len(sets) - 1, (fld, k, n, shape)
+                seen.add((c.k == n, len(sets)))
+    assert (True, 1) in seen and any(s > 2 for _, s in seen)  # k = n and many sets
 
 
 def test_min_distance_bound_mode_is_sound():

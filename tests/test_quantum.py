@@ -73,6 +73,22 @@ def test_from_dual_containing():
         from_dual_containing(code_from_rows(F2, 4, [(1, 1, 1, 1)]))
 
 
+def test_css_bound_mode_uses_certified_distance_over_budget():
+    # the self-dual extended Hamming [8,4,4]_2 code: q^k = 16 exceeds the
+    # budget, but the engine certifies d = 4 after 8 codewords
+    c = code_from_rows(F2, 8, [(1, 0, 0, 0, 0, 1, 1, 1), (0, 1, 0, 0, 1, 0, 1, 1),
+                               (0, 0, 1, 0, 1, 1, 0, 1), (0, 0, 0, 1, 1, 1, 1, 0)])
+    assert duality_class(c).esd
+    rep = min_distance(c, budget=10)
+    assert rep.mode == "lower-upper" and rep.d_lower == rep.d_upper == 4
+    q = css(c, c, budget=10)
+    assert (q.n, q.k, q.d_lower, q.purity) == (8, 0, 4, 4)
+    assert from_dual_containing(c, budget=10).d_lower == 4
+    # a budget too small to certify keeps the engine's certified lower bound
+    low = min_distance(c, budget=2)
+    assert low.d_lower < 4 and css(c, c, budget=2).d_lower == max(1, low.d_lower)
+
+
 def test_css_agrees_with_dual_containing():
     for c in (_edc_2144(), full_space(F2, 5), full_space(F4, 4)):
         d = min_distance(c).d_exact
