@@ -203,15 +203,21 @@ def zero_code(field: GF, n: int) -> LinearCode:
 # duals
 
 
-def dual_euclidean(c: LinearCode) -> LinearCode:
-    """Parity rows -A^T | I from the RREF generator, recanonicalized."""
+def _parity_rows(c: LinearCode) -> np.ndarray:
+    """Rows -A^T | I on the pivot / free columns of the RREF generator I | A:
+    a basis of the Euclidean dual, not reduced."""
     field, n, g, pivots = c.field, c.n, c.gen, list(c.pivots)
     free = np.setdiff1d(np.arange(n), pivots)
     rows = np.zeros((free.size, n), dtype=np.int64)
     rows[np.arange(free.size), free] = 1
     rows[:, pivots] = field.neg_arr(g[:, free].T)
-    gen, piv = _rref(field, rows)
-    return LinearCode(field, n, gen, piv)
+    return rows
+
+
+def dual_euclidean(c: LinearCode) -> LinearCode:
+    """The parity rows, recanonicalized."""
+    gen, piv = _rref(c.field, _parity_rows(c))
+    return LinearCode(c.field, c.n, gen, piv)
 
 
 def conjugation_base(field: GF) -> int:
@@ -222,23 +228,21 @@ def conjugation_base(field: GF) -> int:
 
 
 def dual_hermitian(c: LinearCode) -> LinearCode:
-    r = conjugation_base(c.field)
-    conj = c.field.pow_arr(c.gen, r)
-    gen, piv = _rref(c.field, conj)
-    return dual_euclidean(LinearCode(c.field, c.n, gen, piv))
+    return dual_euclidean(code_power_q(c, conjugation_base(c.field)))
+
+
+def _in_span(field: GF, x: np.ndarray, c: LinearCode) -> bool:
+    """Whether every row of x lies in c; x may be any rows, reduced or not.
+
+    c's generator is the identity on its pivots, so a row x lies in c
+    exactly when x equals x[pivots] @ G."""
+    return bool(np.array_equal(_matmul(field, x[:, list(c.pivots)], c.gen), x))
 
 
 def subspace_leq(c1: LinearCode, c2: LinearCode) -> bool:
     if c1.field != c2.field or c1.n != c2.n:
         raise LengthMismatch("codes live in different ambient spaces")
-    if c1.k == 0:
-        return True
-    if c1.k > c2.k:
-        return False
-    # c2's generator is the identity on its pivots, so a row x lies in c2
-    # exactly when x equals x[pivots] @ G2
-    spanned = _matmul(c1.field, c1.gen[:, list(c2.pivots)], c2.gen)
-    return bool(np.array_equal(spanned, c1.gen))
+    return c1.k <= c2.k and _in_span(c1.field, c1.gen, c2)
 
 
 @dataclass(frozen=True)
@@ -267,16 +271,31 @@ class DualityFlags:
 
 
 def duality_class(c: LinearCode) -> DualityFlags:
+    """All six flags from the RREF generator G = I | A, with no dual built.
+
+    G G^T = I + A A^T, so C is self-orthogonal when that vanishes.  The dual
+    is spanned by the parity rows -A^T | I, which lie in C exactly when
+    -A^T A = I on the free columns, i.e. I + A^T A = 0.  The Hermitian
+    flags are the same two tests with the conjugate A^r (r^2 = |F|) on one
+    side: Frobenius fixes 0 and 1, so C^r has the RREF generator I | A^r.
+    """
     field = c.field
-    eso = not _gram(field, c.gen, c.gen).any()
-    edc = subspace_leq(dual_euclidean(c), c)
+    a = c.gen[:, np.setdiff1d(np.arange(c.n), c.pivots)]
+
+    def identity_plus_vanishes(x: np.ndarray, y: np.ndarray) -> bool:
+        prod = _matmul(field, x, y)
+        diag = np.arange(prod.shape[0])
+        prod[diag, diag] = field.add_arr(prod[diag, diag], 1)
+        return not prod.any()
+
+    eso = identity_plus_vanishes(a, a.T)
+    edc = identity_plus_vanishes(a.T, a)
     esd = eso and 2 * c.k == c.n
     hso = hdc = hsd = None
     if field.t % 2 == 0:
-        r = conjugation_base(field)
-        conj = field.pow_arr(c.gen, r)
-        hso = not _gram(field, c.gen, conj).any()
-        hdc = subspace_leq(dual_hermitian(c), c)
+        conj = field.pow_arr(a, conjugation_base(field))
+        hso = identity_plus_vanishes(a, conj.T)
+        hdc = identity_plus_vanishes(conj.T, a)
         hsd = hso and 2 * c.k == c.n
     return DualityFlags(eso, edc, esd, hso, hdc, hsd)
 
@@ -303,31 +322,28 @@ def grs_code(field: GF, alphas, vs, k: int) -> LinearCode:
 
 
 def juxtapose(c1: LinearCode, c2: LinearCode) -> LinearCode:
-    """[G1 | G2] on the canonical generator matrices; needs equal dimensions."""
+    """[G1 | G2] on the canonical generator matrices; needs equal dimensions.
+    It is already in RREF, with G1's pivots."""
     if c1.field != c2.field:
         raise MixedFields("juxtapose requires a common field")
     if c1.k != c2.k:
         raise DimensionMismatch(f"dimension mismatch {c1.k} != {c2.k}")
-    rows = np.hstack([c1.gen, c2.gen])
-    gen, piv = _rref(c1.field, rows)
-    return LinearCode(c1.field, c1.n + c2.n, gen, piv)
+    return LinearCode(c1.field, c1.n + c2.n, np.hstack([c1.gen, c2.gen]), c1.pivots)
 
 
 def concat_copies(c: LinearCode, t: int) -> LinearCode:
-    """t side-by-side copies [G | G | ... | G]; scales length and distance by t."""
+    """t side-by-side copies [G | G | ... | G]; scales length and distance by t.
+    It is already in RREF, with G's pivots."""
     if t < 1:
         raise DimensionMismatch("need at least one copy")
-    rows = np.hstack([c.gen] * t)
-    gen, piv = _rref(c.field, rows)
-    return LinearCode(c.field, c.n * t, gen, piv)
+    return LinearCode(c.field, c.n * t, np.hstack([c.gen] * t), c.pivots)
 
 
 def code_power_q(c: LinearCode, r: int) -> LinearCode:
-    """Entrywise Frobenius power x -> x^r, recanonicalized."""
+    """Entrywise Frobenius power x -> x^r.  Frobenius fixes 0 and 1, so the
+    image of the RREF generator is in RREF on the same pivots."""
     _check_conj_base(c.field, r)
-    powered = c.field.pow_arr(c.gen, r)
-    gen, piv = _rref(c.field, powered)
-    return LinearCode(c.field, c.n, gen, piv)
+    return LinearCode(c.field, c.n, c.field.pow_arr(c.gen, r), c.pivots)
 
 
 def _check_conj_base(field: GF, r: int):

@@ -45,8 +45,9 @@ from .lincode import (
     dual_hermitian,
     duality_class,
     min_distance,
-    subspace_leq,
-    _rref,
+    _gram,
+    _in_span,
+    _parity_rows,
 )
 from .poly import FactorSet, Poly, factor_xm1
 
@@ -260,6 +261,11 @@ class PairAssignment:
     def cdouble_code(self) -> LinearCode:
         return dual_euclidean(self.cprime) if self.cdouble is None else self.cdouble
 
+    @property
+    def cdouble_k(self) -> int:
+        """dim C'': ell - dim C' in dual mode, read without building the dual."""
+        return self.cprime.n - self.cprime.k if self.cdouble is None else self.cdouble.k
+
 
 @dataclass(frozen=True)
 class SelfrecAssignment:
@@ -353,7 +359,11 @@ class QcCode:
 
 def dim_from_constituents(decomp: CrtDecomposition, assignment: ConstituentAssignment) -> int:
     assignment.validate(decomp)
-    return sum(code.k * slot.degree for slot, code in assignment.slot_codes(decomp))
+    # a pair's g and g* slots share one degree
+    pairs = sum(sg.degree * (pa.cprime.k + pa.cdouble_k)
+                for pa, (sg, _) in zip(assignment.pairs, decomp.pair_slots))
+    return pairs + sum(slot.degree * sa.code.k
+                       for sa, slot in zip(assignment.selfrec, decomp.selfrec_slots))
 
 
 def assemble_qc(decomp: CrtDecomposition, assignment: ConstituentAssignment) -> QcCode:
@@ -426,9 +436,9 @@ def extract_assignment(decomp: CrtDecomposition, flat: LinearCode) -> Constituen
 
 
 def is_shift_invariant(qc: QcCode) -> bool:
-    """Closure under T^ell, the row shift of the m x ell array form."""
-    gen, piv = _rref(qc.field, np.roll(qc.lin.gen, qc.ell, axis=1))
-    return subspace_leq(LinearCode(qc.field, qc.n, gen, piv), qc.lin)
+    """Closure under T^ell, the row shift of the m x ell array form: the
+    shifted generator rows must lie in the code."""
+    return _in_span(qc.field, np.roll(qc.lin.gen, qc.ell, axis=1), qc.lin)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +505,8 @@ def qc_duality_class(qc: QcCode) -> QcDualityReport:
     witnesses = []
     for pa, (sg, sgs) in zip(qc.assignment.pairs, qc.decomp.pair_slots):
         cd = pa.cdouble_code()
-        dual_cp = dual_euclidean(pa.cprime)
-        so = subspace_leq(cd, dual_cp)
-        dc = subspace_leq(dual_cp, cd)
+        so = not _gram(cd.field, cd.gen, pa.cprime.gen).any()  # C'' <= (C')^perp
+        dc = _in_span(cd.field, _parity_rows(pa.cprime), cd)  # (C')^perp <= C''
         witnesses.append(SlotWitness(f"({sg.label},{sgs.label})", "pair-euclidean", so, dc, so and dc))
     for sa, slot in zip(qc.assignment.selfrec, qc.decomp.selfrec_slots):
         rel = _slot_duality(slot, sa.code)
@@ -520,8 +529,10 @@ def qc_dual(qc: QcCode, cross_assert: bool = True) -> QcCode:
         return QcCode(flat_dual, qc.m, qc.ell)
     pairs = []
     for pa in qc.assignment.pairs:
-        cd = pa.cdouble_code()
-        pairs.append(PairAssignment(dual_euclidean(cd), dual_euclidean(pa.cprime)))
+        if pa.dual_mode:  # C'' = (C')^perp, so ((C'')^perp, (C')^perp) is (C', C'') again
+            pairs.append(pa)
+        else:
+            pairs.append(PairAssignment(dual_euclidean(pa.cdouble), dual_euclidean(pa.cprime)))
     selfrec = []
     for sa, slot in zip(qc.assignment.selfrec, qc.decomp.selfrec_slots):
         if slot.exceptional:
@@ -692,7 +703,9 @@ def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
     d_infos: list[DistanceInfo] = []
     for pa, (sg, sgs) in zip(base.pairs, decomp1.pair_slots):
         d_infos.append(_distance_of(pa.cprime, pa.cprime_distance, plan.budget, sg.label))
-        d_infos.append(_distance_of(pa.cdouble_code(), pa.cdouble_distance, plan.budget, sgs.label))
+        # a given C'' distance needs no C''
+        d_infos.append(pa.cdouble_distance if pa.cdouble_distance is not None else
+                       _distance_of(pa.cdouble_code(), None, plan.budget, sgs.label))
     for sa, slot in zip(base.selfrec[:-1], sr_slots[:-1]):
         d_infos.append(_distance_of(sa.code, sa.distance, plan.budget, slot.label))
     d_s = _distance_of(cs, base.selfrec[-1].distance, plan.budget, slot_s.label)

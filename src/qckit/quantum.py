@@ -22,7 +22,8 @@ from .lincode import (
     duality_class,
     min_distance,
     min_weight_outside,
-    subspace_leq,
+    _in_span,
+    _parity_rows,
 )
 
 
@@ -84,7 +85,7 @@ def css(c1: LinearCode, c2: LinearCode, mode: str = "bound",
     """
     if c1.field != c2.field or c1.n != c2.n:
         raise LengthMismatch("CSS inputs live in different ambient spaces")
-    if not subspace_leq(dual_euclidean(c2), c1):
+    if not _in_span(c1.field, _parity_rows(c2), c1):
         raise NotNested("CSS requires dual(C2) contained in C1")
     n = c1.n
     k = c1.k + c2.k - n
@@ -99,7 +100,7 @@ def css(c1: LinearCode, c2: LinearCode, mode: str = "bound",
         return max(1, rep.d_lower)  # the budgeted run's certified lower bound
 
     dd1 = classical_d(c1, d1)
-    dd2 = classical_d(c2, d2)
+    dd2 = dd1 if c2 == c1 and d2 == d1 else classical_d(c2, d2)
     pure_to = min(dd1, dd2)
     if mode == "bound":
         return QuantumParams(n, k, pure_to, q, purity=pure_to,

@@ -44,6 +44,7 @@ from .qc import (
     assemble_qc,
     build_family,
     decompose_ring,
+    dim_from_constituents,
     galois_closure_theorem_check,
     sqrt_like_check,
 )
@@ -178,7 +179,7 @@ def run_example41(budget: int = 2**25, long_mode: bool = False) -> RunReport:
 
     qc = assemble_qc(decomp, asn)
     rep.check("dimension (constituent formula = rank)", "example41/dimension",
-              [fx["dim"], fx["dim"]], [sum(c.k * s.degree for s, c in asn.slot_codes(decomp)), qc.k])
+              [fx["dim"], fx["dim"]], [dim_from_constituents(decomp, asn), qc.k])
 
     from .qc import qc_duality_class
 
@@ -250,7 +251,7 @@ def run_example42(budget: int = 2**25, long_mode: bool = False) -> RunReport:
     qc = assemble_qc(decomp, asn)
     rep.check("dimension (constituent formula = rank)", "example42/dimension",
               [fx["dim"], fx["dim"]],
-              [sum(c.k * s.degree for s, c in asn.slot_codes(decomp)), qc.k])
+              [dim_from_constituents(decomp, asn), qc.k])
     rep.check_true("dual-containing", "example42/duality", bool(duality_class(qc.lin).edc))
     go = go_bound(decomp, asn, budget, full_table=True)
     rep.check("associated cyclic code distances (all seven subsets)", "example42/d-table",

@@ -3,7 +3,8 @@
 These deliberately avoid the library paths they are checking: distances come
 from a plain counting-order enumeration (no information sets), information
 sets from one scalar elimination per set, duals from
-brute-force orthogonality over the whole ambient space, echelon forms and
+brute-force orthogonality over the whole ambient space or from a scalar
+kernel elimination, containments from ranks, echelon forms and
 Gram matrices from one scalar field operation per entry, irreducibility from
 trial division, and mid-size distances from a MacWilliams transform of the
 naive dual enumeration.
@@ -78,6 +79,38 @@ def eliminated_information_sets(field, gen):
         for pos in new:
             used[order[pos]] = True
         sets.append((gamma, len(new)))
+
+
+def scalar_kernel(field, mat, n):
+    """Basis of {x : mat x^T = 0} by elimination: scalar RREF of [mat^T | I_n],
+    keeping the right half of every row whose left half vanished."""
+    k = len(mat)
+    aug = [[int(mat[i][j]) for i in range(k)] + [int(c == j) for c in range(n)] for j in range(n)]
+    rows, _ = scalar_rref(field, aug)
+    return [row[k:] for row in rows if not any(row[:k])]
+
+
+def rank_leq(field, a, b):
+    """span(a) <= span(b): stacking a under b does not raise the rank."""
+    a = [[int(v) for v in row] for row in a]
+    b = [[int(v) for v in row] for row in b]
+    return len(scalar_rref(field, b + a)[1]) == len(scalar_rref(field, b)[1])
+
+
+def eliminated_duality_flags(field, gen, n):
+    """ESO/EDC/ESD/HSO/HDC/HSD with every dual built by elimination (the
+    scalar kernel of gen, and of its conjugate x -> x^r with r^2 = |F|) and
+    every containment decided by rank."""
+    gen = [[int(v) for v in row] for row in gen]
+    flags = {}
+    for tag, r in (("E", 1), ("H", field.p ** (field.t // 2) if field.t % 2 == 0 else None)):
+        if r is None:
+            flags.update({tag + "SO": None, tag + "DC": None, tag + "SD": None})
+            continue
+        dual = scalar_kernel(field, [[field.pow_(v, r) for v in row] for row in gen], n)
+        so, dc = rank_leq(field, gen, dual), rank_leq(field, dual, gen)
+        flags.update({tag + "SO": so, tag + "DC": dc, tag + "SD": so and dc})
+    return flags
 
 
 def scalar_gram(field, a, b):

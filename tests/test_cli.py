@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft7Validator
@@ -167,6 +168,23 @@ def test_reproduce_example41_fails_honestly(capsys):
     assert len(fails) == 1
     assert "exact minimum distance" in fails[0]["claim"]
     assert payload["reports"][0]["results"]["exact_distance"] == 5
+
+
+def _without_timing(value):
+    if isinstance(value, dict):
+        return {k: _without_timing(v) for k, v in value.items() if k != "timing_s"}
+    if isinstance(value, list):
+        return [_without_timing(v) for v in value]
+    return value
+
+
+def test_reproduce_all_matches_pinned_output(capsys):
+    # every report's checks and results, pinned from an earlier release: a
+    # change to the library that alters any reported value shows here
+    pinned = json.loads((Path(__file__).parent / "data" / "reproduce_all.json").read_text())
+    rc, payload = run_json(["reproduce", "all"], capsys)
+    assert rc == 1  # example41's published exact distance fails
+    assert _without_timing(payload) == pinned
 
 
 def test_spec_rep_leniency_and_distance_entries(tmp_path, capsys):

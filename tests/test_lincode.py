@@ -45,9 +45,11 @@ from qckit.qc import (
 
 from oracles import (
     brute_dual_vectors,
+    eliminated_duality_flags,
     eliminated_information_sets,
     naive_min_distance,
     scalar_gram,
+    scalar_kernel,
     scalar_rref,
 )
 
@@ -315,6 +317,66 @@ def test_duality_class_examples():
     assert duality_class(esd_634()).esd
     fl_full = duality_class(full_space(F2, 8))
     assert fl_full.edc and not fl_full.eso
+
+
+# prime fields, the Hermitian fields F_4, F_9 and F_64, and F_3125 above the
+# add-table limit; (k, n) shapes include k = 0 and k = n
+FLAG_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 6), (5, 5))
+FLAG_SHAPES = ((0, 4), (4, 4), (1, 5), (2, 6), (3, 6), (4, 9))
+
+
+def _hermitian_self_dual(fld):
+    """Two copies of the line (1, a) with a^(r+1) = -1, r^2 = |F|: every row
+    has Hermitian norm 1 + a^(r+1) = 0, and k = n/2."""
+    r = fld.p ** (fld.t // 2)
+    a = next(x for x in range(1, fld.order) if fld.pow_(x, r + 1) == fld.neg(1))
+    return code_from_rows(fld, 4, [(1, a, 0, 0), (0, 0, 1, a)])
+
+
+def _oracle_matrices(seed):
+    """Seeded matrices over every FLAG_FIELDS field and shape, each once as
+    drawn and once with two zero columns."""
+    rng = np.random.default_rng(seed)
+    for p, t in FLAG_FIELDS:
+        fld = field_make(p, t)
+        for k, n in FLAG_SHAPES:
+            for zero_columns in (False, True):
+                mat = rng.integers(0, fld.order, size=(k, n))
+                if zero_columns:
+                    mat[:, [0, n // 2]] = 0
+                yield fld, mat
+
+
+def test_duality_flags_match_elimination_oracle():
+    positives = (eso_523(), esd_634(), _hermitian_self_dual(F4), _hermitian_self_dual(F9),
+                 full_space(F4, 3), full_space(F5, 4), zero_code(F9, 3))
+    cases = list(_oracle_matrices(71)) + [(c.field, c.gen) for c in positives]
+    held = set()
+    for fld, mat in cases:
+        c = code_from_rows(fld, mat.shape[1], mat)
+        flags = duality_class(c).to_json()
+        assert flags == eliminated_duality_flags(fld, mat, c.n), (fld, mat.tolist())
+        held.update(name for name, value in flags.items() if value)
+    assert held == {"ESO", "EDC", "ESD", "HSO", "HDC", "HSD"}
+
+
+def test_derived_codes_match_elimination_of_their_rows():
+    for fld, mat in _oracle_matrices(73):
+        n = mat.shape[1]
+        c = code_from_rows(fld, n, mat)
+        assert (concat_copies(c, 3).gen.tolist(), concat_copies(c, 3).pivots) == \
+            scalar_rref(fld, np.hstack([mat] * 3))
+        mirrored = code_from_rows(fld, n, c.gen[:, ::-1])  # same dimension, other pivots
+        j = juxtapose(c, mirrored)
+        assert (j.gen.tolist(), j.pivots) == scalar_rref(fld, np.hstack([c.gen, mirrored.gen]))
+        for e in (e for e in range(1, fld.t + 1) if fld.t % e == 0):
+            powered = [[fld.pow_(int(v), fld.p**e) for v in row] for row in mat]
+            cp = code_power_q(c, fld.p**e)
+            assert (cp.gen.tolist(), cp.pivots) == scalar_rref(fld, powered), (fld, e)
+        if fld.t % 2 == 0:
+            conj = [[fld.pow_(int(v), fld.p ** (fld.t // 2)) for v in row] for row in mat]
+            dh = dual_hermitian(c)
+            assert (dh.gen.tolist(), dh.pivots) == scalar_rref(fld, scalar_kernel(fld, conj, n))
 
 
 def test_grs():

@@ -6,16 +6,24 @@ from qckit.errors import (
     ConstituentNotHSO,
     DualMismatch,
     LengthMismatch,
+    NotNested,
     OrderingViolated,
     RankMismatch,
     SlotSNotESO,
 )
-from qckit.gf import field_make
+from qckit import lincode
+from qckit.gf import Felt, field_make, unembed
 from qckit.lincode import (
     code_from_rows,
+    code_power_q,
+    concat_copies,
     dual_euclidean,
+    dual_hermitian,
     duality_class,
     full_space,
+    grs_code,
+    is_galois_closed,
+    juxtapose,
     min_distance,
     subspace_leq,
     zero_code,
@@ -25,6 +33,7 @@ from qckit.qc import (
     DistanceInfo,
     FamilyPlan,
     PairAssignment,
+    QcCode,
     SelfrecAssignment,
     assemble_qc,
     assignment_all_full,
@@ -46,6 +55,10 @@ from qckit.qc import (
     shift,
     sqrt_like_check,
 )
+from qckit.quantum import css
+from qckit.reproduce import _example42_assignment, load_tables
+
+from oracles import eliminated_duality_flags, scalar_rref
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -364,7 +377,7 @@ def test_family_level2_materialization_eso():
 
 
 def test_duality_class_memory_at_n605():
-    # G G^T and the dual at n = 605 stay small: no k x k x n product table
+    # A A^T and A^T A at n = 605 stay small: no k x k x n product table
     import tracemalloc
 
     lin = build_family(_cor35_plan(u_max=2, materialize_max=605))[1].qc.lin
@@ -453,3 +466,107 @@ def test_hso_slot_yields_eso_code():
         (), (SelfrecAssignment(hsd), SelfrecAssignment(z), SelfrecAssignment(z))))
     rep = qc_duality_class(qc)
     assert rep.flags.eso and not rep.flags.edc and rep.agree
+
+
+def family_plans() -> dict:
+    """The cor35, example43 and example39 recipes from the reference tables,
+    with level u = 2 materialized."""
+    fx = load_tables()
+    dec = decompose_ring(F3, 11, 5)
+    F243 = dec.pair_slots[0][0].cfield
+    a = unembed(Felt(dec.common_field, dec.alpha_pow(dec.pair_slots[0][0].exponent)), F243).val
+    cp = code_from_rows(F243, 5, [fx["cor35"]["cprime_first_row"],
+                                  [F243.pow_(a, i) for i in range(1, 6)]])
+    cor35 = ConstituentAssignment(
+        (PairAssignment(cp, None, DistanceInfo(4, True), DistanceInfo(3, True)),),
+        (SelfrecAssignment(code_from_rows(F3, 5, fx["cor35"]["cs_rows"]), DistanceInfo(3, True)),))
+    F64 = field_make(2, 6)
+    example43 = ConstituentAssignment(
+        (PairAssignment(code_from_rows(F64, 3, [(F64.gen,) * 3]), None,
+                        DistanceInfo(3, True), DistanceInfo(2, True)),),
+        (SelfrecAssignment(code_from_rows(F4, 3, fx["example43"]["cs_rows"]),
+                           DistanceInfo(2, True)),))
+    mds = DistanceInfo(4, True, "mds")
+    example39 = ConstituentAssignment(
+        (PairAssignment(grs_code(field_make(5, 5), range(6), [1] * 6, 3), None, mds, mds),),
+        (SelfrecAssignment(code_from_rows(F5, 6, fx["example39"]["cs_rows"]), DistanceInfo(4, True)),))
+    return {
+        "cor35": FamilyPlan(F3, 11, 5, cor35, u_max=2, kind="ESO", materialize_max=605),
+        "example43": FamilyPlan(F4, 7, 3, example43, u_max=2, kind="EDC", materialize_max=147),
+        "example39": FamilyPlan(F5, 11, 6, example39, u_max=2, kind="ESD", materialize_max=726),
+    }
+
+
+def _example_qc_codes(ex41):
+    """example41, example42 and the level-1 codes of the three family recipes."""
+    dec42, asn42, _ = _example42_assignment()
+    codes = {"example41": ex41, "example42": assemble_qc(dec42, asn42)}
+    for name, plan in family_plans().items():
+        codes[name] = assemble_qc(decompose_ring(plan.q_field, plan.m, plan.ell), plan.base)
+    return codes
+
+
+def test_qc_duality_flags_match_elimination_oracle(ex41):
+    held = set()
+    for name, qc in _example_qc_codes(ex41).items():
+        flags = duality_class(qc.lin).to_json()
+        assert flags == eliminated_duality_flags(qc.field, qc.lin.gen, qc.n), name
+        held.update(flag for flag, value in flags.items() if value)
+    assert {"ESO", "EDC", "ESD"} <= held
+
+
+def test_shift_invariance_matches_rolled_elimination(ex41):
+    rng = np.random.default_rng(41)
+    codes = list(_example_qc_codes(ex41).values())
+    for k in (1, 4, 9):
+        v = rng.integers(0, 4, size=(k, 21))
+        codes.append(QcCode(code_from_rows(F4, 21, v), 7, 3))  # almost surely not closed
+        shifts = np.vstack([np.roll(v, 3 * i, axis=1) for i in range(7)])
+        codes.append(QcCode(code_from_rows(F4, 21, shifts), 7, 3))  # closed by construction
+    outcomes = []
+    for qc in codes:
+        rolled = scalar_rref(qc.field, np.roll(qc.lin.gen, qc.ell, axis=1))
+        closed = rolled == (qc.lin.gen.tolist(), qc.lin.pivots)
+        assert is_shift_invariant(qc) == closed
+        outcomes.append(closed)
+    assert True in outcomes and False in outcomes
+
+
+def test_elimination_counts(ex41, monkeypatch):
+    plans = family_plans()
+    c = ex41.lin  # [21,12]_4, dual-containing
+    line = code_from_rows(F4, 21, [[1] * 21])
+    calls = []
+    rref = lincode._rref
+
+    def counted(*args):
+        calls.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(lincode, "_rref", counted)
+
+    def eliminations(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert eliminations(duality_class, c) == 0
+    assert eliminations(concat_copies, c, 3) == 0
+    assert eliminations(juxtapose, c, c) == 0
+    assert eliminations(code_power_q, c, 2) == 0
+    assert eliminations(is_galois_closed, c, 2) == 0
+    assert eliminations(is_shift_invariant, ex41) == 0
+    assert eliminations(css, c, c, "bound", 3, 3) == 0  # the nesting check only
+    assert eliminations(dual_hermitian, c) == 1  # dual_euclidean's recanonicalization
+    # the flat dual and the x - 1 slot's dual; a dual-mode pair maps to itself
+    assert eliminations(qc_dual, ex41, False) == 2
+    calls.clear()
+    with pytest.raises(NotNested):
+        css(line, line)
+    assert not calls
+    # Each materialized level (u = 1, 2) eliminates twice inside assemble_qc:
+    # the dual-mode C'' = dual_euclidean(C') of its g* slot, and the trace
+    # rows in code_from_rows.  The hypothesis and level flags, the level-2
+    # copies, the dimension count and the given C'' distances eliminate nothing.
+    for name, plan in plans.items():
+        assert eliminations(build_family, plan) == 4, name

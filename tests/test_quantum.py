@@ -73,11 +73,15 @@ def test_from_dual_containing():
         from_dual_containing(code_from_rows(F2, 4, [(1, 1, 1, 1)]))
 
 
+def _hamming_844():
+    # the self-dual extended Hamming [8,4,4]_2 code
+    return code_from_rows(F2, 8, [(1, 0, 0, 0, 0, 1, 1, 1), (0, 1, 0, 0, 1, 0, 1, 1),
+                                  (0, 0, 1, 0, 1, 1, 0, 1), (0, 0, 0, 1, 1, 1, 1, 0)])
+
+
 def test_css_bound_mode_uses_certified_distance_over_budget():
-    # the self-dual extended Hamming [8,4,4]_2 code: q^k = 16 exceeds the
-    # budget, but the engine certifies d = 4 after 8 codewords
-    c = code_from_rows(F2, 8, [(1, 0, 0, 0, 0, 1, 1, 1), (0, 1, 0, 0, 1, 0, 1, 1),
-                               (0, 0, 1, 0, 1, 1, 0, 1), (0, 0, 0, 1, 1, 1, 1, 0)])
+    # q^k = 16 exceeds the budget, but the engine certifies d = 4 after 8 codewords
+    c = _hamming_844()
     assert duality_class(c).esd
     rep = min_distance(c, budget=10)
     assert rep.mode == "lower-upper" and rep.d_lower == rep.d_upper == 4
@@ -87,6 +91,29 @@ def test_css_bound_mode_uses_certified_distance_over_budget():
     # a budget too small to certify keeps the engine's certified lower bound
     low = min_distance(c, budget=2)
     assert low.d_lower < 4 and css(c, c, budget=2).d_lower == max(1, low.d_lower)
+
+
+def test_css_of_one_code_computes_its_distance_once(monkeypatch):
+    from qckit import quantum
+
+    calls = []
+
+    def counted(code, *args, **kwargs):
+        calls.append(code)
+        return min_distance(code, *args, **kwargs)
+
+    monkeypatch.setattr(quantum, "min_distance", counted)
+    c = _hamming_844()
+    q = css(c, c, budget=10)
+    assert len(calls) == 1 and (q.n, q.k, q.d_lower, q.purity) == (8, 0, 4, 4)
+    calls.clear()
+    q = from_dual_containing(c, budget=10)
+    assert len(calls) == 1 and (q.n, q.k, q.d_lower, q.purity) == (8, 0, 4, 4)
+    # a second code, or a second distance given for the same code, is its own run
+    calls.clear()
+    assert css(full_space(F2, 4), _edc_2144()).d_lower == 1 and len(calls) == 2
+    calls.clear()
+    assert css(c, c, d1=3, budget=10).d_lower == 3 and len(calls) == 1
 
 
 def test_css_agrees_with_dual_containing():
