@@ -83,21 +83,17 @@ def cmd_build(args) -> int:
     decomp, assignment = _build_from_spec(args.spec)
     qc = assemble_qc(decomp, assignment)
     report = qc_duality_class(qc)
-    dist = min_distance(qc.lin, budget=args.budget, mode="auto", fallback=True) \
-        if qc.field.order**qc.k <= args.budget else None
+    dist = min_distance(qc.lin, budget=args.budget, mode="bound")
     payload = {
         "code": qc.lin.to_json(),
         "m": qc.m,
         "ell": qc.ell,
         "k": qc.k,
         "duality": report.to_json(),
+        "distance": dist.to_json(),
     }
-    if dist is not None:
-        payload["distance"] = dist.to_json()
     text = (f"built [{qc.n},{qc.k}] QC code over GF({qc.field.order}), m={qc.m}, ell={qc.ell}\n"
-            f"flags: {report.flags.to_json()}")
-    if dist is not None:
-        text += f"\ndistance: {dist.to_json()}"
+            f"flags: {report.flags.to_json()}\ndistance: {dist.to_json()}")
     _emit(args, payload, text)
     return 0
 
@@ -106,7 +102,7 @@ def cmd_verify(args) -> int:
     raw = load_json(args.code)
     code = code_from_json(raw.get("code", raw))
     flags = duality_class(code)
-    dist = min_distance(code, budget=args.budget, mode="auto", fallback=True)
+    dist = min_distance(code, budget=args.budget, mode="bound")
     payload = {"n": code.n, "k": code.k, "duality": {"flags": flags.to_json()},
                "distance": dist.to_json()}
     _emit(args, payload,
@@ -158,11 +154,11 @@ def cmd_family(args) -> int:
 def cmd_quantum(args) -> int:
     raw = load_json(args.code)
     code = code_from_json(raw.get("code", raw))
-    d = None
-    if code.field.order**code.k <= args.budget:
-        d = min_distance(code, budget=args.budget).d_exact
+    dist = min_distance(code, budget=args.budget, mode="bound")
+    exact = dist.mode == "exact"
     params = from_dual_containing(code, mode="exact" if args.exact else "bound",
-                                  d=d, d_is_exact=d is not None, budget=args.budget)
+                                  d=dist.d_exact if exact else max(1, dist.d_lower),
+                                  d_is_exact=exact, budget=args.budget)
     if args.chain:
         params = transform_chain(params, args.chain)
     audit = singleton_audit(params)

@@ -86,12 +86,9 @@ class OrderNotSquare(QCKitError):
     pass
 
 
-class BudgetTooSmallForExact(QCKitError):
-    pass
-
-
-class EnumerationIncomplete(QCKitError):
-    """An exhaustive weight enumeration ended before it covered every class."""
+class BudgetExceeded(QCKitError):
+    """The distance engine used its codeword budget without certifying an
+    exact value that the caller needs."""
 
 
 class RepeatedEvaluationPoint(QCKitError):
@@ -146,10 +143,6 @@ class EmptyAssignment(QCKitError):
 
 # quantum
 class NotNested(QCKitError):
-    pass
-
-
-class BudgetExceeded(QCKitError):
     pass
 
 

@@ -176,11 +176,8 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
     for r in factorize(t):
         u = _ppow_xq(coeffs, p, t // r)
         u = _ptrim([(u[i] if i < len(u) else 0) - (1 if i == 1 else 0) for i in range(max(len(u), 2))])
-        u = [c % p for c in u]
-        if _pgcd(coeffs, _ptrim(u), p):
-            g = _pgcd(coeffs, _ptrim([c % p for c in u]), p)
-            if len(g) - 1 != 0:
-                return False
+        if len(_pgcd(coeffs, _ptrim([c % p for c in u]), p)) > 1:
+            return False  # x^(p^(t/r)) - x shares a factor with the polynomial
     xq = _ppow_xq(coeffs, p, t)
     return xq == [0, 1]
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 
-from .errors import EmptyAssignment, RepNotACosetMin, UnknownConstituentDistance
+from .errors import EmptyAssignment, RepNotACosetMin
 from .gf import GF
 from .lincode import DEFAULT_BUDGET, LinearCode, code_from_rows, min_distance
 from .poly import Poly, cyclotomic_cosets
@@ -67,7 +67,7 @@ def cyclic_from_nonzeros(q_field: GF, m: int, reps) -> LinearCode:
         if coset in seen:
             raise RepNotACosetMin(f"duplicate coset for representative {rep}")
         seen.add(coset)
-        check = check * decomp.factors._ctx["coset_factor"][coset]
+        check = check * decomp.factors.coset_factor[coset]
     gen = Poly.x_pow_minus_one(q_field, m) // check
     return cyclic_code_from_gen(q_field, m, gen)
 
@@ -165,10 +165,6 @@ def _constituent_chain(decomp: CrtDecomposition, assignment: ConstituentAssignme
         if code.k == 0:
             continue  # zero constituents drop out of the chain
         if info is None:
-            if code.field.order**code.k > budget:
-                raise UnknownConstituentDistance(
-                    f"slot {slot.label}: distance unknown and enumeration exceeds budget"
-                )
             info = DistanceInfo(min_distance(code, budget).d_exact, True, "enumerated")
         out.append((slot, code, info))
     if not out:
@@ -179,26 +175,31 @@ def _constituent_chain(decomp: CrtDecomposition, assignment: ConstituentAssignme
     return out
 
 
-def _d_code_entry(decomp: CrtDecomposition, subset: tuple[int, ...],
-                  chain: list, budget: int) -> DEntry:
-    q_field = decomp.q_field
+def _d_generator(decomp: CrtDecomposition, subset: tuple[int, ...],
+                 chain: list) -> tuple[Poly, int, set[int]]:
+    """D_I's generator polynomial, dimension and exponent zero set."""
     m = decomp.m
-    table = decomp.factors._ctx["cosets"]
-    check = Poly.one(q_field)
+    table = decomp.factors.cosets
+    check = Poly.one(decomp.q_field)
     zero_exps = set(range(m))
     for pos in subset:
         slot = chain[pos - 1][0]
         check = check * slot.factor
         zero_exps -= set(table.coset_of(slot.exponent))
-    gen = Poly.x_pow_minus_one(q_field, m) // check
-    dim = check.degree
-    if dim == m:
+    return Poly.x_pow_minus_one(decomp.q_field, m) // check, check.degree, zero_exps
+
+
+def _d_code_entry(decomp: CrtDecomposition, subset: tuple[int, ...],
+                  chain: list, budget: int) -> DEntry:
+    """D_I's distance: exact when the engine certifies it within the budget,
+    otherwise the larger of the BCH bound and the engine's lower bound."""
+    gen, dim, zero_exps = _d_generator(decomp, subset, chain)
+    if dim == decomp.m:
         return DEntry(subset, gen, dim, 1, True)
-    if q_field.order**dim <= budget and q_field.has_tables:
-        code = cyclic_code_from_gen(q_field, m, gen)
-        d = min_distance(code, budget).d_exact
-        return DEntry(subset, gen, dim, d, True)
-    return DEntry(subset, gen, dim, _bch_bound(m, zero_exps), False)
+    rep = min_distance(cyclic_code_from_gen(decomp.q_field, decomp.m, gen), budget, mode="bound")
+    if rep.mode == "exact":
+        return DEntry(subset, gen, dim, rep.d_exact, True)
+    return DEntry(subset, gen, dim, max(_bch_bound(decomp.m, zero_exps), rep.d_lower), False)
 
 
 def associated_cyclic_family(decomp: CrtDecomposition, assignment: ConstituentAssignment,
@@ -212,8 +213,8 @@ def associated_cyclic_family(decomp: CrtDecomposition, assignment: ConstituentAs
     for a in range(1, h + 1):
         for b in range(a, h + 1):
             subset = tuple(range(a, b + 1))
-            e = _d_code_entry(decomp, subset, chain, budget)
-            codes[subset] = cyclic_code_from_gen(decomp.q_field, decomp.m, e.gen_poly)
+            gen, _, _ = _d_generator(decomp, subset, chain)
+            codes[subset] = cyclic_code_from_gen(decomp.q_field, decomp.m, gen)
     return AssociatedCyclicFamily(decomp, entries, codes)
 
 

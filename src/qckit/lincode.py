@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BudgetTooSmallForExact,
+    BudgetExceeded,
     DimensionMismatch,
-    EnumerationIncomplete,
     InvalidSubfieldOrder,
     LengthMismatch,
     MixedFields,
     OrderNotSquare,
+    PreconditionViolated,
     RepeatedEvaluationPoint,
     ZeroMultiplier,
 )
@@ -376,13 +376,13 @@ def is_galois_closed(c: LinearCode, r: int) -> bool:
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """Result of a weight enumeration.
+    """Result of a distance-engine run of at most `budget` codewords.
 
-    mode "exact" certifies d_exact over all nonzero codewords; "lower-upper"
-    reports the certified interval [d_lower, d_upper] reached within the
-    enumeration budget, and d_lower == d_upper when the engine certified the
-    distance before the budget ran out.  The zero code gets the undefined
-    sentinel n + 1 so it never poisons minima, and d_lower None.
+    mode "exact" means the engine certified d_exact = d_lower = d_upper within
+    the budget; "lower-upper" reports the certified interval [d_lower,
+    d_upper] reached when the budget ran out first (d_upper None when no
+    codeword was seen).  The zero code gets the undefined sentinel n + 1 so
+    it never poisons minima, and d_lower None.
     """
 
     mode: str
@@ -477,7 +477,7 @@ def _combine(field: GF, rows: np.ndarray, supp: np.ndarray, coef: np.ndarray) ->
 
 
 def _min_weight(field: GF, gen: np.ndarray, pivots, syn: np.ndarray | None,
-                budget: int | None) -> tuple[int, int, int]:
+                budget: int) -> tuple[int, int, int]:
     """Brouwer-Zimmermann minimum weight of the code whose RREF generator is
     gen (k >= 1 rows) with pivot columns `pivots`, or of its codewords not
     orthogonal to every row of syn.  Returns (best, lower, visited): best is
@@ -492,8 +492,8 @@ def _min_weight(field: GF, gen: np.ndarray, pivots, syn: np.ndarray | None,
     Gamma_j, which are disjoint; the engine stops when that sum reaches
     best, or when one Gamma_j has had every message.  With syn, codewords
     with a zero syndrome are skipped: the bound holds for every codeword
-    not visited, so it holds for the difference set as well.  A budget stops
-    the engine after exactly that many codewords; None runs to the end.
+    not visited, so it holds for the difference set as well.  The engine
+    stops after at most `budget` codewords.
     """
     k, n = gen.shape
     q = field.order
@@ -508,7 +508,7 @@ def _min_weight(field: GF, gen: np.ndarray, pivots, syn: np.ndarray | None,
     for w in range(1, k + 1):
         for j, (g, _, s) in enumerate(sets):
             for supp, coef in _message_blocks(k, w, q):
-                cut = budget is not None and visited + len(supp) > budget
+                cut = visited + len(supp) > budget
                 if cut:  # the budget ends inside this stage
                     supp, coef = supp[:budget - visited], coef[:budget - visited]
                 visited += len(supp)
@@ -526,32 +526,26 @@ def _min_weight(field: GF, gen: np.ndarray, pivots, syn: np.ndarray | None,
     raise AssertionError("unreachable: the last stage enumerates every message")  # pragma: no cover
 
 
-def min_distance(c: LinearCode, budget: int = DEFAULT_BUDGET, mode: str = "auto",
-                 fallback: bool = False) -> DistanceReport:
-    """Minimum distance by the Brouwer-Zimmermann engine: exact, or a
-    certified interval [d_lower, d_upper] within `budget` codewords.
+def min_distance(c: LinearCode, budget: int = DEFAULT_BUDGET,
+                 mode: str = "exact") -> DistanceReport:
+    """Minimum distance by the Brouwer-Zimmermann engine, visiting at most
+    `budget` codewords.
 
-    Exact mode needs q^k <= budget; with fallback=True an over-budget request
-    degrades to bound mode instead of raising.
+    A run that certifies d within the budget is reported as "exact" in either
+    mode.  Otherwise mode "bound" returns the certified interval
+    [d_lower, d_upper] and mode "exact" raises BudgetExceeded.
     """
-    field, n, k = c.field, c.n, c.k
-    q = field.order
-    if k == 0:
+    if mode not in ("exact", "bound"):
+        raise PreconditionViolated(f"unknown distance mode {mode!r}")
+    n = c.n
+    if c.k == 0:
         return DistanceReport("exact", n + 1, None, 0, budget, zero_code=True)
-    exact_possible = q**k <= budget
-    if mode == "exact" and not exact_possible:
-        if not fallback:
-            raise BudgetTooSmallForExact(f"q^k = {q}^{k} exceeds budget {budget}")
-        mode = "bound"
-    if mode == "auto":
-        mode = "exact" if exact_possible else "bound"
-    if mode == "exact":
-        best, lower, visited = _min_weight(field, c.gen, c.pivots, None, None)
-        if lower < best:
-            raise EnumerationIncomplete(
-                f"exact enumeration stopped at [{lower}, {best}] after {visited} codewords")
+    best, lower, visited = _min_weight(c.field, c.gen, c.pivots, None, budget)
+    if lower == best:
         return DistanceReport("exact", best, best, visited, budget, d_lower=best)
-    best, lower, visited = _min_weight(field, c.gen, c.pivots, None, budget)
+    if mode == "exact":
+        raise BudgetExceeded(
+            f"the distance is in [{lower}, {best}] after the budget of {budget} codewords")
     return DistanceReport("lower-upper", None, best if best <= n else None, visited, budget,
                           d_lower=lower)
 
@@ -559,19 +553,17 @@ def min_distance(c: LinearCode, budget: int = DEFAULT_BUDGET, mode: str = "auto"
 def min_weight_outside(c1: LinearCode, c2: LinearCode,
                        budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
     """Exact min weight over c1 \\ c2^perp-euclidean, i.e. codewords of c1 not
-    orthogonal to all of c2. Returns (weight, codewords visited); weight
-    n + 1 when the difference is empty."""
+    orthogonal to all of c2, certified within `budget` codewords of c1 or
+    BudgetExceeded.  Returns (weight, codewords visited); weight n + 1 when
+    the difference is empty."""
     if c1.field != c2.field or c1.n != c2.n:
         raise LengthMismatch("codes live in different ambient spaces")
-    field, k, q = c1.field, c1.k, c1.field.order
-    if k == 0 or c2.k == 0:
+    if c1.k == 0 or c2.k == 0:
         return c1.n + 1, 0  # empty difference: c2^perp is everything
-    if q**k > budget:
-        raise BudgetTooSmallForExact(f"q^k = {q}^{k} exceeds budget {budget}")
-    best, lower, visited = _min_weight(field, c1.gen, c1.pivots, c2.gen, None)
+    best, lower, visited = _min_weight(c1.field, c1.gen, c1.pivots, c2.gen, budget)
     if lower < best:
-        raise EnumerationIncomplete(
-            f"enumeration of c1 stopped at [{lower}, {best}] after {visited} codewords")
+        raise BudgetExceeded(
+            f"the weight is in [{lower}, {best}] after the budget of {budget} codewords")
     return best, visited
 
 

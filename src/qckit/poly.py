@@ -358,7 +358,9 @@ class FactorSet:
     selfrec keeps x - 1 last; pairs are oriented with g the lexicographically
     smaller factor and sorted by their smallest coset representative.
     rep_of maps each factor (by coefficient tuple) to the smallest exponent s
-    with factor = minpoly(alpha^s) for the canonical alpha.
+    with factor = minpoly(alpha^s) for the canonical alpha, a primitive m-th
+    root of unity in the splitting field F_{q^splitting_w}.  coset_factor
+    maps each q-cyclotomic coset of `cosets` to its minimal polynomial.
     """
 
     field: GF
@@ -368,7 +370,10 @@ class FactorSet:
     selfrec: tuple[Poly, ...]
     rep_of: dict
     splitting_w: int
-    _ctx: dict = dataclass_field(default_factory=dict, repr=False)
+    splitting_field: GF = dataclass_field(repr=False)
+    alpha: int = dataclass_field(repr=False)
+    cosets: CosetTable = dataclass_field(repr=False)
+    coset_factor: dict = dataclass_field(repr=False)
 
     @property
     def factors(self) -> list[Poly]:
@@ -447,7 +452,10 @@ def factor_xm1(q_field: GF, m: int) -> FactorSet:
         selfrec=tuple(selfrec),
         rep_of=rep_of,
         splitting_w=w,
-        _ctx={"K": K, "alpha": alpha, "coset_factor": coset_factor, "cosets": table},
+        splitting_field=K,
+        alpha=alpha,
+        cosets=table,
+        coset_factor=coset_factor,
     )
     prod = Poly.one(q_field)
     for f in fs.factors:

@@ -87,8 +87,8 @@ class CrtDecomposition:
         self.ell = ell
         self.factors: FactorSet = factor_xm1(q_field, m)
         self.w = self.factors.splitting_w
-        self.common_field: GF = self.factors._ctx["K"]
-        self.alpha: int = self.factors._ctx["alpha"]
+        self.common_field: GF = self.factors.splitting_field
+        self.alpha: int = self.factors.alpha
         K = self.common_field
         self._alpha_pows = [1] * m
         for i in range(1, m):
@@ -400,7 +400,7 @@ def constituent_at_exponent(decomp: CrtDecomposition, flat: LinearCode, exp: int
     base = decomp.q_field
     m, ell = decomp.m, decomp.ell
     exp %= m
-    coset = decomp.factors._ctx["cosets"].coset_of(exp)
+    coset = decomp.factors.cosets.coset_of(exp)
     d = len(coset)
     cfield = field_make(base.p, base.t * d)
     _, back = _embedding_pair(cfield, K)
@@ -504,9 +504,12 @@ def qc_duality_class(qc: QcCode) -> QcDualityReport:
         return QcDualityReport(flags, None, None, None, None, None)
     witnesses = []
     for pa, (sg, sgs) in zip(qc.assignment.pairs, qc.decomp.pair_slots):
-        cd = pa.cdouble_code()
-        so = not _gram(cd.field, cd.gen, pa.cprime.gen).any()  # C'' <= (C')^perp
-        dc = _in_span(cd.field, _parity_rows(pa.cprime), cd)  # (C')^perp <= C''
+        if pa.dual_mode:  # C'' = (C')^perp by construction
+            so = dc = True
+        else:
+            cd = pa.cdouble
+            so = not _gram(cd.field, cd.gen, pa.cprime.gen).any()  # C'' <= (C')^perp
+            dc = _in_span(cd.field, _parity_rows(pa.cprime), cd)  # (C')^perp <= C''
         witnesses.append(SlotWitness(f"({sg.label},{sgs.label})", "pair-euclidean", so, dc, so and dc))
     for sa, slot in zip(qc.assignment.selfrec, qc.decomp.selfrec_slots):
         rel = _slot_duality(slot, sa.code)
@@ -566,7 +569,7 @@ def is_galois_closed_qc(qc: QcCode, r: int) -> bool:
 def galois_alignment(decomp: CrtDecomposition, r: int) -> bool:
     """True when multiplication by r maps every cyclotomic coset to itself,
     so Frobenius-powering acts slotwise."""
-    table = decomp.factors._ctx["cosets"]
+    table = decomp.factors.cosets
     return all((s.exponent * r) % decomp.m in table.coset_of(s.exponent) for s in decomp.slots)
 
 
@@ -654,17 +657,14 @@ class FamilyLevel:
         }
 
 
-def _distance_of(code: LinearCode, info: DistanceInfo | None, budget: int, what: str) -> DistanceInfo:
+def _distance_of(code: LinearCode, info: DistanceInfo | None, budget: int) -> DistanceInfo:
+    """The given distance, or the engine's exact one (BudgetExceeded if the
+    budget cannot certify it)."""
     if info is not None:
         return info
     if code.k == 0:
         return DistanceInfo(code.n + 1, True, "zero code")
-    if code.field.order**code.k > budget:
-        raise UnknownConstituentDistance(
-            f"{what}: no distance given and q^k = {code.field.order}^{code.k} exceeds budget"
-        )
-    rep = min_distance(code, budget)
-    return DistanceInfo(rep.d_exact, True, "enumerated")
+    return DistanceInfo(min_distance(code, budget).d_exact, True, "enumerated")
 
 
 def _kind_flags(code: LinearCode, kind: str, exceptional: bool) -> bool:
@@ -701,14 +701,14 @@ def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
 
     # ordering hypothesis: the x - 1 constituent must carry the smallest distance
     d_infos: list[DistanceInfo] = []
-    for pa, (sg, sgs) in zip(base.pairs, decomp1.pair_slots):
-        d_infos.append(_distance_of(pa.cprime, pa.cprime_distance, plan.budget, sg.label))
+    for pa in base.pairs:
+        d_infos.append(_distance_of(pa.cprime, pa.cprime_distance, plan.budget))
         # a given C'' distance needs no C''
         d_infos.append(pa.cdouble_distance if pa.cdouble_distance is not None else
-                       _distance_of(pa.cdouble_code(), None, plan.budget, sgs.label))
-    for sa, slot in zip(base.selfrec[:-1], sr_slots[:-1]):
-        d_infos.append(_distance_of(sa.code, sa.distance, plan.budget, slot.label))
-    d_s = _distance_of(cs, base.selfrec[-1].distance, plan.budget, slot_s.label)
+                       _distance_of(pa.cdouble_code(), None, plan.budget))
+    for sa in base.selfrec[:-1]:
+        d_infos.append(_distance_of(sa.code, sa.distance, plan.budget))
+    d_s = _distance_of(cs, base.selfrec[-1].distance, plan.budget)
     if not d_s.exact:
         raise UnknownConstituentDistance("the x - 1 constituent needs an exact distance")
     for di in d_infos:
@@ -731,6 +731,7 @@ def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
         k_u = ell * ((m**u - 1) // (m - 1)) * sum_deg_pairs + u * sum_deg_k_sr + k_s
         d_u = m ** (u - 1) * d_s.value
         level = FamilyLevel(u, n_u, k_u, d_u)
+        # n_u grows with u, so a materialized level follows a materialized one
         if n_u <= plan.materialize_max:
             copies = m ** (u - 1)
             ell_u = copies * ell
@@ -752,16 +753,7 @@ def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
             fl = duality_class(qc.lin)
             level.duality_checked = {"ESO": fl.eso, "EDC": fl.edc, "ESD": fl.esd}[plan.kind]
             prev_flat = qc.lin
-        else:
-            prev_flat = None
         levels.append(level)
-        if prev_flat is None and u < plan.u_max:
-            # formula-level only from here on
-            for uu in range(u + 1, plan.u_max + 1):
-                n_uu = m**uu * ell
-                k_uu = ell * ((m**uu - 1) // (m - 1)) * sum_deg_pairs + uu * sum_deg_k_sr + k_s
-                levels.append(FamilyLevel(uu, n_uu, k_uu, m ** (uu - 1) * d_s.value))
-            break
     return levels
 
 

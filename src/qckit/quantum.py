@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import (
-    BudgetExceeded,
-    BudgetTooSmallForExact,
     LengthMismatch,
     NotDualContaining,
     NotNested,
@@ -80,8 +78,10 @@ def css(c1: LinearCode, c2: LinearCode, mode: str = "bound",
         budget: int = DEFAULT_BUDGET) -> QuantumParams:
     """CSS construction for c2^perp <= c1: [[n, k1+k2-n]] pure to min(d1,d2).
 
-    bound mode uses the provided (or enumerated) classical lower bounds; exact
-    mode enumerates min weight over (c1 \\ c2^perp) union (c2 \\ c1^perp).
+    bound mode uses the provided classical distances, or the distance engine's
+    certified lower bounds within `budget` codewords; exact mode certifies the
+    min weight over (c1 \\ c2^perp) union (c2 \\ c1^perp) within the budget or
+    raises BudgetExceeded.
     """
     if c1.field != c2.field or c1.n != c2.n:
         raise LengthMismatch("CSS inputs live in different ambient spaces")
@@ -94,8 +94,8 @@ def css(c1: LinearCode, c2: LinearCode, mode: str = "bound",
     def classical_d(c, given):
         if given is not None:
             return given
-        rep = min_distance(c, budget, mode="auto")
-        if rep.d_exact is not None:  # exact, or the zero code's sentinel n + 1
+        rep = min_distance(c, budget, mode="bound")
+        if rep.d_exact is not None:  # certified, or the zero code's sentinel n + 1
             return rep.d_exact
         return max(1, rep.d_lower)  # the budgeted run's certified lower bound
 
@@ -107,11 +107,8 @@ def css(c1: LinearCode, c2: LinearCode, mode: str = "bound",
                              derivation=(f"css({c1.n},{c1.k})x({c2.n},{c2.k})",))
     if mode != "exact":
         raise PreconditionViolated(f"unknown css mode {mode!r}")
-    try:
-        w1, _ = min_weight_outside(c1, c2, budget)
-        w2, _ = min_weight_outside(c2, c1, budget)
-    except BudgetTooSmallForExact as exc:
-        raise BudgetExceeded(str(exc))
+    w1, _ = min_weight_outside(c1, c2, budget)
+    w2, _ = min_weight_outside(c2, c1, budget)
     d = min(w1, w2)
     if d > n:
         raise PreconditionViolated("CSS difference sets are empty (c1 = c2^perp)")
@@ -124,9 +121,10 @@ def from_dual_containing(c: LinearCode, mode: str = "bound", d: int | None = Non
                          budget: int = DEFAULT_BUDGET) -> QuantumParams:
     """[[n, 2k-n, >= d]] pure to d from an EDC code.
 
-    When d is the exact classical distance (d_is_exact) and the dual's exact
-    distance is computed to exceed d, the quantum distance is certified equal
-    to d; a d that is only a lower bound never yields an exactness claim."""
+    When d is the exact classical distance (d_is_exact) and the dual's
+    certified lower bound within `budget` codewords exceeds d, the quantum
+    distance is certified equal to d; a d that is only a lower bound never
+    yields an exactness claim."""
     if not duality_class(c).edc:
         raise NotDualContaining("code does not contain its Euclidean dual")
     params = css(c, c, mode=mode, d1=d, d2=d, budget=budget)
@@ -135,10 +133,8 @@ def from_dual_containing(c: LinearCode, mode: str = "bound", d: int | None = Non
     if exact is None and d is not None and d_is_exact:
         # certification: if d(C^perp) > d(C) then the quantum distance is d(C)
         dual = dual_euclidean(c)
-        if dual.k and dual.field.order**dual.k <= budget:
-            ddual = min_distance(dual, budget).d_exact
-            if ddual > d:
-                exact = d
+        if dual.k and min_distance(dual, budget, mode="bound").d_lower > d:
+            exact = d
     return QuantumParams(params.n, params.k, d_used, params.q, d_exact=exact,
                          purity=params.purity,
                          derivation=(f"dual-containing[{c.n},{c.k}]",))

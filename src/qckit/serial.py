@@ -59,7 +59,7 @@ def assignment_from_spec(spec: dict) -> tuple[CrtDecomposition, ConstituentAssig
     m = int(spec["m"])
     ell = int(spec["ell"])
     decomp = decompose_ring(q_field, m, ell)
-    table = decomp.factors._ctx["cosets"]
+    table = decomp.factors.cosets
 
     pair_by_coset = {}
     for sg, sgs in decomp.pair_slots:

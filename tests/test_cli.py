@@ -99,6 +99,21 @@ def test_build_verify_round_trip(tmp_path, spec41, capsys):
         json.dumps(built["distance"], sort_keys=True)
 
 
+def test_build_over_budget_reports_an_interval(tmp_path, spec41, capsys):
+    # q^k = 4^12 exceeds the budget: the engine still runs, capped at 100
+    # codewords, and reports the certified interval around d = 5
+    out = tmp_path / "code.json"
+    rc, built = run_json(["build", "--spec", spec41, "--budget", "100", "--out", str(out)], capsys)
+    assert rc == 0
+    validate(built, "build.json")
+    dist = built["distance"]
+    assert dist["mode"] == "lower-upper" and dist["d_exact"] is None
+    assert dist["enumerated"] == dist["budget"] == 100
+    assert 1 <= dist["d_lower"] <= 5 <= dist["d_upper"]
+    rc, verified = run_json(["verify", "--code", str(out), "--budget", "100"], capsys)
+    assert rc == 0 and verified["distance"] == dist
+
+
 def test_gobound_command(spec41, capsys):
     rc, payload = run_json(["gobound", "--spec", spec41], capsys)
     assert rc == 0
@@ -139,6 +154,11 @@ def test_quantum_command(tmp_path, spec41, capsys):
     assert rc == 0
     validate(payload, "quantum.json")
     assert payload["params"]["n"] == 21 and payload["params"]["k"] == 3
+    # d = 5 is certified, and the dual's lower bound exceeds it: exact
+    assert payload["params"]["d_lower"] == payload["params"]["d_exact"] == 5
+    # 100 codewords certify only d >= 2, so nothing is exact
+    rc, payload = run_json(["quantum", "--code", str(out), "--budget", "100"], capsys)
+    assert rc == 0 and payload["params"]["d_lower"] == 2 and payload["params"]["d_exact"] is None
     rc, payload = run_json(["quantum", "--code", str(out), "--chain", "shorten,shorten"], capsys)
     assert rc == 0
     assert payload["params"]["n"] == 19 and payload["params"]["k"] == 5

@@ -1,6 +1,6 @@
 import pytest
 
-from qckit.errors import EmptyAssignment, RepNotACosetMin, UnknownConstituentDistance
+from qckit.errors import BudgetExceeded, EmptyAssignment, RepNotACosetMin
 from qckit.gf import field_make
 from qckit.gobound import associated_cyclic_family, cyclic_from_nonzeros, go_bound
 from qckit.lincode import (
@@ -154,11 +154,13 @@ def test_go_bound_errors():
         (SelfrecAssignment(zero_code(F4, 3)),))
     with pytest.raises(EmptyAssignment):
         go_bound(dec, empty)
+    # q^k = 64^2 exceeds both budgets: 10 codewords certify d = 2, one does not
     big = ConstituentAssignment(
-        (PairAssignment(full_space(F64, 3), zero_code(F64, 3)),),
+        (PairAssignment(code_from_rows(F64, 3, [(1, 0, 1), (0, 1, 1)]), zero_code(F64, 3)),),
         (SelfrecAssignment(zero_code(F4, 3)),))
-    with pytest.raises(UnknownConstituentDistance):
-        go_bound(dec, big, distance_budget=10)
+    assert go_bound(dec, big, distance_budget=10).chain[0].distance.value == 2
+    with pytest.raises(BudgetExceeded):
+        go_bound(dec, big, distance_budget=1)
 
 
 def test_family_ledger_consistency():
@@ -180,7 +182,7 @@ def test_family_ledger_consistency():
 
 
 def test_bch_fallback_lower_bound_mode():
-    from qckit.gobound import _bch_bound
+    from qckit.gobound import _bch_bound, cyclic_code_from_gen
     from qckit.gf import Felt, field_make, unembed
     from qckit.qc import DistanceInfo
 
@@ -199,10 +201,24 @@ def test_bch_fallback_lower_bound_mode():
     asn = ConstituentAssignment(
         (PairAssignment(cp, None, DistanceInfo(4, True), DistanceInfo(3, True)),),
         (SelfrecAssignment(cs, DistanceInfo(3, True)),))
-    lo = go_bound(dec, asn, distance_budget=100)  # forces BCH entries
+    # 100 codewords certify every entry; 50 certify D_3 and D_1,2 only
+    lo = go_bound(dec, asn, distance_budget=50)
     hi = go_bound(dec, asn, distance_budget=2**22)
     assert not lo.exact_mode and hi.exact_mode
     assert lo.d_go <= hi.d_go
+    K, m = dec.common_field, 11
+    engine_wins = 0
     for k, entry in lo.d_table.items():
         assert entry.distance <= hi.d_table[k].distance
-        assert entry.exact == (entry.dim == 11 or f3.order**entry.dim <= 100)
+        if entry.dim == m:
+            assert entry.exact and entry.distance == 1
+            continue
+        rep = min_distance(cyclic_code_from_gen(f3, m, entry.gen_poly), 50, mode="bound")
+        assert entry.exact == (rep.mode == "exact")
+        if entry.exact:
+            assert entry.distance == rep.d_exact
+        else:  # the BCH bound on the generator's zeros, or the engine's lower bound
+            zeros = {e for e in range(m) if entry.gen_poly.eval_in(K, dec.alpha_pow(e)) == 0}
+            assert entry.distance == max(_bch_bound(m, zeros), rep.d_lower)
+            engine_wins += rep.d_lower > _bch_bound(m, zeros)
+    assert engine_wins == 2  # D_1 and D_2: 5 against BCH 4

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from qckit.errors import (
-    BudgetTooSmallForExact,
+    BudgetExceeded,
     DimensionMismatch,
-    EnumerationIncomplete,
     LengthMismatch,
     MixedFields,
     OrderNotSquare,
+    PreconditionViolated,
     RepeatedEvaluationPoint,
     ZeroMultiplier,
 )
@@ -134,15 +134,22 @@ def test_min_distance_examples():
 
 
 def test_min_distance_budget_handling():
+    # q^k = 4^8 exceeds the budget, but the identity generator certifies
+    # d = 1 after its weight-1 messages: exact in either mode
     c = code_from_rows(F4, 8, np.eye(8, dtype=int))
-    with pytest.raises(BudgetTooSmallForExact):
-        min_distance(c, budget=100, mode="exact")
-    rep = min_distance(c, budget=100, mode="exact", fallback=True)
-    assert rep.mode == "lower-upper" and rep.d_upper >= 1
-    rep2 = min_distance(c, budget=100, mode="auto")
-    # the identity generator certifies d = 1 after its weight-1 messages
-    assert rep2.mode == "lower-upper" and rep2.enumerated <= 100
-    assert rep2.d_lower == rep2.d_upper == 1
+    rep = min_distance(c, budget=100)
+    assert rep.mode == "exact" and rep.enumerated <= 100
+    assert rep.d_exact == rep.d_lower == rep.d_upper == 1
+    assert min_distance(c, budget=100, mode="bound") == rep
+    # a budget that ends before the certificate: an interval, or BudgetExceeded
+    c = esd_634()
+    low = min_distance(c, budget=1, mode="bound")
+    assert low.mode == "lower-upper" and low.d_exact is None and low.enumerated == 1
+    assert low.d_lower < 4 <= low.d_upper
+    with pytest.raises(BudgetExceeded):
+        min_distance(c, budget=1)
+    with pytest.raises(PreconditionViolated):
+        min_distance(c, mode="auto")
 
 
 def test_min_distance_matches_naive_oracle():
@@ -184,10 +191,12 @@ def test_incomplete_enumeration_raises(monkeypatch):
     # the engine reports the open interval [1, 2]: not certified
     monkeypatch.setattr(lincode, "_min_weight", lambda *args: (2, 1, 1))
     c = code_from_rows(F2, 4, [(1, 1, 0, 0), (0, 0, 1, 1)])
-    with pytest.raises(EnumerationIncomplete):
+    with pytest.raises(BudgetExceeded):
         min_distance(c, mode="exact")
-    with pytest.raises(EnumerationIncomplete):
+    with pytest.raises(BudgetExceeded):
         min_weight_outside(c, c)
+    rep = min_distance(c, mode="bound")
+    assert rep.mode == "lower-upper" and (rep.d_lower, rep.d_upper) == (1, 2)
 
 
 def test_min_distance_large_field():
@@ -253,7 +262,7 @@ def test_information_sets_match_elimination_oracle(monkeypatch):
                     return _rref(*args)
 
                 monkeypatch.setattr(lincode, "_rref", counted)
-                min_distance(c, budget=1000)
+                min_distance(c, budget=1000, mode="bound")
                 monkeypatch.setattr(lincode, "_rref", _rref)
                 assert len(calls) == len(sets) - 1, (fld, k, n, shape)
                 seen.add((c.k == n, len(sets)))
@@ -285,12 +294,16 @@ def test_min_distance_bound_mode_is_sound():
     for c, d in known:
         for budget in (0, 1, 5, 40, 300, 3000):
             rep = min_distance(c, budget=budget, mode="bound")
-            assert rep.mode == "lower-upper" and rep.d_exact is None
             assert rep.enumerated <= budget
             upper = rep.d_upper if rep.d_upper is not None else c.n + 1
             assert 1 <= rep.d_lower <= d <= upper, (c, budget, rep)
+            if rep.mode == "exact":  # certified: the interval has closed on d
+                assert rep.d_exact == rep.d_lower == rep.d_upper == d
+            else:
+                assert rep.mode == "lower-upper" and rep.d_exact is None
+                assert rep.d_lower < upper
             if rep.enumerated < budget:  # stopped early: certified
-                assert rep.d_lower == rep.d_upper == d
+                assert rep.mode == "exact"
 
 
 def test_min_distance_memory_example42():
@@ -299,14 +312,15 @@ def test_min_distance_memory_example42():
     from qckit.reproduce import _example42_assignment
 
     dec, asn, _ = _example42_assignment()
-    code = assemble_qc(dec, asn).lin  # [56,30]_2, d = 8 after about 349k codewords
+    code = assemble_qc(dec, asn).lin  # [56,30]_2
     tracemalloc.start()
     try:
-        rep = min_distance(code, budget=2**31, mode="exact")
+        # q^k = 2^30 exceeds the budget; the engine certifies d = 8 far below it
+        rep = min_distance(code, budget=2**25)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.d_exact == 8
+    assert rep.mode == "exact" and rep.d_exact == 8 and rep.enumerated == 348872
     assert peak < 16e6, f"engine peaked at {peak / 1e6:.1f} MB"
 
 

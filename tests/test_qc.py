@@ -556,6 +556,7 @@ def test_elimination_counts(ex41, monkeypatch):
     assert eliminations(code_power_q, c, 2) == 0
     assert eliminations(is_galois_closed, c, 2) == 0
     assert eliminations(is_shift_invariant, ex41) == 0
+    assert eliminations(qc_duality_class, ex41) == 0  # a dual-mode pair holds by construction
     assert eliminations(css, c, c, "bound", 3, 3) == 0  # the nesting check only
     assert eliminations(dual_hermitian, c) == 1  # dual_euclidean's recanonicalization
     # the flat dual and the x - 1 slot's dual; a dual-mode pair maps to itself

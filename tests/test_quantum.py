@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qckit.errors import NotDualContaining, NotNested, PreconditionViolated
+from qckit.errors import BudgetExceeded, NotDualContaining, NotNested, PreconditionViolated
 from qckit.gf import field_make
 from qckit.lincode import (
     code_from_rows,
@@ -84,13 +84,40 @@ def test_css_bound_mode_uses_certified_distance_over_budget():
     c = _hamming_844()
     assert duality_class(c).esd
     rep = min_distance(c, budget=10)
-    assert rep.mode == "lower-upper" and rep.d_lower == rep.d_upper == 4
+    assert rep.mode == "exact" and rep.d_exact == rep.d_lower == rep.d_upper == 4
     q = css(c, c, budget=10)
     assert (q.n, q.k, q.d_lower, q.purity) == (8, 0, 4, 4)
     assert from_dual_containing(c, budget=10).d_lower == 4
     # a budget too small to certify keeps the engine's certified lower bound
-    low = min_distance(c, budget=2)
+    low = min_distance(c, budget=2, mode="bound")
     assert low.d_lower < 4 and css(c, c, budget=2).d_lower == max(1, low.d_lower)
+
+
+def test_min_weight_outside_certifies_over_budget():
+    # q^k = 16 exceeds the budget; outside {0} = full_space^perp is every
+    # nonzero codeword, and the engine certifies weight 4 after 8 of them
+    c = _hamming_844()
+    assert min_weight_outside(c, full_space(F2, 8), budget=10) == (4, 8)
+    with pytest.raises(BudgetExceeded):
+        min_weight_outside(c, full_space(F2, 8), budget=2)
+
+
+def test_from_dual_containing_certifies_from_dual_lower_bound():
+    # the Hamming [7,4,3]_2 code contains its dual, the simplex [7,3,4]_2 code;
+    # q^k = 8 of the dual exceeds the budget, but 6 codewords certify
+    # d(C^perp) = 4 > 3, so the stabilizer distance is exactly 3
+    c = code_from_rows(F2, 7, [(1, 0, 0, 0, 1, 1, 0), (0, 1, 0, 0, 1, 0, 1),
+                               (0, 0, 1, 0, 0, 1, 1), (0, 0, 0, 1, 1, 1, 1)])
+    dual = dual_euclidean(c)
+    assert min_distance(dual, budget=6).enumerated == 6
+    q = from_dual_containing(c, d=3, d_is_exact=True, budget=6)
+    assert (q.n, q.k, q.d_lower, q.d_exact) == (7, 1, 3, 3)
+    # a budget that leaves d(C^perp) >= 3 only claims nothing
+    low = min_distance(dual, budget=3, mode="bound")
+    assert low.d_lower <= 3
+    assert from_dual_containing(c, d=3, d_is_exact=True, budget=3).d_exact is None
+    # a d that is only a lower bound never yields an exactness claim
+    assert from_dual_containing(c, d=3, budget=6).d_exact is None
 
 
 def test_css_of_one_code_computes_its_distance_once(monkeypatch):
