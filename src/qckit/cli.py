@@ -241,7 +241,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reproduce", help="replay the bundled reference examples")
     sp.add_argument("target", choices=list(TARGETS) + ["all"])
     sp.add_argument("--long", action="store_true",
-                    help="include the 2^30-scale exact-distance run")
+                    help="add the exact-distance run, capped by --budget like every run")
     add_common(sp)
     sp.set_defaults(fn=cmd_reproduce)
 

@@ -55,13 +55,9 @@ class ZeroConstantTerm(QCKitError):
     pass
 
 
-class DependentPowerBasis(QCKitError):
-    """The powers 1, beta, ..., beta^(d-1) of a coset root are dependent over
-    the base field, so its minimal polynomial does not have degree d."""
-
-
 class MinimalPolynomialMismatch(QCKitError):
-    """A computed minimal polynomial does not vanish at its root."""
+    """The product of (x - alpha^c) over a cyclotomic coset has a coefficient
+    outside the base field."""
 
 
 class ReciprocalMismatch(QCKitError):
@@ -101,10 +97,6 @@ class ZeroMultiplier(QCKitError):
 
 # quasi-cyclic assembly
 class FieldMismatch(QCKitError):
-    pass
-
-
-class MissingProvenance(QCKitError):
     pass
 
 

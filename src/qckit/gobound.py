@@ -37,8 +37,8 @@ from dataclasses import dataclass, field as dc_field
 from .errors import EmptyAssignment, RepNotACosetMin
 from .gf import GF
 from .lincode import DEFAULT_BUDGET, LinearCode, code_from_rows, min_distance
-from .poly import Poly, cyclotomic_cosets
-from .qc import ConstituentAssignment, CrtDecomposition, DistanceInfo, Slot, decompose_ring
+from .poly import Poly, factor_xm1
+from .qc import ConstituentAssignment, CrtDecomposition, DistanceInfo, Slot, _distance_of
 
 
 def cyclic_code_from_gen(q_field: GF, m: int, gen_poly: Poly) -> LinearCode:
@@ -56,8 +56,8 @@ def cyclic_code_from_gen(q_field: GF, m: int, gen_poly: Poly) -> LinearCode:
 def cyclic_from_nonzeros(q_field: GF, m: int, reps) -> LinearCode:
     """The associated cyclic code for a set of coset representatives: check
     polynomial prod m_{alpha^rep}, generator (x^m-1)/check."""
-    decomp = decompose_ring(q_field, m, 1)
-    table = cyclotomic_cosets(q_field.order, m)
+    factors = factor_xm1(q_field, m)
+    table = factors.cosets
     seen = set()
     check = Poly.one(q_field)
     for rep in reps:
@@ -67,7 +67,7 @@ def cyclic_from_nonzeros(q_field: GF, m: int, reps) -> LinearCode:
         if coset in seen:
             raise RepNotACosetMin(f"duplicate coset for representative {rep}")
         seen.add(coset)
-        check = check * decomp.factors.coset_factor[coset]
+        check = check * factors.coset_factor[coset]
     gen = Poly.x_pow_minus_one(q_field, m) // check
     return cyclic_code_from_gen(q_field, m, gen)
 
@@ -164,9 +164,7 @@ def _constituent_chain(decomp: CrtDecomposition, assignment: ConstituentAssignme
     for slot, code, info in entries:
         if code.k == 0:
             continue  # zero constituents drop out of the chain
-        if info is None:
-            info = DistanceInfo(min_distance(code, budget).d_exact, True, "enumerated")
-        out.append((slot, code, info))
+        out.append((slot, code, _distance_of(code, info, budget)))
     if not out:
         raise EmptyAssignment("no nonzero constituents")
     # descending distance; ties broken by slot order in the decomposition

@@ -565,14 +565,3 @@ def min_weight_outside(c1: LinearCode, c2: LinearCode,
         raise BudgetExceeded(
             f"the weight is in [{lower}, {best}] after the budget of {budget} codewords")
     return best, visited
-
-
-def codeword_weights(c: LinearCode) -> np.ndarray:
-    """Weights of all q^k codewords in message counting order (oracle-sized)."""
-    field = c.field
-    words = np.zeros((1, c.n), dtype=np.int64)
-    for i in range(c.k - 1, -1, -1):
-        row = c.gen[i]
-        stack = [field.add_arr(words, field.mul_arr(v, row)) for v in range(field.order)]
-        words = np.concatenate(stack, axis=0)
-    return np.count_nonzero(words, axis=1)

@@ -3,9 +3,9 @@
 The factorization is driven by cyclotomic cosets: each q-cyclotomic coset of
 Z_m yields one irreducible factor, the minimal polynomial of alpha^s for a
 primitive m-th root of unity alpha living in the splitting field F_{q^w},
-w = ord_m(q).  Minimal polynomials are recovered by linear algebra on the
-F_q-coordinates of powers of alpha^s, so the splitting field is only ever
-used as a vector space and may be large.
+w = ord_m(q).  The factor of a coset C is the product of (x - alpha^c) over
+c in C, multiplied out in the splitting field; its coefficients lie in the
+embedded copy of F_q and are pulled back along the canonical embedding.
 
 Factors are classified into reciprocal pairs (g, g*) and self-reciprocal
 polynomials f_i, with x - 1 ordered last among the self-reciprocal ones.
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field as dataclass_field
 from math import gcd
 
 from .errors import (
-    DependentPowerBasis,
     DivisionByZero,
     FactorProductMismatch,
     MinimalPolynomialMismatch,
@@ -162,16 +161,6 @@ class Poly:
             acc = big.add(big.mul(acc, x), int(fwd[c]))
         return acc
 
-    def derivative(self) -> "Poly":
-        f = self.field
-        out = []
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            term = 0
-            for _ in range(i % f.p):
-                term = f.add(term, c)
-            out.append(term)
-        return Poly.make(f, out)
-
     def reciprocal(self) -> "Poly":
         """Monic normalization of x^deg(f) * f(1/x); needs f(0) != 0."""
         if self.is_zero() or self.coeffs[0] == 0:
@@ -271,86 +260,6 @@ def three_factor_scan(q: int, m_max: int, prime_only: bool = True) -> list[int]:
 # factorization of x^m - 1
 
 
-class _FqCoords:
-    """F_q-coordinates of elements of the splitting field K = F_{q^w}."""
-
-    def __init__(self, K: GF, base: GF):
-        self.K = K
-        self.base = base
-        self.w = K.t // base.t
-        if base.t == 1:
-            self._solver = None
-            return
-        p, t, tw = base.p, base.t, K.t
-        fwd, _ = _embedding_pair(base, K)
-        z = K.gen
-        # columns of the change-of-basis matrix: z^i * e(omega^j), i < w, j < t
-        cols = []
-        omega_img = int(fwd[base.gen])
-        zi = 1
-        for _ in range(self.w):
-            oj = 1
-            for _ in range(t):
-                cols.append(K.coeffs(K.mul(zi, oj)))
-                oj = K.mul(oj, omega_img)
-            zi = K.mul(zi, z)
-        # invert the (tw x tw) matrix over F_p
-        n = tw
-        aug = [[cols[c][r] for c in range(n)] + [1 if k == r else 0 for k in range(n)] for r in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] % p != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = pow(aug[col][col], p - 2, p)
-            aug[col] = [(v * inv) % p for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[col])]
-        self._solver = [row[n:] for row in aug]
-
-    def coords(self, x: int) -> tuple[int, ...]:
-        base, K = self.base, self.K
-        if base.t == 1:
-            return K.coeffs(x)
-        vec = K.coeffs(x)
-        p = base.p
-        sol = [sum(row[i] * vec[i] for i in range(len(vec))) % p for row in self._solver]
-        return tuple(base.from_coeffs(sol[i * base.t:(i + 1) * base.t]) for i in range(self.w))
-
-
-def _minpoly_over_base(K: GF, base: GF, coords: _FqCoords, beta: int, d: int) -> Poly:
-    """Monic minimal polynomial (degree exactly d) of beta over the base field."""
-    vs = []
-    x = 1
-    for _ in range(d + 1):
-        vs.append(coords.coords(x))
-        x = K.mul(x, beta)
-    w = coords.w
-    # solve sum_i c_i vs[i] = -vs[d] over the base field
-    f = base
-    rows = [[vs[i][r] for i in range(d)] + [f.neg(vs[d][r])] for r in range(w)]
-    piv_cols = []
-    r = 0
-    for col in range(d):
-        piv = next((i for i in range(r, w) if rows[i][col] != 0), None)
-        if piv is None:
-            continue  # pragma: no cover - minimal polynomial has degree exactly d
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = f.inv(rows[r][col])
-        rows[r] = [f.mul(inv, v) for v in rows[r]]
-        for i in range(w):
-            if i != r and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(rows[i], rows[r])]
-        piv_cols.append(col)
-        r += 1
-    if piv_cols != list(range(d)):
-        raise DependentPowerBasis(
-            f"powers of {beta} up to degree {d - 1} are dependent over {base!r}")
-    sol = [rows[i][d] for i in range(d)]
-    return Poly.make(f, sol + [1])
-
-
 @dataclass
 class FactorSet:
     """x^m - 1 = delta * prod g_j g_j* * prod f_i over F_q, canonically ordered.
@@ -406,16 +315,17 @@ def factor_xm1(q_field: GF, m: int) -> FactorSet:
     w = 1 if m == 1 else multiplicative_order(q, m)
     K = field_make(q_field.p, q_field.t * w, order_cap=None)
     alpha = 1 if m == 1 else primitive_mth_root(K, m).val
-    coords = _FqCoords(K, q_field)
+    _, back = _embedding_pair(q_field, K)
 
     coset_factor: dict[tuple[int, ...], Poly] = {}
     for coset in table.cosets:
-        beta = K.pow_(alpha, coset[0])
-        mp = _minpoly_over_base(K, q_field, coords, beta, len(coset))
-        if mp.eval_in(K, beta) != 0:
+        mp = Poly.one(K)
+        for c in coset:
+            mp = mp * Poly(K, (K.neg(K.pow_(alpha, c)), 1))
+        if any(c not in back for c in mp.coeffs):
             raise MinimalPolynomialMismatch(
-                f"minimal polynomial {mp} does not vanish at {beta} in {K!r}")
-        coset_factor[coset] = mp
+                f"the product over coset {coset}, {mp}, has a coefficient outside {q_field!r}")
+        coset_factor[coset] = Poly(q_field, tuple(back[c] for c in mp.coeffs))
 
     pairs = []
     selfrec = []

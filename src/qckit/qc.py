@@ -47,6 +47,7 @@ from .lincode import (
     min_distance,
     _gram,
     _in_span,
+    _matmul,
     _parity_rows,
 )
 from .poly import FactorSet, Poly, factor_xm1
@@ -192,25 +193,23 @@ def phi_inv(arr: np.ndarray, m: int, ell: int) -> np.ndarray:
 
 
 def ring_conj(field: GF, c: np.ndarray) -> np.ndarray:
-    """Conjugation on F_q[x]/(x^m-1): x -> x^{m-1}, extended linearly."""
-    m = len(c)
-    out = np.zeros(m, dtype=np.int64)
-    out[0] = c[0]
-    out[1:] = c[:0:-1]
-    return out
+    """Conjugation on F_q[x]/(x^m-1): x -> x^{m-1}, extended linearly; along
+    the last axis."""
+    return np.roll(np.asarray(c, dtype=np.int64)[..., ::-1], 1, axis=-1)
+
+
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """Circulants along the last axis: row i is c shifted right by i, so
+    a @ it is the cyclic convolution of a and c."""
+    m = c.shape[-1]
+    return c[..., (np.arange(m)[None, :] - np.arange(m)[:, None]) % m]
 
 
 def ring_mul(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cyclic convolution: product in F_q[x]/(x^m-1)."""
-    m = len(a)
-    out = np.zeros(m, dtype=np.int64)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    k = (i + j) % m
-                    out[k] = field.add(int(out[k]), field.mul(int(ai), int(bj)))
-    return out
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    return _matmul(field, a[None, :], _circulant(b))[0]
 
 
 def r_hermitian_ip(field: GF, x_tuple: np.ndarray, y_tuple: np.ndarray) -> np.ndarray:
@@ -220,11 +219,8 @@ def r_hermitian_ip(field: GF, x_tuple: np.ndarray, y_tuple: np.ndarray) -> np.nd
     if x_tuple.shape != y_tuple.shape:
         raise LengthMismatch("tuples must have matching shape")
     m = x_tuple.shape[1]
-    acc = np.zeros(m, dtype=np.int64)
-    for xr, yr in zip(x_tuple, y_tuple):
-        prod = ring_mul(field, xr, ring_conj(field, yr))
-        acc = np.array([field.add(int(a), int(b)) for a, b in zip(acc, prod)], dtype=np.int64)
-    return acc
+    circ = _circulant(ring_conj(field, y_tuple)).reshape(-1, m)  # stacked over j
+    return _matmul(field, x_tuple.reshape(1, -1), circ)[0]
 
 
 def shift(vec: np.ndarray, s: int) -> np.ndarray:
@@ -405,20 +401,11 @@ def constituent_at_exponent(decomp: CrtDecomposition, flat: LinearCode, exp: int
     cfield = field_make(base.p, base.t * d)
     _, back = _embedding_pair(cfield, K)
     fwd_base, _ = _embedding_pair(base, K)
-    point = decomp.alpha_pow(exp)
-    rows = []
-    for gen in flat.gen:
-        arr = phi(gen, m, ell)
-        row = []
-        for j in range(ell):
-            acc = 0
-            for i in range(m - 1, -1, -1):
-                acc = K.mul(acc, point)
-                c = int(arr[j, i])
-                if c:
-                    acc = K.add(acc, int(fwd_base[c]))
-            row.append(back[acc])
-        rows.append(row)
+    # entry (r*ell + j, i) is the x^i coefficient of column j of flat row r
+    coef = fwd_base[flat.gen].reshape(-1, m, ell).transpose(0, 2, 1).reshape(-1, m)
+    powers = np.array(decomp._alpha_pows, dtype=np.int64)[exp * np.arange(m) % m]
+    vals = _matmul(K, coef, powers[:, None])
+    rows = np.array([back[int(v)] for v in vals[:, 0]], dtype=np.int64).reshape(-1, ell)
     return code_from_rows(cfield, ell, rows)
 
 
@@ -552,12 +539,6 @@ def qc_dual(qc: QcCode, cross_assert: bool = True) -> QcCode:
 
 # ---------------------------------------------------------------------------
 # Galois closure
-
-
-def code_power_q_qc(qc: QcCode, r: int) -> QcCode:
-    from .lincode import code_power_q
-
-    return QcCode(code_power_q(qc.lin, r), qc.m, qc.ell, qc.decomp, None)
 
 
 def is_galois_closed_qc(qc: QcCode, r: int) -> bool:

@@ -260,7 +260,7 @@ def run_example42(budget: int = 2**25, long_mode: bool = False) -> RunReport:
     rep.check("bound value d_GO", "example42/d_go", fx["d_go"], go.d_go)
 
     if long_mode:
-        dist = min_distance(qc.lin, budget=2**31, mode="exact")
+        dist = min_distance(qc.lin, budget=budget, mode="exact")
         rep.results["exact_distance"] = dist.d_exact
         rep.check_true("exact minimum distance attains the published bound (>= 14)",
                        "example42/exact-distance", dist.d_exact >= 14, dist.d_exact)
@@ -415,11 +415,7 @@ _RUNNERS = {
 
 
 def run_target(target: str, budget: int = 2**25, long_mode: bool = False) -> list[RunReport]:
-    if target == "all":
-        return [fn(budget=budget, long_mode=long_mode) if name != "tables" else fn()
-                for name, fn in _RUNNERS.items()]
-    if target not in _RUNNERS:
+    if target != "all" and target not in _RUNNERS:
         raise KeyError(f"unknown reproduce target {target!r}; choose from {TARGETS + ('all',)}")
-    if target == "tables":
-        return [run_tables()]
-    return [_RUNNERS[target](budget=budget, long_mode=long_mode)]
+    names = _RUNNERS if target == "all" else (target,)
+    return [_RUNNERS[name](budget=budget, long_mode=long_mode) for name in names]

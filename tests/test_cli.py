@@ -7,6 +7,8 @@ from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
 from qckit.cli import main
+from qckit.errors import BudgetExceeded
+from qckit.reproduce import run_example42
 
 
 def _registry():
@@ -188,6 +190,14 @@ def test_reproduce_example41_fails_honestly(capsys):
     assert len(fails) == 1
     assert "exact minimum distance" in fails[0]["claim"]
     assert payload["reports"][0]["results"]["exact_distance"] == 5
+
+
+def test_reproduce_long_respects_budget():
+    # --budget caps the exact-distance run of --long like every other run;
+    # d = 8 certifies only after 348,872 codewords
+    with pytest.raises(BudgetExceeded):
+        run_example42(budget=1000, long_mode=True)
+    assert main(["reproduce", "example42", "--long", "--budget", "1000"]) == 1
 
 
 def _without_timing(value):

@@ -3,7 +3,6 @@ import pytest
 
 from qckit import poly
 from qckit.errors import (
-    DependentPowerBasis,
     FactorProductMismatch,
     MinimalPolynomialMismatch,
     NotCoprime,
@@ -142,12 +141,16 @@ def test_scan_matches_order_criterion_for_primes():
                 assert multiplicative_order(q, m) == (m - 1) // 2
 
 
+def _split_coset_124(q, m):
+    # {1, 2, 4} split into {1} and {2, 4}: the product (x - alpha) leaves F_2
+    return poly.CosetTable(q, m, ((0,), (1,), (2, 4), (3, 5, 6)))
+
+
 # Each factor_xm1 self-check, broken by a monkeypatch, raises its typed error,
 # so the checks also run under python -O.  x^7 - 1 over F_2 has a reciprocal
 # pair of cubics, so every check is reached.
 @pytest.mark.parametrize("owner,attr,fake,error", [
-    (poly._FqCoords, "coords", lambda self, x: (0,) * self.w, DependentPowerBasis),
-    (Poly, "eval_in", lambda self, big, x: 1, MinimalPolynomialMismatch),
+    (poly, "cyclotomic_cosets", _split_coset_124, MinimalPolynomialMismatch),
     (Poly, "reciprocal", lambda self: Poly.one(self.field), ReciprocalMismatch),
     (Poly, "x_pow_minus_one", staticmethod(lambda field, m: Poly.one(field)), FactorProductMismatch),
 ])

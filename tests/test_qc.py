@@ -52,9 +52,11 @@ from qckit.qc import (
     qc_duality_class,
     r_hermitian_ip,
     ring_conj,
+    ring_mul,
     shift,
     sqrt_like_check,
 )
+from qckit.poly import Poly
 from qckit.quantum import css
 from qckit.reproduce import _example42_assignment, load_tables
 
@@ -124,6 +126,20 @@ def test_ring_conj_and_hermitian_ip():
     assert ring_conj(F2, c).tolist() == [0, 0, 1]  # conj(x) = x^2
     x = np.zeros((2, 3), dtype=np.int64)
     assert not r_hermitian_ip(F2, x, x).any()
+
+
+def test_ring_mul_matches_poly_product_mod_xm_minus_1():
+    rng = np.random.default_rng(9)
+    for fld in (F2, F4, F5):
+        for m in (1, 2, 5, 7):
+            xm1 = Poly.x_pow_minus_one(fld, m)
+            for _ in range(10):
+                a = rng.integers(0, fld.order, size=m)
+                b = rng.integers(0, fld.order, size=m)
+                want = (Poly.make(fld, a) * Poly.make(fld, b)).divmod_(xm1)[1]
+                got = ring_mul(fld, a, b)
+                assert Poly.make(fld, got) == want
+                assert got.shape == (m,)
 
 
 def test_prop22_orthogonality_correspondence():
