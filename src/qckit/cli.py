@@ -113,7 +113,7 @@ def cmd_verify(args) -> int:
 
 def cmd_gobound(args) -> int:
     decomp, assignment = _build_from_spec(args.spec)
-    report = go_bound(decomp, assignment, args.budget, full_table=True)
+    report = go_bound(decomp, assignment, args.budget)
     lines = ["constituent chain (sorted by distance):"]
     for c in report.chain:
         lines.append(f"  {c.slot_label}: exponent {c.exponent}, degree {c.degree}, "

@@ -10,16 +10,21 @@ from highest to lowest degree.  The canonical embedding of a subfield sends
 its generator to the least root of its modulus in the target field.  Both
 rules are deterministic, so two fields with equal (p, t) are interchangeable.
 
-Fields up to LOG_MAX_ORDER carry lazily built log/antilog arrays, which the
-elementwise array arithmetic (add_arr, mul_arr, ...) uses; odd-characteristic
-extension fields up to ADD_TABLE_MAX_ORDER also build an add table for it.
-Fields up to TABLE_MAX_ORDER can also build full add/mul tables (`tables()`);
+Addition and negation have one body each, which takes Python ints and int64
+arrays alike; add_arr and neg_arr are that body on arrays, except that
+odd-characteristic extension fields up to ADD_TABLE_MAX_ORDER add through a
+table built by the same body.  Fields up to LOG_MAX_ORDER multiply and raise
+to powers through lazily built log/antilog arrays, larger ones by polynomial
+products.  Fields up to TABLE_MAX_ORDER can also build full add/mul tables
+(`tables()`), which are the array operations applied to the element grid;
 the library itself no longer reads them, and they stay for the benchmark
-harness in perfbench/.  The scalar API below never requires either.
+harness in perfbench/.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +44,6 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 2**62  # keeps element indices inside int64 for numpy paths
 TABLE_MAX_ORDER = 1024  # full q x q numpy tables (quadratic build cost)
-BRUTE_ROOT_MAX = 4096  # brute-force root scans for embeddings
 LOG_MAX_ORDER = 65536  # log/antilog arrays (scalar and array multiplication)
 ADD_TABLE_MAX_ORDER = 256  # q x q int64 add table for odd extension fields: 512 KB at most
 
@@ -90,6 +94,12 @@ def multiplicative_order(a: int, m: int) -> int:
         if order > m:
             raise ValueError(f"{a} is not a unit modulo {m}")
     return order
+
+
+def _has_exact_order(x: int, m: int, power) -> bool:
+    """Whether x, with x^m = 1, has multiplicative order exactly m:
+    x^(m/r) != 1 for every prime r | m."""
+    return all(power(x, m // r) != 1 for r in factorize(m))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +225,6 @@ class GF:
         "_log",
         "_tables",
         "_add",
-        "_frob_maps",
     )
 
     def __init__(self, p: int, t: int, modulus: tuple[int, ...]):
@@ -227,7 +236,6 @@ class GF:
         self._log = None
         self._tables = None
         self._add = None
-        self._frob_maps = {}
 
     # -- representation ----------------------------------------------------
 
@@ -264,14 +272,6 @@ class GF:
         return v
 
     @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
-    @property
     def gen(self) -> int:
         """A generator of the field as an F_p-algebra: the residue of x (value p)
         for t > 1, so 1, x, ..., x^(t-1) is a basis over F_p; 1 for prime fields."""
@@ -280,46 +280,52 @@ class GF:
     def elements(self):
         return range(self.order)
 
-    # -- scalar arithmetic ---------------------------------------------------
+    # -- arithmetic ----------------------------------------------------------
+    #
+    # add, neg and sub take Python ints or int64 arrays (numpy broadcasting).
+    # In characteristic 2 addition is XOR and negation the identity; other
+    # extension fields work digit by digit on the base-p expansion.  mul,
+    # inv and pow_ take ints; mul_arr and pow_arr are their array forms.  The
+    # *_arr methods always return a new array.  Multiplication and powers
+    # go through the log/antilog arrays up to LOG_MAX_ORDER, and through
+    # polynomial products (_raw_mul) above it.
 
-    def add(self, a: int, b: int) -> int:
-        if self.t == 1:
-            return (a + b) % self.p
+    def add(self, a, b):
         p = self.p
+        if p == 2:
+            return a ^ b
+        if self.t == 1:
+            return (a + b) % p
         out = 0
-        mult = 1
+        pw = 1
         for _ in range(self.t):
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
+            out += (a // pw + b // pw) % p * pw  # higher digits add multiples of p
+            pw *= p
         return out
 
-    def neg(self, a: int) -> int:
-        if self.t == 1:
-            return (-a) % self.p
+    def neg(self, a):
         p = self.p
+        if p == 2:
+            return a
+        if self.t == 1:
+            return -a % p
         out = 0
-        mult = 1
+        pw = 1
         for _ in range(self.t):
-            out += ((-(a % p)) % p) * mult
-            a //= p
-            mult *= p
+            out += -(a // pw) % p * pw
+            pw *= p
         return out
 
-    def sub(self, a: int, b: int) -> int:
+    def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if self.t == 1:
             return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
         exp, log = self._logs()
-        if exp is not None:
-            return int(exp[(log[a] + log[b]) % (self.order - 1)])
-        prod = _pmul(list(self.coeffs(a)), list(self.coeffs(b)), self.p)
-        return self.from_coeffs(_pmod(prod, list(self.modulus), self.p))
+        if exp is None:
+            return self._raw_mul(a, b)
+        return int(exp[log[a] + log[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -338,22 +344,11 @@ class GF:
             return 0 if n else 1
         n %= self.order - 1
         if self.t == 1:
-            return pow(a, n, self.p) if n else 1
+            return pow(a, n, self.p)
         exp, log = self._logs()
         if exp is not None:
             return int(exp[(log[a] * n) % (self.order - 1)])
-        result = 1
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
-    def scalar_int(self, c: int) -> int:
-        """The prime-subfield element c * 1 (constant coefficient vector)."""
-        return c % self.p
+        return self._raw_pow(a, n)
 
     # -- log/antilog tables ----------------------------------------------------
 
@@ -368,32 +363,22 @@ class GF:
         prod = _pmul(list(self.coeffs(a)), list(self.coeffs(b)), self.p)
         return self.from_coeffs(_pmod(prod, list(self.modulus), self.p))
 
+    def _raw_pow(self, a: int, n: int) -> int:
+        """a^n by square-and-multiply over _raw_mul; needs no log arrays."""
+        result = 1
+        while n:
+            if n & 1:
+                result = self._raw_mul(result, a)
+            a = self._raw_mul(a, a)
+            n >>= 1
+        return result
+
     def _build_logs(self):
         """exp/log arrays for a primitive element g.  log[0] is the sentinel 2n
         and exp is zero from index 2n on, so exp[log[a] + log[b]] is the
         product a * b for every pair, zero included (n = order - 1)."""
         n = self.order - 1
-        prime_divs = list(factorize(n))
-        g = None
-        for cand in range(2, self.order) if n > 1 else (1,):  # F_2: units are {1}
-            ok = True
-            for r in prime_divs:
-                x = cand
-                e = n // r
-                # power by repeated squaring with raw mul
-                acc = 1
-                base = x
-                while e:
-                    if e & 1:
-                        acc = self._raw_mul(acc, base)
-                    base = self._raw_mul(base, base)
-                    e >>= 1
-                if acc == 1:
-                    ok = False
-                    break
-            if ok:
-                g = cand
-                break
+        g = next((c for c in range(1, self.order) if _has_exact_order(c, n, self._raw_pow)), None)
         if g is None:
             raise InvalidLogTable(f"no primitive element found in {self!r}")
         exp = np.zeros(4 * n + 1, dtype=np.int64)
@@ -419,19 +404,11 @@ class GF:
                 raise OrderCapExceeded(
                     f"element tables unavailable for order {self.order} > {TABLE_MAX_ORDER}"
                 )
-            q = self.order
-            add = np.zeros((q, q), dtype=np.int64)
-            mul = np.zeros((q, q), dtype=np.int64)
-            neg = np.zeros(q, dtype=np.int64)
-            inv = np.zeros(q, dtype=np.int64)
-            for a in range(q):
-                neg[a] = self.neg(a)
-                if a:
-                    inv[a] = self.inv(a)
-                for b in range(q):
-                    add[a, b] = self.add(a, b)
-                    mul[a, b] = self.mul(a, b)
-            self._tables = (add, mul, neg, inv)
+            x = np.arange(self.order, dtype=np.int64)
+            inv = np.zeros(self.order, dtype=np.int64)
+            inv[1:] = self.pow_arr(x[1:], -1)
+            grid = x[:, None], x
+            self._tables = (self.add_arr(*grid), self.mul_arr(*grid), self.neg_arr(x), inv)
         return self._tables
 
     @property
@@ -439,58 +416,23 @@ class GF:
         return self.order <= TABLE_MAX_ORDER
 
     # -- elementwise array arithmetic -----------------------------------------
-    #
-    # Element-index arrays in, new element-index arrays out, with numpy
-    # broadcasting.  In characteristic 2 addition is XOR and negation the
-    # identity.  Other extension fields work digit by digit on the base-p
-    # expansion; up to ADD_TABLE_MAX_ORDER they add through a table instead.
-    # Multiplication and powers go through the log/antilog arrays; orders
-    # above LOG_MAX_ORDER have none and multiply entry by entry.
 
     def _add_table(self) -> np.ndarray:
-        """Flat add table of an odd-characteristic extension field, built from
-        the digits of every element index at once: a + b is at a * order + b."""
+        """Flat add table of the field: a + b is at a * order + b."""
         if self._add is None:
             x = np.arange(self.order, dtype=np.int64)
-            add = np.zeros((self.order, self.order), dtype=np.int64)
-            pw = 1
-            for _ in range(self.t):
-                digit = x // pw % self.p
-                add += (digit[:, None] + digit) % self.p * pw
-                pw *= self.p
-            self._add = add.ravel()
+            self._add = self.add(x[:, None], x).ravel()
         return self._add
 
     def add_arr(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        p = self.p
-        if p == 2:
-            return a ^ b
-        if self.t == 1:
-            return (a + b) % p
-        if self.order <= ADD_TABLE_MAX_ORDER:
+        if self.p != 2 and self.t > 1 and self.order <= ADD_TABLE_MAX_ORDER:
             return self._add_table()[a * self.order + b]
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-        pw = 1
-        for _ in range(self.t):
-            out += (a // pw + b // pw) % p * pw  # higher digits add multiples of p
-            pw *= p
-        return out
+        return self.add(a, b)
 
     def neg_arr(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        p = self.p
-        if p == 2:
-            return a.copy()
-        if self.t == 1:
-            return -a % p
-        out = np.zeros(a.shape, dtype=np.int64)
-        pw = 1
-        for _ in range(self.t):
-            out += -(a // pw) % p * pw
-            pw *= p
-        return out
+        return self.neg(np.array(a, dtype=np.int64))  # a copy: neg is the identity in characteristic 2
 
     def mul_arr(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
@@ -638,81 +580,53 @@ def _embedding_pair(src: GF, dst: GF):
     hit = _EMBED_CACHE.get(key)
     if hit is not None:
         return hit
-    if src == dst:
+    if src == dst or src.t == 1:  # a prime field's element c is c in every extension
         fwd = np.arange(src.order, dtype=np.int64)
         inv = {i: i for i in range(src.order)}
         _EMBED_CACHE[key] = (fwd, inv)
         return fwd, inv
     if src.order > TABLE_MAX_ORDER * 16:
         raise OrderCapExceeded(f"embedding table too large for source order {src.order}")
+    # the F_p-linear map sending the power basis x^i to root^i: an element's
+    # image is the sum of its base-p digits times those powers
     root = _least_root_of_modulus(src, dst)
-    # F_p-linear map determined by images of the power basis
-    basis = [dst.one]
-    for _ in range(1, src.t):
-        basis.append(dst.mul(basis[-1], root))
-    fwd = np.zeros(src.order, dtype=np.int64)
-    inv: dict[int, int] = {}
-    for a in range(src.order):
-        cs = src.coeffs(a)
-        img = 0
-        for c, b in zip(cs, basis):
-            if c:
-                term = b
-                acc = 0
-                for _ in range(c):
-                    acc = dst.add(acc, term)
-                img = dst.add(img, acc)
-        fwd[a] = img
-        inv[img] = a
+    digits = np.arange(src.order)[:, None] // src.p ** np.arange(src.t) % src.p
+    terms = dst.mul_arr(digits, [dst.pow_(root, i) for i in range(src.t)])
+    fwd = functools.reduce(dst.add_arr, terms.T)
+    inv = dict(zip(fwd.tolist(), range(src.order)))
     _EMBED_CACHE[key] = (fwd, inv)
     return fwd, inv
 
 
 def _least_root_of_modulus(src: GF, dst: GF) -> int:
-    """Least root of src's modulus inside dst (the canonical embedding target)."""
-    if src.t == 1:
-        return 1  # prime field: 1 -> 1 fixes everything
-    mod = list(src.modulus)
-
-    def eval_mod(x: int) -> int:
-        acc = 0
-        for c in reversed(mod):
-            acc = dst.add(dst.mul(acc, x), dst.scalar_int(c))
-        return acc
-
-    if dst.order <= BRUTE_ROOT_MAX:
-        for x in range(dst.order):
-            if eval_mod(x) == 0:
-                return x
-        raise NoEmbedding(f"modulus of {src!r} has no root in {dst!r}")  # pragma: no cover
-    # enumerate the multiplicative subgroup of the subfield with src's order
+    """Least root of src's modulus inside dst (the canonical embedding target),
+    for src of degree t > 1.  The roots are nonzero elements of the subfield
+    with |src| elements, so they lie in its unit group: the subgroup of order
+    |src| - 1 of dst's units."""
     sub_n = src.order - 1
     h = _element_of_order(dst, sub_n)
-    best = None
-    x = 1
-    for _ in range(sub_n):
-        if eval_mod(x) == 0 and (best is None or x < best):
-            best = x
-        x = dst.mul(x, h)
-    if best is None:
+    xs = [1]
+    for _ in range(sub_n - 1):
+        xs.append(dst.mul(xs[-1], h))
+    xs = np.array(xs, dtype=np.int64)
+    acc = np.zeros_like(xs)
+    for c in reversed(src.modulus):  # Horner; c < p is the prime-subfield element c
+        acc = dst.add_arr(dst.mul_arr(acc, xs), c)
+    roots = xs[acc == 0]
+    if not roots.size:
         raise NoEmbedding(f"modulus of {src!r} has no root in {dst!r}")  # pragma: no cover
-    return best
+    return int(roots.min())
 
 
 def _element_of_order(fld: GF, m: int) -> int:
-    """Deterministic element of multiplicative order exactly m."""
+    """Deterministic element of multiplicative order exactly m: the first
+    cand^((|F| - 1) / m) of that order over cand = 1, 2, ..."""
     n = fld.order - 1
     if n % m != 0:
         raise NoRootOfThatOrder(f"{m} does not divide {fld!r} group order {n}")
-    if m == 1:
-        return 1
-    prime_divs = list(factorize(m))
-    cofactor = n // m
-    for cand in range(2, fld.order):
-        y = fld.pow_(cand, cofactor)
-        if y == 1:
-            continue
-        if all(fld.pow_(y, m // r) != 1 for r in prime_divs):
+    for cand in range(1, fld.order):
+        y = fld.pow_(cand, n // m)
+        if _has_exact_order(y, m, fld.pow_):
             return y
     raise NoRootOfThatOrder(f"no element of order {m} in {fld!r}")  # pragma: no cover
 
@@ -759,13 +673,8 @@ def primitive_mth_root(field: GF, m: int) -> Felt:
     best = None
     x = 1
     for k in range(m):
-        if k and _gcd(k, m) == 1 and (best is None or x < best):
+        if k and math.gcd(k, m) == 1 and (best is None or x < best):
             best = x
         x = field.mul(x, y)
     return Felt(field, best)
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -31,6 +31,7 @@ needs is an interval of the chain, so both come from the same D-table.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 
@@ -217,7 +218,7 @@ def associated_cyclic_family(decomp: CrtDecomposition, assignment: ConstituentAs
 
 
 def go_bound(decomp: CrtDecomposition, assignment: ConstituentAssignment,
-             distance_budget: int = DEFAULT_BUDGET, full_table: bool = False) -> GoReport:
+             distance_budget: int = DEFAULT_BUDGET) -> GoReport:
     """Evaluate the published telescoped formula and Jensen's sound bound."""
     chain = _constituent_chain(decomp, assignment, distance_budget)
     h = len(chain)
@@ -252,14 +253,11 @@ def go_bound(decomp: CrtDecomposition, assignment: ConstituentAssignment,
     d_suffix = min(d_vals[r - 1] * d_table[tuple(range(r, h + 1))].distance for r in range(1, h + 1))
     d_sound = max(d_prefix, d_suffix)
 
-    if full_table:
-        # the displayed table enumerates every nonempty subset for small h
-        if h <= 4:
-            import itertools
-
-            for t in range(1, h + 1):
-                for combo in itertools.combinations(range(1, h + 1), t):
-                    dcode(combo)
+    # the displayed table enumerates every nonempty subset for small h
+    if h <= 4:
+        for t in range(1, h + 1):
+            for combo in itertools.combinations(range(1, h + 1), t):
+                dcode(combo)
 
     # nesting monotonicity and the strict-positivity observation used by the
     # recursive family's distance argument

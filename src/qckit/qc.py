@@ -432,13 +432,10 @@ def is_shift_invariant(qc: QcCode) -> bool:
 # duality at the constituent level
 
 
-def _slot_duality(slot: Slot, code: LinearCode) -> dict:
-    """SO/DC/SD of a self-reciprocal constituent under its induced product."""
-    if slot.exceptional:
-        fl = duality_class(code)
-        return {"so": fl.eso, "dc": fl.edc, "sd": fl.esd, "product": "euclidean"}
+def _duality_triple(code: LinearCode, euclidean: bool) -> tuple:
+    """(SO, DC, SD) of code under the Euclidean or the Hermitian product."""
     fl = duality_class(code)
-    return {"so": fl.hso, "dc": fl.hdc, "sd": fl.hsd, "product": "hermitian"}
+    return (fl.eso, fl.edc, fl.esd) if euclidean else (fl.hso, fl.hdc, fl.hsd)
 
 
 @dataclass(frozen=True)
@@ -499,10 +496,10 @@ def qc_duality_class(qc: QcCode) -> QcDualityReport:
             dc = _in_span(cd.field, _parity_rows(pa.cprime), cd)  # (C')^perp <= C''
         witnesses.append(SlotWitness(f"({sg.label},{sgs.label})", "pair-euclidean", so, dc, so and dc))
     for sa, slot in zip(qc.assignment.selfrec, qc.decomp.selfrec_slots):
-        rel = _slot_duality(slot, sa.code)
-        witnesses.append(
-            SlotWitness(slot.label, rel["product"], bool(rel["so"]), bool(rel["dc"]), bool(rel["sd"]))
-        )
+        # a self-reciprocal slot's induced product is Hermitian unless exceptional
+        so, dc, sd = _duality_triple(sa.code, slot.exceptional)
+        product = "euclidean" if slot.exceptional else "hermitian"
+        witnesses.append(SlotWitness(slot.label, product, bool(so), bool(dc), bool(sd)))
     w_eso = all(w.ok_so for w in witnesses)
     w_edc = all(w.ok_dc for w in witnesses)
     w_esd = all(w.ok_sd for w in witnesses)
@@ -510,7 +507,7 @@ def qc_duality_class(qc: QcCode) -> QcDualityReport:
     return QcDualityReport(flags, tuple(witnesses), w_eso, w_edc, w_esd, agree)
 
 
-def qc_dual(qc: QcCode, cross_assert: bool = True) -> QcCode:
+def qc_dual(qc: QcCode) -> QcCode:
     """Euclidean dual with transferred provenance: pair slots swap roles and
     dualize, self-reciprocal slots take Hermitian (exceptional: Euclidean)
     duals; the prediction is cross-checked against the flat dual."""
@@ -530,10 +527,8 @@ def qc_dual(qc: QcCode, cross_assert: bool = True) -> QcCode:
         else:
             selfrec.append(SelfrecAssignment(dual_hermitian(sa.code)))
     pred = ConstituentAssignment(tuple(pairs), tuple(selfrec))
-    if cross_assert:
-        rebuilt = assemble_qc(qc.decomp, pred)
-        if rebuilt.lin != flat_dual:
-            raise DualMismatch("constituent-level dual disagrees with the flat dual")
+    if assemble_qc(qc.decomp, pred).lin != flat_dual:
+        raise DualMismatch("constituent-level dual disagrees with the flat dual")
     return QcCode(flat_dual, qc.m, qc.ell, qc.decomp, pred)
 
 
@@ -648,13 +643,6 @@ def _distance_of(code: LinearCode, info: DistanceInfo | None, budget: int) -> Di
     return DistanceInfo(min_distance(code, budget).d_exact, True, "enumerated")
 
 
-def _kind_flags(code: LinearCode, kind: str, exceptional: bool) -> bool:
-    fl = duality_class(code)
-    if exceptional:
-        return {"ESO": fl.eso, "EDC": fl.edc, "ESD": fl.esd}[kind]
-    return {"ESO": fl.hso, "EDC": fl.hdc, "ESD": fl.hsd}[kind]
-
-
 def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
     decomp1 = decompose_ring(plan.q_field, plan.m, plan.ell)
     base = plan.base
@@ -665,6 +653,7 @@ def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
         raise SlotSNotESO("last self-reciprocal slot is not x - 1")
     if plan.kind not in ("ESO", "EDC", "ESD"):
         raise SlotSNotESO(f"unknown family kind {plan.kind}")
+    kind_at = ("ESO", "EDC", "ESD").index(plan.kind)  # position in an (SO, DC, SD) triple
     if plan.kind != "ESO" and s != 1:
         raise SlotSNotESO("EDC/ESD families need x - 1 as the only self-reciprocal factor")
     for pa in base.pairs:
@@ -673,11 +662,11 @@ def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
 
     # duality hypotheses
     for sa, slot in zip(base.selfrec[:-1], sr_slots[:-1]):
-        if not _kind_flags(sa.code, "ESO", slot.exceptional):
+        if not _duality_triple(sa.code, slot.exceptional)[0]:
             raise ConstituentNotHSO(f"slot {slot.label} constituent is not self-orthogonal")
     slot_s = sr_slots[-1]
     cs = base.selfrec[-1].code
-    if not _kind_flags(cs, plan.kind, True):
+    if not _duality_triple(cs, True)[kind_at]:
         raise SlotSNotESO(f"slot {slot_s.label} constituent is not {plan.kind}")
 
     # ordering hypothesis: the x - 1 constituent must carry the smallest distance
@@ -731,8 +720,7 @@ def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
             qc = assemble_qc(decomp_u, asn_u)
             level.qc = qc
             level.rank_checked = qc.k == k_u
-            fl = duality_class(qc.lin)
-            level.duality_checked = {"ESO": fl.eso, "EDC": fl.edc, "ESD": fl.esd}[plan.kind]
+            level.duality_checked = _duality_triple(qc.lin, True)[kind_at]
             prev_flat = qc.lin
         levels.append(level)
     return levels

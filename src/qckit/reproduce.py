@@ -192,7 +192,7 @@ def run_example41(budget: int = 2**25, long_mode: bool = False) -> RunReport:
     rep.check_true("Galois closed; flat and constituent sides agree",
                    "example41/galois", gal["flat_closed"] and gal["agree"])
 
-    go = go_bound(decomp, asn, budget, full_table=True)
+    go = go_bound(decomp, asn, budget)
     got_table = {}
     for subset, entry in go.d_table.items():
         got_table[",".join(map(str, subset))] = {"gen": list(entry.gen_poly.coeffs), "d": entry.distance}
@@ -253,7 +253,7 @@ def run_example42(budget: int = 2**25, long_mode: bool = False) -> RunReport:
               [fx["dim"], fx["dim"]],
               [dim_from_constituents(decomp, asn), qc.k])
     rep.check_true("dual-containing", "example42/duality", bool(duality_class(qc.lin).edc))
-    go = go_bound(decomp, asn, budget, full_table=True)
+    go = go_bound(decomp, asn, budget)
     rep.check("associated cyclic code distances (all seven subsets)", "example42/d-table",
               sorted(fx["d_table_distances"]),
               sorted(e.distance for e in go.d_table.values()))

@@ -44,10 +44,6 @@ def code_from_json(obj: dict) -> LinearCode:
     return code_from_rows(fld, int(obj["n"]), obj.get("rows", []))
 
 
-def code_to_json(code: LinearCode) -> dict:
-    return code.to_json()
-
-
 def _distance_from_json(obj) -> DistanceInfo | None:
     if obj is None:
         return None
@@ -107,35 +103,6 @@ def assignment_from_spec(spec: dict) -> tuple[CrtDecomposition, ConstituentAssig
     assignment = ConstituentAssignment(tuple(pairs), tuple(selfrec))
     assignment.validate(decomp)
     return decomp, assignment
-
-
-def assignment_to_spec(decomp: CrtDecomposition, assignment: ConstituentAssignment) -> dict:
-    pairs = []
-    for pa, (sg, sgs) in zip(assignment.pairs, decomp.pair_slots):
-        ent = {
-            "rep": sg.exponent,
-            "cprime_rows": [[int(v) for v in row] for row in pa.cprime.gen],
-            "cdoubleprime": "dual" if pa.dual_mode else
-            [[int(v) for v in row] for row in pa.cdouble.gen],
-        }
-        if pa.cprime_distance:
-            ent["cprime_distance"] = pa.cprime_distance.to_json()
-        if pa.cdouble_distance:
-            ent["cdoubleprime_distance"] = pa.cdouble_distance.to_json()
-        pairs.append(ent)
-    selfrec = []
-    for sa, slot in zip(assignment.selfrec, decomp.selfrec_slots):
-        ent = {"rep": slot.exponent, "rows": [[int(v) for v in row] for row in sa.code.gen]}
-        if sa.distance:
-            ent["distance"] = sa.distance.to_json()
-        selfrec.append(ent)
-    return {
-        "q": decomp.q_field.to_json(),
-        "m": decomp.m,
-        "ell": decomp.ell,
-        "pairs": pairs,
-        "selfrec": selfrec,
-    }
 
 
 def load_json(path: str) -> dict:

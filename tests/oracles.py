@@ -6,7 +6,7 @@ sets from one scalar elimination per set, duals from
 brute-force orthogonality over the whole ambient space or from a scalar
 kernel elimination, containments from ranks, echelon forms and
 Gram matrices from one scalar field operation per entry, irreducibility from
-trial division, and mid-size distances from a MacWilliams transform of the
+trial division, field add and mul tables from coefficient lists, and mid-size distances from a MacWilliams transform of the
 naive dual enumeration.
 """
 
@@ -152,22 +152,25 @@ def brute_dual_vectors(code):
     return out
 
 
+def pmod(a, f, p):
+    """Remainder of a reduced-coefficient list a modulo the monic f over F_p,
+    as a list without trailing zeros."""
+    a = list(a)
+    df = len(f) - 1
+    while len(a) - 1 >= df and a:
+        c = a[-1]
+        if c:
+            k = len(a) - 1 - df
+            for i in range(df + 1):
+                a[k + i] = (a[k + i] - c * f[i]) % p
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
 def trial_division_irreducible(coeffs, p) -> bool:
     """Monic polynomial over F_p, tested by dividing by every lower-degree
     monic irreducible (built up by the same sieve)."""
-    def pmod(a, f):
-        a = list(a)
-        df = len(f) - 1
-        while len(a) - 1 >= df and a:
-            c = a[-1]
-            if c:
-                k = len(a) - 1 - df
-                for i in range(df + 1):
-                    a[k + i] = (a[k + i] - c * f[i]) % p
-            while a and a[-1] == 0:
-                a.pop()
-        return a
-
     deg = len(coeffs) - 1
     irreducibles = []
     for d in range(1, deg // 2 + 1):
@@ -178,9 +181,34 @@ def trial_division_irreducible(coeffs, p) -> bool:
                 cand.append(rem % p)
                 rem //= p
             cand.append(1)
-            if all(pmod(cand, f) for f in irreducibles if len(f) - 1 <= d // 2):
+            if all(pmod(cand, f, p) for f in irreducibles if len(f) - 1 <= d // 2):
                 irreducibles.append(cand)
-    return all(pmod(coeffs, f) for f in irreducibles)
+    return all(pmod(coeffs, f, p) for f in irreducibles)
+
+
+def coefficient_tables(p, modulus):
+    """Full add and mul tables of F_p[x]/(modulus) on element indices (the
+    coefficient vector read little-endian base p), each entry computed from
+    coefficient lists: digit-wise sums mod p, and schoolbook products reduced
+    by the monic modulus."""
+    t = len(modulus) - 1
+    vecs = [[a // p**i % p for i in range(t)] for a in range(p**t)]
+
+    def index(cs):
+        return sum(c * p**i for i, c in enumerate(cs))
+
+    add = [[index([(x + y) % p for x, y in zip(u, v)]) for v in vecs] for u in vecs]
+    mul = []
+    for u in vecs:
+        row = []
+        for v in vecs:
+            prod = [0] * (2 * t - 1)
+            for i, x in enumerate(u):
+                for j, y in enumerate(v):
+                    prod[i + j] += x * y
+            row.append(index(pmod([c % p for c in prod], modulus, p)))
+        mul.append(row)
+    return add, mul
 
 
 def macwilliams_weights(dual_weight_counts, n, q, dual_size):

@@ -78,7 +78,7 @@ def test_criterion_2_d_table():
     asn = ConstituentAssignment(
         (PairAssignment(code_from_rows(F64, 3, [(F64.gen,) * 3])),),
         (SelfrecAssignment(full_space(f4, 3)),))
-    rep = go_bound(dec, asn, full_table=True)
+    rep = go_bound(dec, asn)
     fx = load_tables()["example41"]["d_table"]
     got = {",".join(map(str, k)): {"gen": list(v.gen_poly.coeffs), "d": v.distance}
            for k, v in rep.d_table.items()}

@@ -25,7 +25,7 @@ from qckit.gf import (
     unembed,
 )
 
-from oracles import trial_division_irreducible
+from oracles import coefficient_tables, trial_division_irreducible
 
 
 def test_canonical_moduli():
@@ -237,7 +237,7 @@ def test_trace_identity_on_same_field():
 
 @pytest.mark.parametrize("raw_mul", [
     lambda self, a, b: 1,  # every candidate has order 1: no primitive element
-    lambda self, a, b: (a + b) % 9,  # 2 passes the order test, its powers never return to 1
+    lambda self, a, b: (a + b) % 9,  # 1 passes the order test, its powers never return to 1
 ])
 def test_log_table_checks_raise(raw_mul, monkeypatch):
     # typed errors, so the checks also run under python -O
@@ -268,3 +268,19 @@ def test_array_arithmetic_matches_scalar():
             assert fld.pow_arr(base, e).tolist() == [fld.pow_(int(x), e) for x in base]
         with pytest.raises(DivisionByZero):
             fld.pow_arr(a, -1)
+
+
+@pytest.mark.parametrize("p, t", [(2, 2), (2, 3), (3, 2), (2, 6), (3, 5), (17, 2)])
+def test_arithmetic_matches_coefficient_oracle(p, t):
+    # every pair, against tables built from coefficient lists: XOR in
+    # characteristic 2, the add table (F_9, F_243) and the digit loop above
+    # ADD_TABLE_MAX_ORDER (F_289)
+    fld = field_make(p, t)
+    add, mul = coefficient_tables(p, fld.modulus)
+    neg = [row.index(0) for row in add]
+    inv = [0] + [row.index(1) for row in mul[1:]]
+    assert [x.tolist() for x in fld.tables()] == [add, mul, neg, inv]
+    els = range(fld.order)
+    assert [[fld.add(a, b) for b in els] for a in els] == add
+    assert [[fld.mul(a, b) for b in els] for a in els] == mul
+    assert [fld.neg(a) for a in els] == neg

@@ -49,7 +49,7 @@ def _ex41_assignment():
 
 def test_go_bound_reference_values():
     dec, asn = _ex41_assignment()
-    rep = go_bound(dec, asn, full_table=True)
+    rep = go_bound(dec, asn)
     assert [c.distance.value for c in rep.chain] == [3, 2, 1]
     assert rep.d_go == 7 and rep.exact_mode
     # Jensen: prefixes min(3*4, 2*2, 1*1) = 1, suffixes min(3*1, 2*3, 1*7) = 3

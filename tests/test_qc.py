@@ -575,8 +575,10 @@ def test_elimination_counts(ex41, monkeypatch):
     assert eliminations(qc_duality_class, ex41) == 0  # a dual-mode pair holds by construction
     assert eliminations(css, c, c, "bound", 3, 3) == 0  # the nesting check only
     assert eliminations(dual_hermitian, c) == 1  # dual_euclidean's recanonicalization
-    # the flat dual and the x - 1 slot's dual; a dual-mode pair maps to itself
-    assert eliminations(qc_dual, ex41, False) == 2
+    # the flat dual and the x - 1 slot's dual (a dual-mode pair maps to
+    # itself), then the cross-check's assemble_qc: its dual-mode C'' and the
+    # trace rows
+    assert eliminations(qc_dual, ex41) == 4
     calls.clear()
     with pytest.raises(NotNested):
         css(line, line)
