@@ -10,8 +10,9 @@ from highest to lowest degree.  The canonical embedding of a subfield sends
 its generator to the least root of its modulus in the target field.  Both
 rules are deterministic, so two fields with equal (p, t) are interchangeable.
 
-Addition and negation have one body each, which takes Python ints and int64
-arrays alike; add_arr and neg_arr are that body on arrays, except that
+Addition and negation have one body each, which takes Python ints and integer
+arrays alike (uint16 ones for prime fields up to NARROW_MAX_ORDER, whose
+dtype is uint16); add_arr and neg_arr are that body on arrays, except that
 odd-characteristic extension fields up to ADD_TABLE_MAX_ORDER add through a
 table built by the same body.  Fields up to LOG_MAX_ORDER multiply and raise
 to powers through lazily built log/antilog arrays, larger ones by polynomial
@@ -46,6 +47,10 @@ DEFAULT_ORDER_CAP = 2**62  # keeps element indices inside int64 for numpy paths
 TABLE_MAX_ORDER = 1024  # full q x q numpy tables (quadratic build cost)
 LOG_MAX_ORDER = 65536  # log/antilog arrays (scalar and array multiplication)
 ADD_TABLE_MAX_ORDER = 256  # q x q int64 add table for odd extension fields: 512 KB at most
+# Prime fields up to here hold elements as uint16 (GF.dtype): a sum of 16
+# products of two elements, plus an element, stays below 2^16, so a product
+# over 16 columns (one elimination panel) needs one reduction.
+NARROW_MAX_ORDER = 64
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +99,12 @@ def multiplicative_order(a: int, m: int) -> int:
         if order > m:
             raise ValueError(f"{a} is not a unit modulo {m}")
     return order
+
+
+def residue(x, p: int):
+    """x mod p for ints and integer arrays; numpy's floor division by a
+    scalar is several times faster than its %."""
+    return x - x // p * p
 
 
 def _has_exact_order(x: int, m: int, power) -> bool:
@@ -221,6 +232,7 @@ class GF:
         "t",
         "order",
         "modulus",
+        "dtype",
         "_exp",
         "_log",
         "_tables",
@@ -232,6 +244,8 @@ class GF:
         self.t = t
         self.order = p**t
         self.modulus = modulus
+        # the dtype of element arrays in elimination and products
+        self.dtype = np.dtype(np.uint16 if t == 1 and p <= NARROW_MAX_ORDER else np.int64)
         self._exp = None
         self._log = None
         self._tables = None
@@ -282,20 +296,23 @@ class GF:
 
     # -- arithmetic ----------------------------------------------------------
     #
-    # add, neg and sub take Python ints or int64 arrays (numpy broadcasting).
-    # In characteristic 2 addition is XOR and negation the identity; other
-    # extension fields work digit by digit on the base-p expansion.  mul,
-    # inv and pow_ take ints; mul_arr and pow_arr are their array forms.  The
-    # *_arr methods always return a new array.  Multiplication and powers
-    # go through the log/antilog arrays up to LOG_MAX_ORDER, and through
-    # polynomial products (_raw_mul) above it.
+    # add, neg and sub take Python ints or integer arrays (numpy broadcasting),
+    # unsigned ones included.  In characteristic 2 addition is XOR and
+    # negation the identity; other extension fields work digit by digit on
+    # the base-p expansion.  mul, inv and pow_ take ints; mul_arr and pow_arr
+    # are their array forms.  The *_arr methods always return a new array;
+    # add_arr, neg_arr and mul_arr return uint16 when the field's dtype and
+    # their inputs are, and int64 otherwise.
+    # Multiplication and powers go through the log/antilog arrays up to
+    # LOG_MAX_ORDER, and through polynomial products (_raw_mul) above it.
 
     def add(self, a, b):
         p = self.p
         if p == 2:
             return a ^ b
         if self.t == 1:
-            return (a + b) % p
+            s = a + b
+            return s - s // p * p  # residue(s, p), inline: ints are the common case
         out = 0
         pw = 1
         for _ in range(self.t):
@@ -308,7 +325,8 @@ class GF:
         if p == 2:
             return a
         if self.t == 1:
-            return -a % p
+            s = p - a  # not -a, which wraps around on unsigned arrays
+            return s - s // p * p
         out = 0
         pw = 1
         for _ in range(self.t):
@@ -324,7 +342,8 @@ class GF:
             return (a * b) % self.p
         exp, log = self._logs()
         if exp is None:
-            return self._raw_mul(a, b)
+            # the indices 0 and 1 are the elements 0 and 1: no polynomial product
+            return a * b if a <= 1 or b <= 1 else self._raw_mul(a, b)
         return int(exp[log[a] + log[b]])
 
     def inv(self, a: int) -> int:
@@ -424,25 +443,30 @@ class GF:
             self._add = self.add(x[:, None], x).ravel()
         return self._add
 
+    def _arr(self, a) -> np.ndarray:
+        """a as an array: arrays already in the field's dtype stay as they are,
+        Python ints take that dtype, and everything else becomes int64."""
+        a = np.asarray(a, dtype=self.dtype if isinstance(a, int) else None)
+        return a if a.dtype == self.dtype else a.astype(np.int64, copy=False)
+
     def add_arr(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        a, b = self._arr(a), self._arr(b)
         if self.p != 2 and self.t > 1 and self.order <= ADD_TABLE_MAX_ORDER:
             return self._add_table()[a * self.order + b]
         return self.add(a, b)
 
     def neg_arr(self, a) -> np.ndarray:
-        return self.neg(np.array(a, dtype=np.int64))  # a copy: neg is the identity in characteristic 2
+        a = self._arr(a)
+        return a.copy() if self.p == 2 else self.neg(a)  # neg is the identity in characteristic 2
 
     def mul_arr(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        a, b = self._arr(a), self._arr(b)
         if self.order > LOG_MAX_ORDER:
             return np.frompyfunc(self.mul, 2, 1)(a.astype(object), b.astype(object)).astype(np.int64)
         if self.order == 2:
             return a & b
         if self.t == 1:
-            return a * b % self.p
+            return residue(a * b, self.p)
         exp, log = self._logs()
         return exp[log[a] + log[b]]
 

@@ -25,7 +25,7 @@ from .errors import (
     RepeatedEvaluationPoint,
     ZeroMultiplier,
 )
-from .gf import GF, LOG_MAX_ORDER, Felt, factorize
+from .gf import GF, LOG_MAX_ORDER, Felt, factorize, residue
 
 DEFAULT_BUDGET = 2**24
 
@@ -33,28 +33,38 @@ DEFAULT_BUDGET = 2**24
 # ---------------------------------------------------------------------------
 # echelon forms and products
 #
-# Matrices hold element indices in int64 arrays, and every primitive works on
-# whole arrays through the field's elementwise arithmetic (GF.add_arr etc.).
+# Matrices hold element indices in integer arrays, and every primitive works
+# on whole arrays through the field's elementwise arithmetic (GF.add_arr
+# etc.).  Elimination and products work in the field's dtype (GF.dtype:
+# uint16 for small prime fields), while codes keep int64 generators, whose
+# bytes LinearCode.__hash__ reads.
 
 _PANEL = 16  # columns eliminated per panel before one product updates the rest
 
 
 def _matmul(field: GF, a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
-    """acc + a @ b over the field; a is (k, n), b is (n, j), acc defaults to zero."""
-    if acc is None:
-        acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    """acc + a @ b over the field; a is (k, n), b is (n, j), acc defaults to
+    zero.  The result has acc's dtype, int64 by default."""
+    out = np.dtype(np.int64) if acc is None else acc.dtype
+    dtype = field.dtype
+    acc = np.zeros((a.shape[0], b.shape[1]), dtype) if acc is None else acc.astype(dtype, copy=False)
     n = a.shape[1]
     if field.t == 1 and field.order <= LOG_MAX_ORDER:
-        # float64 products are exact while every partial sum stays below 2^53
+        # A product over a chunk of columns is exact in floating point while
+        # every partial sum stays below 2^53 (float64) or 2^24 (float32).
+        # Over a uint16 field the chunk keeps its sums below 2^16 - p, so the
+        # product converts to uint16 and adds to a residue without overflow;
+        # that is at least 16 columns (gf.NARROW_MAX_ORDER), one panel of _rref.
         p = field.p
-        step = 2**53 // (p - 1) ** 2
+        ftype, bound = (np.float32, 2**16 - p) if dtype == np.uint16 else (np.float64, 2**53)
+        step = bound // (p - 1) ** 2
         for s in range(0, n, step):
-            prod = a[:, s:s + step].astype(np.float64) @ b[s:s + step].astype(np.float64)
-            acc = (acc + prod.astype(np.int64)) % p
-        return acc
-    for col in range(n):
-        acc = field.add_arr(acc, field.mul_arr(a[:, col, None], b[col]))
-    return acc
+            prod = a[:, s:s + step].astype(ftype) @ b[s:s + step].astype(ftype)
+            acc = residue(acc + prod.astype(dtype), p)
+    else:
+        for col in range(n):
+            acc = field.add_arr(acc, field.mul_arr(a[:, col, None], b[col]))
+    return acc.astype(out, copy=False)
 
 
 def _gram(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -70,11 +80,13 @@ def _rref(field: GF, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     panel's pivot rows; one product with those rows then updates every
     column right of the panel.  Rows are never swapped: pivot rows are
     gathered in pivot order at the end, which gives the same (unique)
-    reduced form.  A pivot row is scaled only when its pivot is not 1, and
-    it updates only the rows with a nonzero entry in its column.
+    reduced form.  A pivot row is scaled only when its pivot is not 1.  The
+    panel is held transposed, so a pivot clears its column with whole-row
+    operations on contiguous arrays; rows with a zero factor stay as they
+    are.
     """
     rows, n = mat.shape
-    r = np.array(mat, dtype=np.int64)
+    r = np.array(mat, dtype=field.dtype)
     free = np.ones(rows, dtype=bool)  # rows not yet holding a pivot
     pivot_rows: list[int] = []
     pivots: list[int] = []
@@ -82,35 +94,34 @@ def _rref(field: GF, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         if len(pivots) == rows:
             break
         w = min(n, c0 + _PANEL) - c0
-        # panel columns, then one coefficient column per pivot row found in it
-        a = np.zeros((rows, 2 * w), dtype=np.int64)
-        a[:, :w] = r[:, c0:c0 + w]
+        # the panel transposed: its columns, then one coefficient column per
+        # pivot row found in it, each as a row of a
+        a = np.zeros((2 * w, rows), dtype=r.dtype)
+        a[:w] = r[:, c0:c0 + w].T
         found: list[int] = []
         for j in range(w):
-            col = a[:, j]
+            col = a[j]
             nonzero = col != 0
             i = int((nonzero & free).argmax())
             if not (nonzero[i] and free[i]):
                 continue
-            a[i, w + len(found)] = 1
+            a[w + len(found), i] = 1
             if col[i] != 1:
-                a[i, j:] = field.mul_arr(a[i, j:], field.inv(int(col[i])))
-            nonzero[i] = False
-            others = nonzero.nonzero()[0]  # rows the pivot row must clear
-            if others.size:
-                factors = field.neg_arr(col[others])
-                a[others, j:] = field.add_arr(a[others, j:], field.mul_arr(factors[:, None], a[i, j:]))
+                a[j:, i] = field.mul_arr(a[j:, i], field.inv(int(col[i])))
+            factors = field.neg_arr(col)
+            factors[i] = 0  # every other row clears its entry in column j
+            a[j:] = field.add_arr(a[j:], field.mul_arr(a[j:, i, None], factors))
             free[i] = False
             found.append(i)
             pivots.append(c0 + j)
-        r[:, c0:c0 + w] = a[:, :w]
+        r[:, c0:c0 + w] = a[:w].T
         if found and c0 + w < n:
             # rows become coef @ (old pivot rows), plus their old value off the pivot rows
             old = r[found, c0 + w:]
             r[found, c0 + w:] = 0
-            r[:, c0 + w:] = _matmul(field, a[:, w:w + len(found)], old, r[:, c0 + w:])
+            r[:, c0 + w:] = _matmul(field, a[w:w + len(found)].T, old, r[:, c0 + w:])
         pivot_rows += found
-    return r[pivot_rows], tuple(pivots)
+    return r[pivot_rows].astype(np.int64), tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +478,7 @@ def _combine(field: GF, rows: np.ndarray, supp: np.ndarray, coef: np.ndarray) ->
         # one reduction mod p finishes the block
         for s in range(1, w):
             out += coef[:, s, None] * rows[supp[:, s]]
-        return out % p
+        return residue(out, p)
     for s in range(1, w):
         term = rows[supp[:, s]]
         if field.order > 2:  # over F_2 every coefficient is 1

@@ -249,9 +249,9 @@ def three_factor_scan(q: int, m_max: int, prime_only: bool = True) -> list[int]:
     """
     out = []
     for m in range(1, m_max + 1):
-        if gcd(m, q) != 1:
+        if gcd(m, q) != 1 or (prime_only and not is_prime(m)):
             continue
-        if len(cyclotomic_cosets(q, m).cosets) == 3 and (not prime_only or is_prime(m)):
+        if len(cyclotomic_cosets(q, m).cosets) == 3:
             out.append(m)
     return out
 

@@ -270,6 +270,25 @@ def test_array_arithmetic_matches_scalar():
             fld.pow_arr(a, -1)
 
 
+def test_array_arithmetic_on_unsigned_input():
+    # uint16 arrays give the int64 results: negation must not wrap around,
+    # products stay below 2^16 on the fields whose dtype is uint16, and
+    # larger fields widen to int64
+    rng = np.random.default_rng(11)
+    for p in (2, 3, 5, 13, 61, 67, 251, 65521):
+        fld = field_make(p, 1)
+        a = rng.integers(0, p, size=(40, 30))
+        b = rng.integers(0, p, size=(40, 30))
+        a[0] = 0
+        a[1], b[1] = p - 1, p - 1
+        ua, ub = a.astype(np.uint16), b.astype(np.uint16)
+        for op, args, wide in ((fld.add_arr, (ua, ub), (a, b)), (fld.neg_arr, (ua,), (a,)),
+                               (fld.mul_arr, (ua, ub), (a, b)), (fld.mul_arr, (ua, p - 1), (a, p - 1))):
+            got = op(*args)
+            assert got.tolist() == op(*wide).tolist(), (p, op.__name__)
+            assert got.dtype == fld.dtype, (p, op.__name__)
+
+
 @pytest.mark.parametrize("p, t", [(2, 2), (2, 3), (3, 2), (2, 6), (3, 5), (17, 2)])
 def test_arithmetic_matches_coefficient_oracle(p, t):
     # every pair, against tables built from coefficient lists: XOR in

@@ -11,7 +11,7 @@ from qckit.errors import (
     RepeatedEvaluationPoint,
     ZeroMultiplier,
 )
-from qckit.gf import LOG_MAX_ORDER, field_make
+from qckit.gf import LOG_MAX_ORDER, NARROW_MAX_ORDER, field_make
 from qckit.lincode import (
     DistanceReport,
     LinearCode,
@@ -517,9 +517,11 @@ def test_min_distance_bound_mode_target_early_exit():
     assert rep.enumerated == 500 and rep.d_upper is not None
 
 
-# prime and extension fields with log arrays, then one prime and one
+# prime and extension fields with log arrays, the largest prime on the
+# uint16 path and the smallest prime above it, then one prime and one
 # extension field above LOG_MAX_ORDER (entrywise multiplication)
-ORACLE_FIELDS = ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 6), (5, 5), (65537, 1), (2, 17))
+ORACLE_FIELDS = ((2, 1), (3, 1), (5, 1), (7, 1), (61, 1), (67, 1), (2, 2), (3, 2), (2, 6), (5, 5),
+                 (65537, 1), (2, 17))
 # (rows, columns); 12 x 20 and 24 x 40 span several elimination panels
 ORACLE_SHAPES = ((0, 6), (1, 5), (4, 9), (7, 7), (9, 5), (12, 20), (24, 40))
 
@@ -551,7 +553,13 @@ def test_array_linear_algebra_matches_scalar_oracle(p, t):
     for k, n in ORACLE_SHAPES if fld.order <= LOG_MAX_ORDER else ORACLE_SHAPES[:-1]:
         mat = _degenerate_matrix(fld, rng, k, n)
         gen, piv = _rref(fld, mat)
-        assert (gen.tolist(), piv) == scalar_rref(fld, mat), (k, n)
+        expected = scalar_rref(fld, mat)
+        assert (gen.tolist(), piv) == expected, (k, n)
+        # codes keep int64 generators whatever dtype eliminated them
+        assert gen.dtype == np.int64
+        built = code_from_rows(fld, n, mat.astype(fld.dtype))
+        given = LinearCode(fld, n, np.array(expected[0], dtype=np.int64).reshape(-1, n), piv)
+        assert built == given and hash(built) == hash(given)
         other = rng.integers(0, fld.order, size=(3, n))
         assert _gram(fld, mat, other).tolist() == scalar_gram(fld, mat, other)
         c = LinearCode(fld, n, gen, piv)
@@ -562,3 +570,21 @@ def test_array_linear_algebra_matches_scalar_oracle(p, t):
         rand = LinearCode(fld, n, *_rref(fld, other))
         for c1, c2 in ((half, c), (c, half), (rand, c), (c, rand), (d, c), (c, d), (c, full_space(fld, n))):
             assert subspace_leq(c1, c2) == _oracle_leq(c1, c2), (k, n)
+
+
+@pytest.mark.parametrize("p", sorted({p for p, t in ORACLE_FIELDS if t == 1 and p <= LOG_MAX_ORDER}))
+def test_all_p_minus_one_matrices_match_scalar_oracle(p):
+    # Every entry p - 1 makes every product term (p - 1)^2, so each chunk of a
+    # product reaches the largest sum its exactness bound allows.  48 x 160
+    # spans ten panels.  F_61 and F_67 sit on either side of the uint16 path.
+    assert 61 <= NARROW_MAX_ORDER < 67
+    fld = field_make(p, 1)
+    full = np.full((48, 160), p - 1)
+    # zero on the diagonal: rank 48 with every row and coefficient dense
+    hollow = full.copy()
+    hollow[np.arange(48), np.arange(48)] = 0
+    for mat in (full, hollow):
+        gen, piv = _rref(fld, mat)
+        assert (gen.tolist(), piv) == scalar_rref(fld, mat)
+        assert _gram(fld, mat, mat[:3]).tolist() == scalar_gram(fld, mat, mat[:3])
+        assert _gram(fld, mat.T, mat.T[:3]).tolist() == scalar_gram(fld, mat.T, mat.T[:3])

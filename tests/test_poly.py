@@ -9,7 +9,7 @@ from qckit.errors import (
     ReciprocalMismatch,
     ZeroConstantTerm,
 )
-from qckit.gf import field_make
+from qckit.gf import GF, field_make
 from qckit.poly import Poly, cyclotomic_cosets, factor_xm1, three_factor_scan
 
 from oracles import trial_division_irreducible
@@ -109,10 +109,16 @@ def test_factor_xm1_structure_suite():
                     assert trial_division_irreducible(list(f.coeffs), q) or q_field.t > 1
 
 
-def test_factor_xm1_large_splitting_field():
-    # one deliberately big case: w = ord_53(2) = 52, splitting field F_2^52
+def test_factor_xm1_large_splitting_field(monkeypatch):
+    # one deliberately big case: w = ord_53(2) = 52, splitting field F_2^52,
+    # where GF.mul multiplies polynomials (_raw_mul) unless an operand is 0
+    # or 1; this run made 3,359 polynomial products before that shortcut
+    calls = []
+    raw_mul = GF._raw_mul
+    monkeypatch.setattr(GF, "_raw_mul", lambda self, a, b: calls.append(1) or raw_mul(self, a, b))
     fs = factor_xm1(F2, 53)
-    assert sorted(f.degree for f in fs.factors) == [1, 52]
+    assert [f.coeffs for f in fs.factors] == [(1,) * 53, (1, 1)]
+    assert len(calls) == 1926
     prod = Poly.one(F2)
     for f in fs.factors:
         prod = prod * f
