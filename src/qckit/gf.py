@@ -11,12 +11,12 @@ its generator to the least root of its modulus in the target field.  Both
 rules are deterministic, so two fields with equal (p, t) are interchangeable.
 
 Addition and negation have one body each, which takes Python ints and integer
-arrays alike (uint16 ones for prime fields up to NARROW_MAX_ORDER, whose
-dtype is uint16); add_arr and neg_arr are that body on arrays, except that
+arrays alike (uint16 ones for the prime fields whose dtype is uint16, see
+PANEL); add_arr and neg_arr are that body on arrays, except that
 odd-characteristic extension fields up to ADD_TABLE_MAX_ORDER add through a
-table built by the same body.  Fields up to LOG_MAX_ORDER multiply and raise
-to powers through lazily built log/antilog arrays, larger ones by polynomial
-products.  Fields up to TABLE_MAX_ORDER can also build full add/mul tables
+table built by the same body.  Prime fields multiply integers mod p.  Extension
+fields up to LOG_MAX_ORDER multiply and raise to powers through lazily built
+log/antilog arrays, larger ones by polynomial products.  Fields up to TABLE_MAX_ORDER can also build full add/mul tables
 (`tables()`), which are the array operations applied to the element grid;
 the library itself no longer reads them, and they stay for the benchmark
 harness in perfbench/.
@@ -47,10 +47,11 @@ DEFAULT_ORDER_CAP = 2**62  # keeps element indices inside int64 for numpy paths
 TABLE_MAX_ORDER = 1024  # full q x q numpy tables (quadratic build cost)
 LOG_MAX_ORDER = 65536  # log/antilog arrays (scalar and array multiplication)
 ADD_TABLE_MAX_ORDER = 256  # q x q int64 add table for odd extension fields: 512 KB at most
-# Prime fields up to here hold elements as uint16 (GF.dtype): a sum of 16
-# products of two elements, plus an element, stays below 2^16, so a product
-# over 16 columns (one elimination panel) needs one reduction.
-NARROW_MAX_ORDER = 64
+# Columns that elimination (lincode._rref) clears per panel before one product
+# over at most PANEL columns updates the rest.  Prime fields whose uint16
+# residues hold such a product, PANEL * (p - 1)^2 + (p - 1) < 2^16, hold
+# elements as uint16 (GF.dtype): p <= 61.
+PANEL = 16
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +246,7 @@ class GF:
         self.order = p**t
         self.modulus = modulus
         # the dtype of element arrays in elimination and products
-        self.dtype = np.dtype(np.uint16 if t == 1 and p <= NARROW_MAX_ORDER else np.int64)
+        self.dtype = np.dtype(np.uint16 if t == 1 and (2**16 - p) // (p - 1) ** 2 >= PANEL else np.int64)
         self._exp = None
         self._log = None
         self._tables = None
@@ -303,8 +304,10 @@ class GF:
     # are their array forms.  The *_arr methods always return a new array;
     # add_arr, neg_arr and mul_arr return uint16 when the field's dtype and
     # their inputs are, and int64 otherwise.
-    # Multiplication and powers go through the log/antilog arrays up to
-    # LOG_MAX_ORDER, and through polynomial products (_raw_mul) above it.
+    # Prime fields multiply integers mod p: mul_arr in int64 up to p = 2^31,
+    # where products stay inside int64.  Over extension fields, multiplication
+    # and powers go through the log/antilog arrays up to LOG_MAX_ORDER, and
+    # through polynomial products (_raw_mul) above it.
 
     def add(self, a, b):
         p = self.p
@@ -461,12 +464,12 @@ class GF:
 
     def mul_arr(self, a, b) -> np.ndarray:
         a, b = self._arr(a), self._arr(b)
-        if self.order > LOG_MAX_ORDER:
-            return np.frompyfunc(self.mul, 2, 1)(a.astype(object), b.astype(object)).astype(np.int64)
         if self.order == 2:
             return a & b
-        if self.t == 1:
+        if self.t == 1 and self.p <= 2**31:
             return residue(a * b, self.p)
+        if self.order > LOG_MAX_ORDER:
+            return np.frompyfunc(self.mul, 2, 1)(a.astype(object), b.astype(object)).astype(np.int64)
         exp, log = self._logs()
         return exp[log[a] + log[b]]
 

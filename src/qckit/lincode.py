@@ -25,7 +25,7 @@ from .errors import (
     RepeatedEvaluationPoint,
     ZeroMultiplier,
 )
-from .gf import GF, LOG_MAX_ORDER, Felt, factorize, residue
+from .gf import GF, LOG_MAX_ORDER, PANEL, Felt, factorize, residue
 
 DEFAULT_BUDGET = 2**24
 
@@ -37,9 +37,8 @@ DEFAULT_BUDGET = 2**24
 # on whole arrays through the field's elementwise arithmetic (GF.add_arr
 # etc.).  Elimination and products work in the field's dtype (GF.dtype:
 # uint16 for small prime fields), while codes keep int64 generators, whose
-# bytes LinearCode.__hash__ reads.
-
-_PANEL = 16  # columns eliminated per panel before one product updates the rest
+# bytes LinearCode.__hash__ reads.  gf.PANEL, the width of an elimination
+# panel, sets which prime fields take uint16.
 
 
 def _matmul(field: GF, a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
@@ -54,7 +53,7 @@ def _matmul(field: GF, a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = No
         # every partial sum stays below 2^53 (float64) or 2^24 (float32).
         # Over a uint16 field the chunk keeps its sums below 2^16 - p, so the
         # product converts to uint16 and adds to a residue without overflow;
-        # that is at least 16 columns (gf.NARROW_MAX_ORDER), one panel of _rref.
+        # GF.dtype makes that at least one panel of _rref (gf.PANEL columns).
         p = field.p
         ftype, bound = (np.float32, 2**16 - p) if dtype == np.uint16 else (np.float64, 2**53)
         step = bound // (p - 1) ** 2
@@ -90,10 +89,10 @@ def _rref(field: GF, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     free = np.ones(rows, dtype=bool)  # rows not yet holding a pivot
     pivot_rows: list[int] = []
     pivots: list[int] = []
-    for c0 in range(0, n, _PANEL):
+    for c0 in range(0, n, PANEL):
         if len(pivots) == rows:
             break
-        w = min(n, c0 + _PANEL) - c0
+        w = min(n, c0 + PANEL) - c0
         # the panel transposed: its columns, then one coefficient column per
         # pivot row found in it, each as a row of a
         a = np.zeros((2 * w, rows), dtype=r.dtype)
@@ -478,7 +477,7 @@ def _combine(field: GF, rows: np.ndarray, supp: np.ndarray, coef: np.ndarray) ->
         # one reduction mod p finishes the block
         for s in range(1, w):
             out += coef[:, s, None] * rows[supp[:, s]]
-        return residue(out, p)
+        return out % p
     for s in range(1, w):
         term = rows[supp[:, s]]
         if field.order > 2:  # over F_2 every coefficient is 1

@@ -19,6 +19,7 @@ from qckit.gf import (
     felt,
     field_make,
     frobenius,
+    is_prime,
     multiplicative_order,
     primitive_mth_root,
     trace_rel,
@@ -250,11 +251,14 @@ def test_log_table_checks_raise(raw_mul, monkeypatch):
 def test_array_arithmetic_matches_scalar():
     # every branch: F_2 (XOR, AND), characteristic 2 (XOR, identity negation),
     # prime fields, odd extension fields with an add table (F_9, F_243)
-    # and above ADD_TABLE_MAX_ORDER on the digit loop (F_289, F_3125), and an
-    # order above LOG_MAX_ORDER
+    # and above ADD_TABLE_MAX_ORDER on the digit loop (F_289, F_3125), and
+    # orders above LOG_MAX_ORDER: the largest prime on the int64 product path,
+    # and a prime whose products would overflow int64 (entrywise Python products)
     assert 243 <= ADD_TABLE_MAX_ORDER < 289
+    assert is_prime(2**31 - 1) and is_prime(2**32 + 15)
     rng = np.random.default_rng(5)
-    for p, t in ((2, 1), (7, 1), (2, 2), (2, 3), (2, 6), (3, 2), (3, 5), (17, 2), (5, 5), (65537, 1)):
+    for p, t in ((2, 1), (7, 1), (2, 2), (2, 3), (2, 6), (3, 2), (3, 5), (17, 2), (5, 5), (65537, 1),
+                 (2**31 - 1, 1), (2**32 + 15, 1)):
         fld = field_make(p, t)
         a = rng.integers(0, fld.order, size=200)
         b = rng.integers(0, fld.order, size=200)

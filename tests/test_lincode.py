@@ -11,7 +11,7 @@ from qckit.errors import (
     RepeatedEvaluationPoint,
     ZeroMultiplier,
 )
-from qckit.gf import LOG_MAX_ORDER, NARROW_MAX_ORDER, field_make
+from qckit.gf import LOG_MAX_ORDER, field_make
 from qckit.lincode import (
     DistanceReport,
     LinearCode,
@@ -577,8 +577,8 @@ def test_all_p_minus_one_matrices_match_scalar_oracle(p):
     # Every entry p - 1 makes every product term (p - 1)^2, so each chunk of a
     # product reaches the largest sum its exactness bound allows.  48 x 160
     # spans ten panels.  F_61 and F_67 sit on either side of the uint16 path.
-    assert 61 <= NARROW_MAX_ORDER < 67
     fld = field_make(p, 1)
+    assert fld.dtype == (np.uint16 if p <= 61 else np.int64)
     full = np.full((48, 160), p - 1)
     # zero on the diagonal: rank 48 with every row and coefficient dense
     hollow = full.copy()

@@ -1,17 +1,15 @@
 """Alternating pairs of benchmark runs: a parent commit against the working tree.
 
-    python3 tools/bench_pairs.py --parent REV --seed N [--pairs 10] [--seconds 30]
-        [--workloads reproduce,distance,family] [--traced] [--what TEXT]
+    python3 tools/bench_pairs.py --parent REV --seed N [--pairs 10] [--what TEXT]
         [--seed-note TEXT] --out BENCH_<date>.json
 
 Run it from the root of the repository.  The parent's committed files are
 exported with `git archive` into a temporary directory, so the parent side
 runs exactly what that commit holds; the change side is the working tree.
 Each run is `python3 perfbench/run.py --workload W --seed N --seconds S
---trace 0` from the side's own root.  Pair i runs the parent first when i is
-even and the change first when i is odd, and the workloads interleave within
-each pair.  With --traced, one `--trace 1` run per side and workload adds the
-per-layer metrics after the pairs.
+--trace 0` from the side's own root, for every workload W of BENCHMARK.json
+and its run_seconds S.  Pair i runs the parent first when i is even and the
+change first when i is odd, and the workloads interleave within each pair.
 
 The output holds every run and, per workload and end-to-end metric of
 BENCHMARK.json, both sides' median and quartiles, the number of pairs the
@@ -46,10 +44,10 @@ def export_commit(rev: str, dest: Path) -> str:
     return short
 
 
-def bench_run(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    """One perfbench run from root; its result line with plain metric values."""
+def bench_run(root: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One untraced perfbench run from root; its result line with plain metric values."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -90,9 +88,6 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="the commit to compare against")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=30)
-    ap.add_argument("--workloads", default="reproduce,distance,family")
-    ap.add_argument("--traced", action="store_true", help="add one traced run per side and workload")
     ap.add_argument("--what", default="", help="what the change does")
     ap.add_argument("--seed-note", default="", help="where the seed came from")
     ap.add_argument("--host", default=f"{os.cpu_count()}-core {platform.system()}")
@@ -103,7 +98,8 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    workloads = args.workloads.split(",")
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
     try:
         parent = export_commit(args.parent, tmp)
@@ -113,7 +109,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for w in workloads:
                 for i, side in enumerate(order):
-                    result = bench_run(roots[side], w, args.seed, args.seconds, 0)
+                    result = bench_run(roots[side], w, args.seed, seconds)
                     runs.append({"pair": pair, "workload": w, "side": side, "ran_first": i == 0,
                                  "correct": result["correct"], "attempted": result["attempted"],
                                  "failed": result["failed"], "metrics": result["metrics"]})
@@ -125,7 +121,7 @@ def main(argv=None) -> int:
             "env": {"python": platform.python_version(), "numpy": numpy.__version__,
                     "nproc": os.cpu_count()},
             "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                       f"--seconds {args.seconds} --trace 0",
+                       f"--seconds {seconds} --trace 0",
             "seed": args.seed,
             "seed_note": args.seed_note,
             "pairs_per_workload": args.pairs,
@@ -135,13 +131,6 @@ def main(argv=None) -> int:
             "summary": summarize(runs, workloads, metrics),
             "runs": runs,
         }
-        if args.traced:
-            record["traced"] = {
-                w: {"command": f"python3 perfbench/run.py --workload {w} --seed {args.seed} "
-                               f"--seconds {args.seconds} --trace 1",
-                    **{side: bench_run(roots[side], w, args.seed, args.seconds, 1)["metrics"]
-                       for side in ("parent", "change")}}
-                for w in workloads}
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
