@@ -182,11 +182,17 @@ def make_parser() -> argparse.ArgumentParser:
                    help="seed echoed into reports (randomized suites live in the test suite)")
     sub = p.add_subparsers(dest="command", required=True)
 
+    def budget_arg(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+        return value
+
     def add_common(sp, budget=True):
         sp.add_argument("--json", action="store_true", help="emit JSON to stdout")
         sp.add_argument("--out", help="write JSON to a file")
         if budget:
-            sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+            sp.add_argument("--budget", type=budget_arg, default=DEFAULT_BUDGET,
                             help="codeword-enumeration cap (default 2^24)")
 
     sp = sub.add_parser("factor", help="factor x^m - 1 over GF(q)")

@@ -10,6 +10,7 @@ C = C^q, ...) are decidable by comparison.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -448,42 +449,92 @@ def _information_sets(field: GF, gen: np.ndarray, pivots) -> list[tuple[np.ndarr
         sets.append((gamma, len(new)))
 
 
-def _message_blocks(k: int, w: int, q: int):
-    """Messages of weight w whose first nonzero coefficient is 1, one per
-    scalar class, as (support, coefficient) arrays of at most _BLOCK rows."""
-    patterns = (q - 1) ** (w - 1)  # coefficients after the leading 1
-    per_block = max(1, _BLOCK // patterns)
-    supports = itertools.combinations(range(k), w)
-    while True:
-        chunk = itertools.chain.from_iterable(itertools.islice(supports, per_block))
-        supp = np.fromiter(chunk, dtype=np.int64).reshape(-1, w)
-        if not len(supp):
-            return
-        for start in range(0, patterns, _BLOCK):
-            idx = np.arange(start, min(patterns, start + _BLOCK), dtype=np.int64)
-            coef = np.ones((idx.size, w), dtype=np.int64)
-            for s in range(1, w):
-                coef[:, s] = idx % (q - 1) + 1  # base-(q-1) digits are the nonzero elements
-                idx //= q - 1
-            yield np.repeat(supp, len(coef), axis=0), np.tile(coef, (len(supp), 1))
+def _stage_blocks(field: GF, k: int, w: int):
+    """The messages of weight w on k rows, one per scalar class, in blocks of
+    at most _BLOCK codewords: the stage's visit order, the same for every
+    information set.
+
+    Messages run through supports i_0 < ... < i_{w-1} in lexicographic order
+    and, within a support, through the coefficients of i_1, ..., i_{w-1} (i_0
+    takes 1) as base-(q - 1) digits, i_1's the least significant.  A block is
+    (heads, parent, tail, neg_coef, fixed), and its codeword (t, v, h), in
+    that order, is head sum h of the rows heads[parent[t]], plus the v-th
+    coefficient times row tail[t], plus the fixed rows.  The head sums of
+    rows i_0 < ... < i_{c-1} are all their combinations with leading
+    coefficient 1, in digit order; neg_coef holds the tail's coefficients
+    negated; fixed is None or the rows above the tail with their negated
+    coefficients.
+
+    When a support's (q - 1)^(w - 1) codewords fit a block, the tail is
+    position w - 1 and a block holds consecutive heads, each extended by
+    every later row.  Otherwise a block holds one support: the tail is the
+    lowest position c whose head sums and multiples no longer fit together,
+    the digits above c are fixed, and a run of c's digits varies.
+    """
+    q = field.order
+    patterns = (q - 1) ** (w - 1)  # codewords of one support
+    if patterns <= _BLOCK:
+        c = w - 1
+        neg_coef = field.neg_arr(np.arange(1, q if c else 2, dtype=field.dtype))
+        per_block = _BLOCK // patterns  # supports
+        prefixes = itertools.combinations(range(k - 1), c)  # heads with a later row
+        while chunk := list(itertools.islice(prefixes, per_block)):
+            heads = np.fromiter(itertools.chain.from_iterable(chunk), np.int64,
+                                len(chunk) * c).reshape(len(chunk), c)
+            last = heads[:, -1] if c else np.full(len(chunk), -1)
+            count = k - 1 - last  # later rows of each head
+            parent = np.repeat(np.arange(len(chunk)), count)
+            tail = np.arange(len(parent)) - np.repeat(np.cumsum(count) - count - last - 1, count)
+            for s in range(0, len(parent), per_block):
+                par = parent[s:s + per_block]
+                yield heads[par[0]:par[-1] + 1], par - par[0], tail[s:s + per_block], neg_coef, None
+        return
+    c = 1
+    while (q - 1) ** c <= _BLOCK:  # stops by w - 1, as (q - 1)^(w - 1) > _BLOCK
+        c += 1
+    run = _BLOCK // (q - 1) ** (c - 1)  # digits of position c per block
+    one_head = np.zeros(1, dtype=np.int64)
+    for supp in itertools.combinations(range(k), w):
+        heads, tail = np.array([supp[:c]]), np.array([supp[c]])
+        above = np.array(supp[:c:-1], dtype=np.int64)  # rows w - 1, ..., c + 1
+        for digits in itertools.product(range(1, q), repeat=w - 1 - c):  # most significant first
+            fixed = above, field.neg_arr(np.array(digits, dtype=field.dtype))
+            for v in range(1, q, run):
+                neg_coef = field.neg_arr(np.arange(v, min(q, v + run), dtype=field.dtype))
+                yield heads, one_head, tail, neg_coef, fixed
 
 
-def _combine(field: GF, rows: np.ndarray, supp: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Row i of the result is sum_s coef[i, s] * rows[supp[i, s]]."""
-    out = rows[supp[:, 0]]  # leading coefficient 1
-    w, p = supp.shape[1], field.p
-    if field.t == 1 and p > 2 and w * (p - 1) ** 2 < 2**63:
-        # the int64 sum is exact: its w terms are each at most (p - 1)^2, so
-        # one reduction mod p finishes the block
-        for s in range(1, w):
-            out += coef[:, s, None] * rows[supp[:, s]]
-        return out % p
-    for s in range(1, w):
-        term = rows[supp[:, s]]
-        if field.order > 2:  # over F_2 every coefficient is 1
-            term = field.mul_arr(coef[:, s, None], term)
-        out = field.add_arr(out, term)
-    return out
+def _block_zeros(field: GF, rows: np.ndarray, block) -> np.ndarray:
+    """Which entries of each codeword of the block are zero, one row per
+    codeword in block order.
+
+    The head sums grow one position at a time: every nonzero multiple of the
+    next row is added to every sum so far, as the more significant digit.  A
+    codeword is then zero where its head sum equals the negated rest, so each
+    codeword costs one comparison.  Every sum adds two reduced elements, so
+    it stays below 2p < 2^63 (field orders are below 2^62) and int64 holds it
+    for every prime.
+    """
+    heads, parent, tail, neg_coef, fixed = block
+    m, c = heads.shape
+    width = rows.shape[1]
+
+    def times(coef, x):
+        return x if field.order == 2 else field.mul_arr(coef, x)  # over F_2 every coefficient is 1
+
+    if c:
+        head = rows[heads[:, 0], None]
+        coef = np.arange(1, field.order, dtype=rows.dtype)[:, None, None] if c > 1 else None
+        for s in range(1, c):
+            head = field.add_arr(head[:, None], times(coef, rows[heads[:, s], None, None]))
+            head = head.reshape(m, -1, width)
+    else:
+        head = np.zeros((m, 1, width), dtype=rows.dtype)
+    rest = times(neg_coef[:, None], rows[tail, None])
+    if fixed is not None:
+        for row, cf in zip(*fixed):
+            rest = field.add_arr(rest, times(cf, rows[row]))
+    return (head[parent, None] == rest[:, :, None]).reshape(-1, width)
 
 
 def _min_weight(field: GF, gen: np.ndarray, pivots, syn: np.ndarray | None,
@@ -507,24 +558,31 @@ def _min_weight(field: GF, gen: np.ndarray, pivots, syn: np.ndarray | None,
     """
     k, n = gen.shape
     q = field.order
-    sets = [(g, r, None if syn is None else _gram(field, g, syn))
-            for g, r in _information_sets(field, gen, pivots)]
+    sets = []  # each Gamma_j with its syndromes alongside, in the field's dtype
+    for g, r in _information_sets(field, gen, pivots):
+        rows = g if syn is None else np.hstack([g, _gram(field, g, syn)])
+        sets.append((rows.astype(field.dtype), r))
     done = [0] * len(sets)  # w_j: message weight enumerated in full on Gamma_j
 
     def bound() -> int:
-        return sum(max(0, wj + 1 - (k - rj)) for wj, (_, rj, _) in zip(done, sets))
+        return sum(max(0, wj + 1 - (k - rj)) for wj, (_, rj) in zip(done, sets))
 
     best, lower, visited = n + 1, bound(), 0
     for w in range(1, k + 1):
-        for j, (g, _, s) in enumerate(sets):
-            for supp, coef in _message_blocks(k, w, q):
-                cut = visited + len(supp) > budget
+        # a stage of one block is built once for every set; a larger one is
+        # streamed again per set, so no stage is ever held whole
+        one = math.comb(k, w) * (q - 1) ** (w - 1) <= _BLOCK
+        kept = list(_stage_blocks(field, k, w)) if one else None
+        for j, (rows, _) in enumerate(sets):
+            for block in kept or _stage_blocks(field, k, w):
+                zero = _block_zeros(field, rows, block)
+                cut = visited + len(zero) > budget
                 if cut:  # the budget ends inside this stage
-                    supp, coef = supp[:budget - visited], coef[:budget - visited]
-                visited += len(supp)
-                wts = np.count_nonzero(_combine(field, g, supp, coef), axis=1)
-                if s is not None:
-                    wts = wts[_combine(field, s, supp, coef).any(axis=1)]
+                    zero = zero[:budget - visited]
+                visited += len(zero)
+                wts = n - np.count_nonzero(zero[:, :n], axis=1)
+                if syn is not None:
+                    wts = wts[~zero[:, n:].all(axis=1)]
                 if wts.size:
                     best = min(best, int(wts.min()))
                 if cut:
@@ -534,6 +592,11 @@ def _min_weight(field: GF, gen: np.ndarray, pivots, syn: np.ndarray | None,
             if w == k or lower >= best:
                 return best, best, visited
     raise AssertionError("unreachable: the last stage enumerates every message")  # pragma: no cover
+
+
+def _check_budget(budget: int):
+    if budget < 0:
+        raise PreconditionViolated(f"the codeword budget must be at least 0, got {budget}")
 
 
 def min_distance(c: LinearCode, budget: int = DEFAULT_BUDGET,
@@ -547,6 +610,7 @@ def min_distance(c: LinearCode, budget: int = DEFAULT_BUDGET,
     """
     if mode not in ("exact", "bound"):
         raise PreconditionViolated(f"unknown distance mode {mode!r}")
+    _check_budget(budget)
     n = c.n
     if c.k == 0:
         return DistanceReport("exact", n + 1, None, 0, budget, zero_code=True)
@@ -568,6 +632,7 @@ def min_weight_outside(c1: LinearCode, c2: LinearCode,
     the difference is empty."""
     if c1.field != c2.field or c1.n != c2.n:
         raise LengthMismatch("codes live in different ambient spaces")
+    _check_budget(budget)
     if c1.k == 0 or c2.k == 0:
         return c1.n + 1, 0  # empty difference: c2^perp is everything
     best, lower, visited = _min_weight(c1.field, c1.gen, c1.pivots, c2.gen, budget)

@@ -116,6 +116,12 @@ def test_build_over_budget_reports_an_interval(tmp_path, spec41, capsys):
     assert rc == 0 and verified["distance"] == dist
 
 
+def test_negative_budget_is_a_usage_error(tmp_path, spec41, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--spec", spec41, "--budget", "-5"])
+    assert exc.value.code == 2 and "--budget" in capsys.readouterr().err
+
+
 def test_gobound_command(spec41, capsys):
     rc, payload = run_json(["gobound", "--spec", spec41], capsys)
     assert rc == 0

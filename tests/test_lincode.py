@@ -1,3 +1,8 @@
+import itertools
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +18,7 @@ from qckit.errors import (
 )
 from qckit.gf import LOG_MAX_ORDER, field_make
 from qckit.lincode import (
+    _BLOCK,
     DistanceReport,
     LinearCode,
     code_from_rows,
@@ -30,10 +36,12 @@ from qckit.lincode import (
     min_weight_outside,
     subspace_leq,
     zero_code,
-    _combine,
+    _block_zeros,
     _gram,
     _information_sets,
+    _min_weight,
     _rref,
+    _stage_blocks,
 )
 from qckit.qc import (
     ConstituentAssignment,
@@ -207,33 +215,86 @@ def test_min_distance_large_field():
     for fld, n, k in ((f3125, 12, 2), (field_make(65537, 1), 5, 1), (field_make(2, 17), 6, 1)):
         c = grs_code(fld, range(1, n + 1), range(1, n + 1), k)
         assert min_distance(c).d_exact == n - k + 1, fld
-    # primes on both sides of _combine's one-reduction guard w (p - 1)^2 < 2^63:
-    # 2^31 - 1 takes it for message weight 2, 2^31 + 11 never does.  Blocks of
-    # weight 2..4 with every entry and coefficient at p - 1 (the largest
-    # terms) and random ones must match scalar sums; weight 4 at 2^31 - 1 and
-    # weight 3 at 2^31 + 11 would overflow int64 without the guard.
+    # primes on both sides of int64 products, p^2 < 2^63: 2^31 - 1 multiplies
+    # in int64, 2^31 + 11 exactly in Python.  Messages of weight 2..4 with
+    # every entry and coefficient at p - 1 (the largest terms) and random
+    # ones must match scalar sums.  One coefficient of the tail varies per
+    # codeword and the positions above it are fixed, as in the blocks of a
+    # stage whose supports exceed one block.
     rng = np.random.default_rng(11)
     for p in (2**31 - 1, 2**31 + 11):
         fld = field_make(p, 1)
         for w in (2, 3, 4):
             rows = rng.integers(0, p, size=(6, 5))
             rows[0] = p - 1
-            supp = np.array([list(range(w)), list(range(6 - w, 6)), [0] * w])
-            coef = rng.integers(1, p, size=(3, w))
-            coef[:, 0] = 1
-            coef[2, 1:] = p - 1
-            want = [[0] * 5 for _ in supp]
-            for i in range(len(supp)):
-                for s in range(w):
-                    want[i] = [fld.add(x, fld.mul(int(coef[i, s]), int(y)))
-                               for x, y in zip(want[i], rows[supp[i, s]])]
-            assert _combine(fld, rows, supp, coef).tolist() == want, (p, w)
+            for supp in (list(range(w)), list(range(6 - w, 6)), [0] * w):
+                coef = [1] + [p - 1] * (w - 1)
+                tail = [p - 1, int(rng.integers(1, p)), 1]
+                block = (np.array([supp[:1]]), np.zeros(1, dtype=np.int64), np.array(supp[1:2]),
+                         fld.neg_arr(np.array(tail)),
+                         (np.array(supp[2:]), fld.neg_arr(np.array(coef[2:]))))
+                for v, t in enumerate(tail):
+                    want = [0] * 5
+                    for s, c in zip(supp, coef[:1] + [t] + coef[2:]):
+                        want = [fld.add(x, fld.mul(c, int(y))) for x, y in zip(want, rows[s])]
+                    got = _block_zeros(fld, rows, block)[v]
+                    assert got.tolist() == [x == 0 for x in want], (p, w, supp, t)
         # and the engine over them: k = 3 runs budgeted weight-2 blocks, and a
         # naive enumeration of p^3 messages is out of reach, so the check is
         # the MDS distance n - k + 1
         c = grs_code(fld, range(1, 9), [1] * 8, 3)
         rep = min_distance(c, budget=3000, mode="bound")
         assert rep.enumerated == 3000 and rep.d_lower <= 6 == rep.d_upper, (p, rep)
+
+
+def test_stage_blocks_follow_the_message_order():
+    # a stage's blocks hold at most _BLOCK codewords and list the messages in
+    # the engine's order: supports lexicographic, then the coefficients of
+    # rows i_1, ..., i_{w-1} as base-(q - 1) digits, i_1's the least
+    # significant.  The cases cover whole supports packed per block, one
+    # support per block, runs of the tail's coefficients below and above a
+    # fixed digit, and q - 1 > _BLOCK.
+    rng = np.random.default_rng(29)
+    f64, f3125, f65537 = field_make(2, 6), field_make(5, 5), field_make(65537, 1)
+    cases = ((F2, 7, 1), (F2, 7, 3), (F3, 6, 4), (F5, 6, 3), (F9, 5, 2), (f64, 5, 3),
+             (f64, 5, 4), (f3125, 4, 3), (f3125, 5, 4), (f65537, 4, 2), (f65537, 4, 3))
+    for fld, k, w in cases:
+        q = fld.order
+        rows = rng.integers(0, q, size=(k, 6))
+        got, sizes = [], []
+        for block in _stage_blocks(fld, k, w):
+            zero = _block_zeros(fld, rows, block)
+            sizes.append(len(zero))
+            got += zero.tolist()
+            if len(got) > 2 * _BLOCK:
+                break
+        stage = math.comb(k, w) * (q - 1) ** (w - 1)
+        assert max(sizes) <= _BLOCK and len(got) == min(stage, sum(sizes)), (fld, k, w)
+        messages = ((supp, (1,) + digits[::-1])
+                    for supp in itertools.combinations(range(k), w)
+                    for digits in itertools.product(range(1, q), repeat=w - 1))
+        for i, (supp, coef) in enumerate(itertools.islice(messages, len(got))):
+            word = [0] * 6
+            for s, cf in zip(supp, coef):
+                word = [fld.add(x, fld.mul(cf, int(y))) for x, y in zip(word, rows[s])]
+            assert got[i] == [x == 0 for x in word], (fld, k, w, i)
+
+
+def test_engine_cuts_match_the_recorded_traces():
+    # tools/engine_cuts.py recorded _min_weight's (best, lower, visited) at
+    # budgets that end inside and at the edges of every stage; equal results
+    # at every budget mean the engine visits the same codewords in the same
+    # order
+    data = json.loads((Path(__file__).parent / "data" / "engine_cuts.json").read_text())
+    assert len(data["codes"]) == 22
+    for code in data["codes"]:
+        fld = field_make(code["p"], code["t"])
+        rows = np.array(code["rows"], dtype=np.int64)
+        c = code_from_rows(fld, rows.shape[1], rows)
+        syn = np.array(code["syn"], dtype=np.int64)
+        for run in code["runs"]:
+            got = _min_weight(fld, c.gen, c.pivots, syn if run["syn"] else None, run["budget"])
+            assert list(got) == run["result"], (code["name"], run)
 
 
 def test_information_sets_match_elimination_oracle(monkeypatch):
@@ -306,22 +367,61 @@ def test_min_distance_bound_mode_is_sound():
                 assert rep.mode == "exact"
 
 
-def test_min_distance_memory_example42():
+def _traced_peak(run):
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_min_distance_memory_example42():
     from qckit.reproduce import _example42_assignment
 
     dec, asn, _ = _example42_assignment()
     code = assemble_qc(dec, asn).lin  # [56,30]_2
-    tracemalloc.start()
-    try:
-        # q^k = 2^30 exceeds the budget; the engine certifies d = 8 far below it
-        rep = min_distance(code, budget=2**25)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # q^k = 2^30 exceeds the budget; the engine certifies d = 8 far below it
+    rep, peak = _traced_peak(lambda: min_distance(code, budget=2**25))
     assert rep.mode == "exact" and rep.d_exact == 8 and rep.enumerated == 348872
     assert peak < 16e6, f"engine peaked at {peak / 1e6:.1f} MB"
+
+
+def test_min_distance_memory_many_blocks_large_field():
+    # [12,3] MDS over F_65537: each weight-2 support has 65536 coefficient
+    # patterns, 16 blocks, so a budget of 2^17 codewords spans 32 blocks
+    fld = field_make(65537, 1)
+    c = grs_code(fld, range(1, 13), [1] * 12, 3)
+    rep, peak = _traced_peak(lambda: min_distance(c, budget=2**17, mode="bound"))
+    assert rep.mode == "lower-upper" and rep.enumerated == 2**17
+    assert rep.d_lower <= 10 == rep.d_upper
+    assert peak < 16e6, f"engine peaked at {peak / 1e6:.1f} MB"
+
+
+def test_min_distance_memory_wide_f2_stage():
+    # a random [88,44]_2 code: the budget covers stage (4, 0) in full, whose
+    # C(44, 4) = 135,751 supports span 34 blocks, and ends inside (4, 1)
+    rng = np.random.default_rng(1)
+    c = code_from_rows(F2, 88, rng.integers(0, 2, size=(44, 88)))
+    before = 2 * (44 + 946 + 13244)  # weights 1 to 3 on both information sets
+    assert c.k == 44 and before + 135751 < 200_000
+    rep, peak = _traced_peak(lambda: min_distance(c, budget=200_000, mode="bound"))
+    assert rep.enumerated == 200_000 and rep.d_lower <= 10 <= rep.d_upper
+    assert peak < 16e6, f"engine peaked at {peak / 1e6:.1f} MB"
+
+
+def test_negative_budget_is_rejected():
+    c = code_from_rows(F2, 24, np.random.default_rng(5).integers(0, 2, size=(12, 24)))
+    for run in (lambda b: min_distance(c, budget=b, mode="bound"),
+                lambda b: min_distance(c, budget=b),
+                lambda b: min_weight_outside(c, c, budget=b)):
+        with pytest.raises(PreconditionViolated):
+            run(-5)
+    rep = min_distance(c, budget=0, mode="bound")  # budget 0 visits nothing
+    assert rep.enumerated == 0 and rep.mode == "lower-upper"
 
 
 def test_duality_class_examples():
