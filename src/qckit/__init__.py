@@ -10,13 +10,9 @@ from . import errors
 from .gf import (
     GF,
     Felt,
-    embed,
-    felt,
     field_from_order,
     field_make,
-    frobenius,
     primitive_mth_root,
-    trace_rel,
     unembed,
 )
 from .poly import CosetTable, FactorSet, Poly, cyclotomic_cosets, factor_xm1, reciprocal, three_factor_scan

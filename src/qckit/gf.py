@@ -1,8 +1,9 @@
 """Finite fields F_{p^t} with deterministic canonical moduli.
 
-Elements are plain integer indices: the coefficient vector (c_0, ..., c_{t-1})
-on the power basis, read little-endian base p, so the index doubles as the
-serialization and as the total order used for every "least element" rule.
+Elements are plain integer indices in every API: the coefficient vector
+(c_0, ..., c_{t-1}) on the power basis, read little-endian base p, so the
+index doubles as the serialization and as the total order used for every
+"least element" rule.
 
 The canonical modulus for (p, t) is the lexicographically smallest monic
 irreducible polynomial of degree t over F_p, comparing coefficient vectors
@@ -14,12 +15,17 @@ Addition and negation have one body each, which takes Python ints and integer
 arrays alike (uint16 ones for the prime fields whose dtype is uint16, see
 PANEL); add_arr and neg_arr are that body on arrays, except that
 odd-characteristic extension fields up to ADD_TABLE_MAX_ORDER add through a
-table built by the same body.  Prime fields multiply integers mod p.  Extension
-fields up to LOG_MAX_ORDER multiply and raise to powers through lazily built
-log/antilog arrays, larger ones by polynomial products.  Fields up to TABLE_MAX_ORDER can also build full add/mul tables
-(`tables()`), which are the array operations applied to the element grid;
-the library itself no longer reads them, and they stay for the benchmark
-harness in perfbench/.
+table built by the same body.  Prime fields multiply integers mod p.
+Extension fields up to LOG_MAX_ORDER multiply and raise to powers through
+lazily built log/antilog arrays, larger ones by polynomial products.
+
+The field maps have one array body each: Frobenius is GF.pow_arr (and
+lincode.code_power_q on codes), the canonical embedding and its inverse are
+_embedding_pair, and the relative trace is qc.CrtDecomposition._trace_table.
+Two pieces are unused by the library and stay for the benchmark harness in
+perfbench/: the full add/mul tables of fields up to TABLE_MAX_ORDER
+(`tables()`, the array operations on the element grid), and the Felt record
+with unembed.
 """
 
 from __future__ import annotations
@@ -33,8 +39,6 @@ import numpy as np
 from .errors import (
     DivisionByZero,
     InvalidLogTable,
-    InvalidSubfieldOrder,
-    MixedFields,
     NoEmbedding,
     NonPrimeCharacteristic,
     NoRootOfThatOrder,
@@ -515,85 +519,18 @@ def field_from_order(q: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> GF:
 
 
 # ---------------------------------------------------------------------------
-# element wrapper
+# the benchmark's element record, embeddings, roots of unity
 
 
 @dataclass(frozen=True)
 class Felt:
-    """A field element: owning field plus integer index."""
+    """A (field, index) record with no arithmetic of its own.  The library
+    works on integer indices only; Felt and unembed stay because the
+    benchmark harness (perfbench/workloads.py) reads a slot root through
+    them, and go when it no longer does."""
 
     field: GF
     val: int
-
-    def _check(self, other: "Felt"):
-        if not isinstance(other, Felt):
-            raise TypeError(f"cannot combine Felt with {type(other).__name__}")
-        if other.field != self.field:
-            raise MixedFields(f"elements of {self.field!r} and {other.field!r}")
-
-    def __add__(self, other: "Felt") -> "Felt":
-        self._check(other)
-        return Felt(self.field, self.field.add(self.val, other.val))
-
-    def __sub__(self, other: "Felt") -> "Felt":
-        self._check(other)
-        return Felt(self.field, self.field.sub(self.val, other.val))
-
-    def __neg__(self) -> "Felt":
-        return Felt(self.field, self.field.neg(self.val))
-
-    def __mul__(self, other: "Felt") -> "Felt":
-        self._check(other)
-        return Felt(self.field, self.field.mul(self.val, other.val))
-
-    def __truediv__(self, other: "Felt") -> "Felt":
-        self._check(other)
-        return Felt(self.field, self.field.mul(self.val, self.field.inv(other.val)))
-
-    def __pow__(self, n: int) -> "Felt":
-        return Felt(self.field, self.field.pow_(self.val, n))
-
-    def inverse(self) -> "Felt":
-        return Felt(self.field, self.field.inv(self.val))
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs(self.val)
-
-    def is_zero(self) -> bool:
-        return self.val == 0
-
-    def __repr__(self) -> str:
-        return f"Felt({self.field!r}, {self.val})"
-
-
-def felt(field: GF, val: int) -> Felt:
-    if not 0 <= val < field.order:
-        raise QCKitError(f"element index {val} out of range for {field!r}")
-    return Felt(field, val)
-
-
-# ---------------------------------------------------------------------------
-# Frobenius, trace, embeddings, roots of unity
-
-
-def frobenius(a: Felt, base_order: int, k: int = 1) -> Felt:
-    """a raised to base_order^k; base_order must be a subfield order."""
-    fld = a.field
-    _subfield_degree(fld, base_order)
-    if a.val == 0:
-        return a
-    return Felt(fld, fld.pow_(a.val, pow(base_order, k, fld.order - 1)))
-
-
-def _subfield_degree(fld: GF, base_order: int) -> int:
-    fac = factorize(base_order)
-    if len(fac) != 1 or next(iter(fac)) != fld.p:
-        raise InvalidSubfieldOrder(f"{base_order} is not a power of char {fld.p}")
-    b = fac[fld.p]
-    if fld.t % b != 0:
-        raise InvalidSubfieldOrder(f"F_{base_order} is not a subfield of {fld!r}")
-    return b
 
 
 _EMBED_CACHE: dict[tuple[int, int, int, int], tuple[np.ndarray, dict[int, int]]] = {}
@@ -658,14 +595,10 @@ def _element_of_order(fld: GF, m: int) -> int:
     raise NoRootOfThatOrder(f"no element of order {m} in {fld!r}")  # pragma: no cover
 
 
-def embed(a: Felt, target: GF) -> Felt:
-    """Canonical embedding of a into target (least-root rule)."""
-    fwd, _ = _embedding_pair(a.field, target)
-    return Felt(target, int(fwd[a.val]))
-
-
 def unembed(a: Felt, source: GF) -> Felt:
-    """Inverse of embed on its image; raises NotASubfield off the image."""
+    """The record of source whose canonical embedding is a, through
+    _embedding_pair's inverse; raises NotASubfield off the image.  Kept for
+    the benchmark harness only, like Felt."""
     _, inv = _embedding_pair(source, a.field)
     try:
         return Felt(source, inv[a.val])
@@ -673,28 +606,13 @@ def unembed(a: Felt, source: GF) -> Felt:
         raise NotASubfield(f"value {a.val} is not in the embedded copy of {source!r}")
 
 
-def trace_rel(a: Felt, sub: GF) -> Felt:
-    """Relative trace down to the subfield: sum of a^(q^i), q = sub order."""
-    fld = a.field
-    if sub.p != fld.p or fld.t % sub.t != 0:
-        raise NotASubfield(f"{sub!r} is not a subfield of {fld!r}")
-    s = fld.t // sub.t
-    q = sub.order
-    acc = a.val
-    x = a.val
-    for _ in range(s - 1):
-        x = fld.pow_(x, q)
-        acc = fld.add(acc, x)
-    return unembed(Felt(fld, acc), sub)
-
-
-def primitive_mth_root(field: GF, m: int) -> Felt:
+def primitive_mth_root(field: GF, m: int) -> int:
     """Least element of multiplicative order exactly m."""
     n = field.order - 1
     if m < 1 or n % m != 0:
         raise NoRootOfThatOrder(f"no primitive {m}-th root of unity in {field!r}")
     if m == 1:
-        return Felt(field, 1)
+        return 1
     y = _element_of_order(field, m)
     # all elements of order m live in the unique cyclic subgroup <y>
     best = None
@@ -703,5 +621,5 @@ def primitive_mth_root(field: GF, m: int) -> Felt:
         if k and math.gcd(k, m) == 1 and (best is None or x < best):
             best = x
         x = field.mul(x, y)
-    return Felt(field, best)
+    return best
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     RepeatedEvaluationPoint,
     ZeroMultiplier,
 )
-from .gf import GF, LOG_MAX_ORDER, PANEL, Felt, factorize, residue
+from .gf import GF, LOG_MAX_ORDER, PANEL, factorize, residue
 
 DEFAULT_BUDGET = 2**24
 
@@ -170,34 +171,37 @@ class LinearCode:
         }
 
 
+def _indices(field: GF, values) -> list[int]:
+    """values as element indices of field; MixedFields for an entry that is
+    not an integer in [0, |F|), so floats are never truncated."""
+    try:
+        out = [operator.index(v) for v in values]
+    except TypeError:
+        raise MixedFields(f"non-integral element index for {field!r}") from None
+    for v in out:
+        if not 0 <= v < field.order:
+            raise MixedFields(f"element index {v} out of range for {field!r}")
+    return out
+
+
 def code_from_rows(field: GF, n: int, rows) -> LinearCode:
-    """The code spanned by `rows`: an integer array of element indices, or
-    rows of element indices and Felt values."""
+    """The code spanned by `rows`: an integer array, or rows of integers,
+    of element indices."""
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.ndim == 2:
         if rows.shape[1] != n:
             raise LengthMismatch(f"row length {rows.shape[1]} != {n}")
         mat = rows.astype(np.int64)
+        bad = (mat < 0) | (mat >= field.order)
+        if bad.any():
+            raise MixedFields(f"element index {mat[bad][0]} out of range for {field!r}")
     else:
         vals = []
         for row in rows:
             row = list(row)
             if len(row) != n:
                 raise LengthMismatch(f"row length {len(row)} != {n}")
-            out = []
-            for v in row:
-                if isinstance(v, Felt):
-                    if v.field != field:
-                        raise MixedFields(f"row entry from {v.field!r}, expected {field!r}")
-                    v = v.val
-                out.append(int(v))
-            vals.append(out)
-        try:
-            mat = np.array(vals, dtype=np.int64).reshape(len(vals), n)
-        except OverflowError:
-            raise MixedFields(f"element index beyond int64 for {field!r}") from None
-    bad = (mat < 0) | (mat >= field.order)
-    if bad.any():
-        raise MixedFields(f"element index {mat[bad][0]} out of range for {field!r}")
+            vals.append(_indices(field, row))
+        mat = np.array(vals, dtype=np.int64).reshape(len(vals), n)
     gen, pivots = _rref(field, mat)
     return LinearCode(field, n, gen, pivots)
 
@@ -317,8 +321,7 @@ def duality_class(c: LinearCode) -> DualityFlags:
 
 def grs_code(field: GF, alphas, vs, k: int) -> LinearCode:
     """Generalized Reed-Solomon code: rows v_j * alpha_j^i, i < k. MDS."""
-    alphas = [a.val if isinstance(a, Felt) else int(a) for a in alphas]
-    vs = [v.val if isinstance(v, Felt) else int(v) for v in vs]
+    alphas, vs = _indices(field, alphas), _indices(field, vs)
     n = len(alphas)
     if len(set(alphas)) != n:
         raise RepeatedEvaluationPoint("GRS evaluation points must be distinct")

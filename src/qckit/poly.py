@@ -25,7 +25,7 @@ from .errors import (
     ReciprocalMismatch,
     ZeroConstantTerm,
 )
-from .gf import GF, Felt, _embedding_pair, field_make, is_prime, multiplicative_order, primitive_mth_root
+from .gf import GF, _embedding_pair, field_make, is_prime, multiplicative_order, primitive_mth_root
 
 
 @dataclass(frozen=True)
@@ -144,13 +144,12 @@ class Poly:
             return self
         return self.scale(self.field.inv(self.coeffs[-1]))
 
-    def eval_at(self, x) -> int:
-        """Evaluate at a value of this polynomial's own field."""
+    def eval_at(self, x: int) -> int:
+        """Evaluate at an element of this polynomial's own field."""
         f = self.field
-        v = x.val if isinstance(x, Felt) else int(x)
         acc = 0
         for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, v), c)
+            acc = f.add(f.mul(acc, x), c)
         return acc
 
     def eval_in(self, big: GF, x: int) -> int:
@@ -314,7 +313,7 @@ def factor_xm1(q_field: GF, m: int) -> FactorSet:
     table = cyclotomic_cosets(q, m)
     w = 1 if m == 1 else multiplicative_order(q, m)
     K = field_make(q_field.p, q_field.t * w, order_cap=None)
-    alpha = 1 if m == 1 else primitive_mth_root(K, m).val
+    alpha = primitive_mth_root(K, m)
     _, back = _embedding_pair(q_field, K)
 
     coset_factor: dict[tuple[int, ...], Poly] = {}

@@ -542,13 +542,6 @@ def is_galois_closed_qc(qc: QcCode, r: int) -> bool:
     return is_galois_closed(qc.lin, r)
 
 
-def galois_alignment(decomp: CrtDecomposition, r: int) -> bool:
-    """True when multiplication by r maps every cyclotomic coset to itself,
-    so Frobenius-powering acts slotwise."""
-    table = decomp.factors.cosets
-    return all((s.exponent * r) % decomp.m in table.coset_of(s.exponent) for s in decomp.slots)
-
-
 def galois_closure_theorem_check(qc: QcCode, r: int) -> dict:
     """Both sides of the closure equivalence, computed independently.
 
@@ -565,8 +558,9 @@ def galois_closure_theorem_check(qc: QcCode, r: int) -> dict:
     if decomp is None:
         raise LengthMismatch("theorem check needs provenance")
     flat_closed = is_galois_closed_qc(qc, r)
-    aligned = galois_alignment(decomp, r)
     m = decomp.m
+    table = decomp.factors.cosets
+    aligned = all((s.exponent * r) % m in table.coset_of(s.exponent) for s in decomp.slots)
     r_inv = pow(r, -1, m)
     constituent_closed = True
     for slot in decomp.slots:

@@ -19,7 +19,7 @@ from importlib import resources
 from math import sqrt
 
 
-from .gf import field_make
+from .gf import _embedding_pair, field_make
 from .lincode import (
     LinearCode,
     code_from_rows,
@@ -46,6 +46,7 @@ from .qc import (
     decompose_ring,
     dim_from_constituents,
     galois_closure_theorem_check,
+    qc_duality_class,
     sqrt_like_check,
 )
 from .quantum import QuantumParams, from_dual_containing, singleton_audit, transform
@@ -180,8 +181,6 @@ def run_example41(budget: int = 2**25, long_mode: bool = False) -> RunReport:
     qc = assemble_qc(decomp, asn)
     rep.check("dimension (constituent formula = rank)", "example41/dimension",
               [fx["dim"], fx["dim"]], [dim_from_constituents(decomp, asn), qc.k])
-
-    from .qc import qc_duality_class
 
     dual_rep = qc_duality_class(qc)
     rep.check_true("dual-containing (flat flags and constituent witness agree)",
@@ -320,9 +319,7 @@ def run_cor35(budget: int = 2**24, long_mode: bool = False) -> RunReport:
     F243 = sg.cfield
     # the generator "alpha" of the worked example is the slot's own evaluation
     # point: the residue of x in F_3[x]/(g), i.e. the canonical root of g
-    from .gf import unembed, Felt
-
-    a = unembed(Felt(decomp.common_field, decomp.alpha_pow(sg.exponent)), F243).val
+    a = _embedding_pair(F243, decomp.common_field)[1][decomp.alpha_pow(sg.exponent)]
     row2 = [F243.pow_(a, i) for i in range(1, 6)]
     cp = code_from_rows(F243, 5, [fx["cprime_first_row"], row2])
     rep.check("first constituent is a [5,2,4] code", "cor35-example/constituents",

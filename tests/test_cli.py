@@ -116,6 +116,15 @@ def test_build_over_budget_reports_an_interval(tmp_path, spec41, capsys):
     assert rc == 0 and verified["distance"] == dist
 
 
+def test_verify_rejects_non_integral_rows(tmp_path, capsys):
+    # JSON rows come from outside the program: 0.5 and 1.9 are not element
+    # indices of F_5 and must not be truncated to the row [0, 1]
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"field": {"p": 5, "t": 1}, "n": 2, "rows": [[0.5, 1.9]]}))
+    assert main(["verify", "--code", str(path)]) == 1
+    assert "non-integral" in capsys.readouterr().err
+
+
 def test_negative_budget_is_a_usage_error(tmp_path, spec41, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build", "--spec", spec41, "--budget", "-5"])

@@ -1,7 +1,7 @@
 import pytest
 
 from qckit.errors import BudgetExceeded, EmptyAssignment, RepNotACosetMin
-from qckit.gf import field_make
+from qckit.gf import _embedding_pair, field_make
 from qckit.gobound import associated_cyclic_family, cyclic_from_nonzeros, go_bound
 from qckit.lincode import (
     code_from_rows,
@@ -169,9 +169,7 @@ def test_family_ledger_consistency():
     dec = decompose_ring(f3, 11, 5)
     sg = dec.pair_slots[0][0]
     F243 = sg.cfield
-    from qckit.gf import Felt, unembed
-
-    a = unembed(Felt(dec.common_field, dec.alpha_pow(sg.exponent)), F243).val
+    a = _embedding_pair(F243, dec.common_field)[1][dec.alpha_pow(sg.exponent)]
     cp = code_from_rows(F243, 5, [(1, 2, 1, 2, 1), [F243.pow_(a, i) for i in range(1, 6)]])
     cs = code_from_rows(f3, 5, [(1, 1, 1, 0, 0), (1, 2, 0, 1, 0)])
     asn = ConstituentAssignment(
@@ -183,7 +181,6 @@ def test_family_ledger_consistency():
 
 def test_bch_fallback_lower_bound_mode():
     from qckit.gobound import _bch_bound, cyclic_code_from_gen
-    from qckit.gf import Felt, field_make, unembed
     from qckit.qc import DistanceInfo
 
     assert _bch_bound(7, {0, 3, 5, 6}) == 4  # cyclic run 5,6,0
@@ -195,7 +192,7 @@ def test_bch_fallback_lower_bound_mode():
     dec = decompose_ring(f3, 11, 5)
     sg = dec.pair_slots[0][0]
     F243 = sg.cfield
-    a = unembed(Felt(dec.common_field, dec.alpha_pow(sg.exponent)), F243).val
+    a = _embedding_pair(F243, dec.common_field)[1][dec.alpha_pow(sg.exponent)]
     cp = code_from_rows(F243, 5, [(1, 2, 1, 2, 1), [F243.pow_(a, i) for i in range(1, 6)]])
     cs = code_from_rows(f3, 5, [(1, 1, 1, 0, 0), (1, 2, 0, 1, 0)])
     asn = ConstituentAssignment(

@@ -93,6 +93,10 @@ def test_code_from_rows():
             code_from_rows(F3, 2, np.array([[1, 0], [bad, 1]]))
     with pytest.raises(MixedFields):
         code_from_rows(F3, 2, [(1, 2**70)])
+    # entries are integers: floats are rejected, never truncated
+    for rows in ([[0.5, 1.9]], [[1, 2.0]], np.array([[0.5, 1.9]]), np.array([[0.0, 1.0]])):
+        with pytest.raises(MixedFields):
+            code_from_rows(F5, 2, rows)
     # dependent and duplicate rows collapse
     assert code_from_rows(F3, 3, [(1, 1, 0), (2, 2, 0), (1, 1, 0)]).k == 1
 
@@ -501,6 +505,12 @@ def test_grs():
         grs_code(F5, [0, 0, 1], [1, 1, 1], 2)
     with pytest.raises(ZeroMultiplier):
         grs_code(F5, [0, 1, 2], [1, 0, 1], 2)
+    # points and multipliers are element indices, not reduced: 9 would pass
+    # the distinctness check as a second 4 and give a [2,1] code
+    for fld, alphas, vs in ((F5, [4, 9], [1, 1]), (F5, [-1, 1], [1, 1]), (F5, [0, 1], [1, 6]),
+                            (F5, [0, 1.5], [1, 1]), (F4, [1, 5], [1, 1]), (F4, [1, 2], [7, 1])):
+        with pytest.raises(MixedFields):
+            grs_code(fld, alphas, vs, 2)
     rng = np.random.default_rng(8)
     for fld in (F5, field_make(7, 1), F9, field_make(2, 3)):
         for _ in range(4):

@@ -12,7 +12,7 @@ from qckit.errors import (
     SlotSNotESO,
 )
 from qckit import lincode
-from qckit.gf import Felt, field_make, unembed
+from qckit.gf import _embedding_pair, field_make
 from qckit.lincode import (
     code_from_rows,
     code_power_q,
@@ -284,9 +284,7 @@ def _cor35_plan(u_max=3, materialize_max=60):
     dec = decompose_ring(F3, 11, 5)
     sg = dec.pair_slots[0][0]
     F243 = sg.cfield
-    from qckit.gf import Felt, unembed
-
-    a = unembed(Felt(dec.common_field, dec.alpha_pow(sg.exponent)), F243).val
+    a = _embedding_pair(F243, dec.common_field)[1][dec.alpha_pow(sg.exponent)]
     cp = code_from_rows(F243, 5, [(1, 2, 1, 2, 1), [F243.pow_(a, i) for i in range(1, 6)]])
     cs = code_from_rows(F3, 5, [(1, 1, 1, 0, 0), (1, 2, 0, 1, 0)])
     asn = ConstituentAssignment(
@@ -442,7 +440,7 @@ def test_hermitian_slot_self_duality():
     slot = dec.selfrec_slots[0]
     assert slot.degree == 4 and not slot.exceptional
     F16 = slot.cfield
-    a = primitive_mth_root(F16, 5).val
+    a = primitive_mth_root(F16, 5)
     line = code_from_rows(F16, 2, [(1, a)])
     assert duality_class(line).hsd
     esd_line = code_from_rows(F2, 2, [(1, 1)])
@@ -490,7 +488,7 @@ def family_plans() -> dict:
     fx = load_tables()
     dec = decompose_ring(F3, 11, 5)
     F243 = dec.pair_slots[0][0].cfield
-    a = unembed(Felt(dec.common_field, dec.alpha_pow(dec.pair_slots[0][0].exponent)), F243).val
+    a = _embedding_pair(F243, dec.common_field)[1][dec.alpha_pow(dec.pair_slots[0][0].exponent)]
     cp = code_from_rows(F243, 5, [fx["cor35"]["cprime_first_row"],
                                   [F243.pow_(a, i) for i in range(1, 6)]])
     cor35 = ConstituentAssignment(
