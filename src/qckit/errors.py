@@ -144,3 +144,8 @@ class NotDualContaining(QCKitError):
 
 class PreconditionViolated(QCKitError):
     pass
+
+
+# serialization
+class NotAnInteger(QCKitError):
+    """A JSON field that must be an integer holds something else."""

@@ -229,10 +229,49 @@ def _parity_rows(c: LinearCode) -> np.ndarray:
     return rows
 
 
+def _copy_block(c: LinearCode) -> int:
+    """The least b > max(pivots) that divides n with gen[:, b:] == gen[:, :-b],
+    so that the generator is n / b copies of its first b columns; n when no
+    smaller b does."""
+    n, g = c.n, c.gen
+    for b in range(max(c.pivots, default=0) + 1, n):
+        if n % b == 0 and np.array_equal(g[:, b:], g[:, :-b]):
+            return b
+    return n
+
+
 def dual_euclidean(c: LinearCode) -> LinearCode:
-    """The parity rows, recanonicalized."""
-    gen, piv = _rref(c.field, _parity_rows(c))
-    return LinearCode(c.field, c.n, gen, piv)
+    """The Euclidean dual in RREF.  Only the dual of one copy block is
+    eliminated.
+
+    Let the RREF generator be t copies [G0 | ... | G0] of a b-column G0 with
+    every pivot in the first block (t = 1 for most codes), and let H be the
+    RREF of G0's own dual, with pivots Q.  A word (x_1, ..., x_t) is in the
+    dual exactly when x_1 + ... + x_t lies in G0's dual, so the dual's RREF
+    generator is
+
+        [[I_(t-1)b, R stacked t - 1 times], [0, H]]
+
+    with pivots 0 ... (t-1)b - 1 and then (t-1)b + Q.  Row j of R is e_j
+    minus the reduction of e_j by H: -e_j when j is not in Q, and H's row
+    with pivot j, that pivot zeroed, when j is in Q.
+    """
+    field, n = c.field, c.n
+    b = _copy_block(c)
+    h, q = _rref(field, _parity_rows(LinearCode(field, b, c.gen[:, :b], c.pivots)))
+    if b == n:
+        return LinearCode(field, n, h, q)
+    top, qs = n - b, list(q)
+    r = np.zeros((b, b), dtype=np.int64)
+    free = np.setdiff1d(np.arange(b), qs)
+    r[free, free] = field.neg(1)
+    r[qs] = h
+    r[qs, qs] = 0
+    gen = np.zeros((top + len(qs), n), dtype=np.int64)
+    gen[:top, :top] = np.eye(top, dtype=np.int64)
+    gen[:top, top:] = np.tile(r, (top // b, 1))
+    gen[top:, top:] = h
+    return LinearCode(field, n, gen, tuple(range(top)) + tuple(top + j for j in q))
 
 
 def conjugation_base(field: GF) -> int:

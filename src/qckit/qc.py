@@ -20,6 +20,7 @@ duals on self-reciprocal slots (Euclidean on the degree-one x -+ 1 slots).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -109,6 +110,15 @@ class CrtDecomposition:
             slots.append(Slot("selfrec", i, f, u, d, cf, exceptional))
         self.slots: tuple[Slot, ...] = tuple(slots)
         self._trace_tabs: dict[int, np.ndarray] = {}
+
+    def with_ell(self, ell: int) -> "CrtDecomposition":
+        """The same ring at index ell.  The factors, slots and trace tables
+        depend on (q, m) alone, so the two share them."""
+        if ell < 1:
+            raise LengthMismatch("index ell must be >= 1")
+        out = copy.copy(self)
+        out.ell = ell
+        return out
 
     @property
     def n(self) -> int:
@@ -699,7 +709,7 @@ def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
         if n_u <= plan.materialize_max:
             copies = m ** (u - 1)
             ell_u = copies * ell
-            decomp_u = decomp1 if u == 1 else decompose_ring(plan.q_field, m, ell_u)
+            decomp_u = decomp1.with_ell(ell_u)
             pairs_u = tuple(
                 PairAssignment(concat_copies(pa.cprime, copies) if u > 1 else pa.cprime)
                 for pa in base.pairs

@@ -18,8 +18,9 @@ Reps may be any member of the intended cyclotomic coset.
 from __future__ import annotations
 
 import json
+import operator
 
-from .errors import FieldMismatch, QCKitError
+from .errors import FieldMismatch, NotAnInteger, QCKitError
 from .gf import GF, field_make
 from .lincode import LinearCode, code_from_rows, zero_code
 from .qc import (
@@ -32,8 +33,17 @@ from .qc import (
 )
 
 
+def _integer(obj: dict, key: str) -> int:
+    """obj[key] as an int; NotAnInteger for anything else, so a float is
+    never truncated."""
+    try:
+        return operator.index(obj[key])
+    except TypeError:
+        raise NotAnInteger(f"{key!r} must be an integer, got {obj[key]!r}") from None
+
+
 def field_from_json(obj: dict) -> GF:
-    fld = field_make(int(obj["p"]), int(obj["t"]))
+    fld = field_make(_integer(obj, "p"), _integer(obj, "t"))
     if "modulus" in obj and list(obj["modulus"]) != list(fld.modulus):
         raise FieldMismatch("non-canonical modulus in field description")
     return fld
@@ -41,19 +51,19 @@ def field_from_json(obj: dict) -> GF:
 
 def code_from_json(obj: dict) -> LinearCode:
     fld = field_from_json(obj["field"])
-    return code_from_rows(fld, int(obj["n"]), obj.get("rows", []))
+    return code_from_rows(fld, _integer(obj, "n"), obj.get("rows", []))
 
 
 def _distance_from_json(obj) -> DistanceInfo | None:
     if obj is None:
         return None
-    return DistanceInfo(int(obj["value"]), bool(obj.get("exact", False)), obj.get("how", "given"))
+    return DistanceInfo(_integer(obj, "value"), bool(obj.get("exact", False)), obj.get("how", "given"))
 
 
 def assignment_from_spec(spec: dict) -> tuple[CrtDecomposition, ConstituentAssignment]:
     q_field = field_from_json(spec["q"])
-    m = int(spec["m"])
-    ell = int(spec["ell"])
+    m = _integer(spec, "m")
+    ell = _integer(spec, "ell")
     decomp = decompose_ring(q_field, m, ell)
     table = decomp.factors.cosets
 
@@ -64,7 +74,7 @@ def assignment_from_spec(spec: dict) -> tuple[CrtDecomposition, ConstituentAssig
         pair_by_coset[table.coset_of(sgs.exponent)] = (sg, sgs)
     entries = {}
     for ent in spec.get("pairs", []):
-        coset = table.coset_of(int(ent["rep"]) % m)
+        coset = table.coset_of(_integer(ent, "rep") % m)
         if coset not in pair_by_coset:
             raise QCKitError(f"rep {ent['rep']} does not belong to a reciprocal pair")
         sg, sgs = pair_by_coset[coset]
@@ -86,7 +96,7 @@ def assignment_from_spec(spec: dict) -> tuple[CrtDecomposition, ConstituentAssig
 
     sr_entries = {}
     for ent in spec.get("selfrec", []):
-        coset = table.coset_of(int(ent["rep"]) % m)
+        coset = table.coset_of(_integer(ent, "rep") % m)
         slot = next((s for s in decomp.selfrec_slots if table.coset_of(s.exponent) == coset), None)
         if slot is None:
             raise QCKitError(f"rep {ent['rep']} is not a self-reciprocal slot")

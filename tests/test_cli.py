@@ -7,8 +7,9 @@ from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
 from qckit.cli import main
-from qckit.errors import BudgetExceeded
+from qckit.errors import BudgetExceeded, NotAnInteger
 from qckit.reproduce import run_example42
+from qckit.serial import assignment_from_spec, code_from_json
 
 
 def _registry():
@@ -123,6 +124,47 @@ def test_verify_rejects_non_integral_rows(tmp_path, capsys):
     path.write_text(json.dumps({"field": {"p": 5, "t": 1}, "n": 2, "rows": [[0.5, 1.9]]}))
     assert main(["verify", "--code", str(path)]) == 1
     assert "non-integral" in capsys.readouterr().err
+
+
+NON_INTEGRAL_CODES = [
+    {"field": {"p": 5.7, "t": 1.2}, "n": 2.9, "rows": [[1, 2]]},  # once a [2,1] code over GF(5)
+    {"field": {"p": 5, "t": 1}, "n": 2.0, "rows": [[1, 2]]},
+    {"field": {"p": 5, "t": "1"}, "n": 2, "rows": [[1, 2]]},
+]
+
+
+@pytest.mark.parametrize("raw", NON_INTEGRAL_CODES)
+def test_code_from_json_rejects_non_integral_fields(raw):
+    with pytest.raises(NotAnInteger):
+        code_from_json(raw)
+
+
+@pytest.mark.parametrize("where,value", [
+    (("m",), 7.0), (("ell",), 3.5), (("pairs", 0, "rep"), 12.0),
+    (("pairs", 0, "cprime_distance", "value"), 3.2),
+])
+def test_assignment_from_spec_rejects_non_integral_fields(where, value):
+    def spec(v):
+        out = {"q": {"p": 2, "t": 2}, "m": 7, "ell": 3,
+               "pairs": [{"rep": 5, "cprime_rows": [[2, 2, 2]],
+                          "cprime_distance": {"value": 3, "exact": True}}]}
+        node = out
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = v
+        return out
+
+    with pytest.raises(NotAnInteger):
+        assignment_from_spec(spec(value))
+    _, assignment = assignment_from_spec(spec(int(value)))  # rep 12 reads as 5 mod 7
+    assert assignment.pairs[0].cprime.k == 1
+
+
+def test_verify_rejects_non_integral_shape_fields(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(NON_INTEGRAL_CODES[0]))
+    assert main(["verify", "--code", str(path)]) == 1
+    assert "must be an integer" in capsys.readouterr().err
 
 
 def test_negative_budget_is_a_usage_error(tmp_path, spec41, capsys):

@@ -37,9 +37,11 @@ from qckit.lincode import (
     subspace_leq,
     zero_code,
     _block_zeros,
+    _copy_block,
     _gram,
     _information_sets,
     _min_weight,
+    _parity_rows,
     _rref,
     _stage_blocks,
 )
@@ -122,6 +124,31 @@ def test_dual_euclidean():
     assert len(vecs) == 3**d.k
     for row in d.gen:
         assert tuple(int(v) for v in row) in vecs
+
+
+@pytest.mark.parametrize("p,t", [(2, 1), (3, 1), (61, 1), (67, 1), (2, 2), (3, 2), (3, 5), (5, 5)])
+def test_dual_of_copies_matches_elimination(p, t):
+    # The closed form for the dual of copies against the elimination of the
+    # whole parity rows, bit for bit.  F_61 is the largest prime on uint16,
+    # F_67 the smallest on int64.  The edge blocks: the zero code, the full
+    # space (whose block dual is zero) and the repetition code, which is
+    # copies of [1] with a zero block dual.
+    fld = field_make(p, t)
+    rng = np.random.default_rng(p * 10 + t)
+    blocks = [zero_code(fld, 3), full_space(fld, 4), code_from_rows(fld, 1, [[1]]),
+              code_from_rows(fld, 5, [[1] * 5])]
+    for _ in range(8):
+        b = int(rng.integers(1, 8))
+        k = int(rng.integers(0, b + 1))
+        blocks.append(code_from_rows(fld, b, rng.integers(0, fld.order, size=(k, b))))
+    for block in blocks:
+        for copies in range(1, 6):
+            c = concat_copies(block, copies)
+            assert _copy_block(c) <= block.n  # so the closed form runs for copies >= 2
+            d = dual_euclidean(c)
+            gen, pivots = _rref(fld, _parity_rows(c))
+            assert d.gen.dtype == gen.dtype and np.array_equal(d.gen, gen), (block, copies)
+            assert d.pivots == pivots, (block, copies)
 
 
 def test_dual_hermitian():

@@ -585,5 +585,22 @@ def test_elimination_counts(ex41, monkeypatch):
     # the dual-mode C'' = dual_euclidean(C') of its g* slot, and the trace
     # rows in code_from_rows.  The hypothesis and level flags, the level-2
     # copies, the dimension count and the given C'' distances eliminate nothing.
+    # Level 2's C'' is the dual of m copies of C', so only one copy block's
+    # dual is eliminated: at most ell columns, not m * ell.
     for name, plan in plans.items():
         assert eliminations(build_family, plan) == 4, name
+        level2_dual = calls[2][1].shape
+        assert level2_dual[1] <= plan.ell, (name, level2_dual)
+        if name == "example39":
+            assert level2_dual == (3, 6)  # all 63 x 66 parity rows otherwise
+
+
+def test_build_family_factors_once(monkeypatch):
+    # every level shares level 1's factors, slots and trace tables
+    calls = []
+    factor = qc_module.factor_xm1
+    monkeypatch.setattr(qc_module, "factor_xm1", lambda *args: calls.append(args) or factor(*args))
+    for name, plan in family_plans().items():
+        calls.clear()
+        build_family(plan)
+        assert len(calls) == 1, name
