@@ -15,7 +15,7 @@ from .gf import (
     primitive_mth_root,
     unembed,
 )
-from .poly import CosetTable, FactorSet, Poly, cyclotomic_cosets, factor_xm1, reciprocal, three_factor_scan
+from .poly import CosetTable, FactorSet, Poly, cyclotomic_cosets, factor_xm1, three_factor_scan
 from .lincode import (
     DistanceReport,
     DualityFlags,

@@ -7,7 +7,10 @@ index doubles as the serialization and as the total order used for every
 
 The canonical modulus for (p, t) is the lexicographically smallest monic
 irreducible polynomial of degree t over F_p, comparing coefficient vectors
-from highest to lowest degree.  The canonical embedding of a subfield sends
+from highest to lowest degree.  The search tests each candidate f with
+Rabin's test in the residue ring F_p[x]/(f), which needs only products and
+powers there: f is irreducible iff x^(p^t) = x and, for each prime r | t,
+(x^(p^(t/r)) - x)^(p^t - 1) = 1.  The canonical embedding of a subfield sends
 its generator to the least root of its modulus in the target field.  Both
 rules are deterministic, so two fields with equal (p, t) are interchangeable.
 
@@ -153,59 +156,26 @@ def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
     return _ptrim(a)
 
 
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = a[:], b[:]
-    while b:
-        a = _pmonic_rem(a, b, p)
-        a, b = b, a
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _pmonic_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    inv = pow(b[-1], p - 2, p)
-    bm = [(c * inv) % p for c in b]
-    return _pmod(a, bm, p)
-
-
-def _ppow_xq(f: list[int], p: int, e: int) -> list[int]:
-    """x^(p^e) mod f via iterated Frobenius."""
-    x = [0, 1]
-    y = _pmod(x, f, p)
-    for _ in range(e):
-        y = _ppowmod(y, p, f, p)
-    return y
-
-
-def _ppowmod(a: list[int], n: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = a[:]
-    while n:
-        if n & 1:
-            result = _pmod(_pmul(result, base, p), f, p)
-        base = _pmod(_pmul(base, base, p), f, p)
-        n >>= 1
-    return result
-
-
 def _is_irreducible(coeffs: list[int], p: int) -> bool:
-    """Rabin test for a monic polynomial over F_p."""
+    """Rabin's test for a monic polynomial f of degree t over F_p, run in the
+    residue ring R = F_p[x]/(f): f is irreducible iff x^(p^t) = x in R and,
+    for each prime r | t, x^(p^(t/r)) - x is a unit of R.  Once x^(p^t) = x,
+    f divides x^(p^t) - x, so f is squarefree with irreducible factors of
+    degrees d | t and R is a product of fields F_{p^d}; there u is a unit
+    iff u^(p^t - 1) = 1, which is Rabin's condition gcd(f, u) = 1."""
     t = len(coeffs) - 1
     if t < 1:
         return False
-    if coeffs[0] == 0:
-        return t == 1  # divisible by x unless it IS x
     if t == 1:
         return True
-    for r in factorize(t):
-        u = _ppow_xq(coeffs, p, t // r)
-        u = _ptrim([(u[i] if i < len(u) else 0) - (1 if i == 1 else 0) for i in range(max(len(u), 2))])
-        if len(_pgcd(coeffs, _ptrim([c % p for c in u]), p)) > 1:
-            return False  # x^(p^(t/r)) - x shares a factor with the polynomial
-    xq = _ppow_xq(coeffs, p, t)
-    return xq == [0, 1]
+    if coeffs[0] == 0:
+        return False  # divisible by x
+    ring = GF(p, t, tuple(coeffs))
+    x = ring.gen
+    if ring._raw_pow(x, p**t) != x:
+        return False
+    return all(ring._raw_pow(ring.sub(ring._raw_pow(x, p ** (t // r)), x), p**t - 1) == 1
+               for r in factorize(t))
 
 
 def _canonical_modulus(p: int, t: int) -> tuple[int, ...]:
@@ -295,9 +265,6 @@ class GF:
         """A generator of the field as an F_p-algebra: the residue of x (value p)
         for t > 1, so 1, x, ..., x^(t-1) is a basis over F_p; 1 for prime fields."""
         return self.p if self.t > 1 else 1
-
-    def elements(self):
-        return range(self.order)
 
     # -- arithmetic ----------------------------------------------------------
     #

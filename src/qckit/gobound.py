@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import EmptyAssignment, RepNotACosetMin
 from .gf import GF
 from .lincode import DEFAULT_BUDGET, LinearCode, code_from_rows, min_distance
-from .poly import Poly, factor_xm1
+from .poly import FactorSet, Poly, factor_xm1
 from .qc import ConstituentAssignment, CrtDecomposition, DistanceInfo, Slot, _distance_of
 
 
@@ -54,13 +54,26 @@ def cyclic_code_from_gen(q_field: GF, m: int, gen_poly: Poly) -> LinearCode:
     return code_from_rows(q_field, m, rows)
 
 
+def _generator_outside(factors: FactorSet, check_cosets) -> tuple[Poly, set[int]]:
+    """Generator and exponent zero set of the cyclic code whose check
+    polynomial is the product of the factors of check_cosets: the generator
+    (x^m - 1) / check is the product of the factors of the other cosets,
+    whose exponents are the zeros."""
+    gen = Poly.one(factors.field)
+    zero_exps = set()
+    for coset in factors.cosets.cosets:
+        if coset not in check_cosets:
+            gen = gen * factors.coset_factor[coset]
+            zero_exps.update(coset)
+    return gen, zero_exps
+
+
 def cyclic_from_nonzeros(q_field: GF, m: int, reps) -> LinearCode:
     """The associated cyclic code for a set of coset representatives: check
     polynomial prod m_{alpha^rep}, generator (x^m-1)/check."""
     factors = factor_xm1(q_field, m)
     table = factors.cosets
     seen = set()
-    check = Poly.one(q_field)
     for rep in reps:
         coset = table.coset_of(rep)
         if rep != coset[0]:
@@ -68,8 +81,7 @@ def cyclic_from_nonzeros(q_field: GF, m: int, reps) -> LinearCode:
         if coset in seen:
             raise RepNotACosetMin(f"duplicate coset for representative {rep}")
         seen.add(coset)
-        check = check * factors.coset_factor[coset]
-    gen = Poly.x_pow_minus_one(q_field, m) // check
+    gen, _ = _generator_outside(factors, seen)
     return cyclic_code_from_gen(q_field, m, gen)
 
 
@@ -177,15 +189,10 @@ def _constituent_chain(decomp: CrtDecomposition, assignment: ConstituentAssignme
 def _d_generator(decomp: CrtDecomposition, subset: tuple[int, ...],
                  chain: list) -> tuple[Poly, int, set[int]]:
     """D_I's generator polynomial, dimension and exponent zero set."""
-    m = decomp.m
     table = decomp.factors.cosets
-    check = Poly.one(decomp.q_field)
-    zero_exps = set(range(m))
-    for pos in subset:
-        slot = chain[pos - 1][0]
-        check = check * slot.factor
-        zero_exps -= set(table.coset_of(slot.exponent))
-    return Poly.x_pow_minus_one(decomp.q_field, m) // check, check.degree, zero_exps
+    gen, zero_exps = _generator_outside(
+        decomp.factors, {table.coset_of(chain[pos - 1][0].exponent) for pos in subset})
+    return gen, decomp.m - gen.degree, zero_exps
 
 
 def _d_code_entry(decomp: CrtDecomposition, subset: tuple[int, ...],

@@ -9,6 +9,11 @@ embedded copy of F_q and are pulled back along the canonical embedding.
 
 Factors are classified into reciprocal pairs (g, g*) and self-reciprocal
 polynomials f_i, with x - 1 ordered last among the self-reciprocal ones.
+
+Poly multiplies and has no division or gcd: every quotient the library needs
+is a product of known factors.  Its product works over any field, the
+splitting field included, so it does not share a body with gf's F_p residue
+product, which defines the fields.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass, field as dataclass_field
 from math import gcd
 
 from .errors import (
-    DivisionByZero,
     FactorProductMismatch,
     MinimalPolynomialMismatch,
     MixedFields,
@@ -51,10 +55,6 @@ class Poly:
         return Poly(field, (1,))
 
     @staticmethod
-    def x(field: GF) -> "Poly":
-        return Poly(field, (0, 1))
-
-    @staticmethod
     def x_pow_minus_one(field: GF, m: int) -> "Poly":
         cs = [0] * (m + 1)
         cs[0] = field.neg(1)
@@ -71,24 +71,6 @@ class Poly:
     def _check(self, other: "Poly"):
         if self.field != other.field:
             raise MixedFields(f"polynomials over {self.field!r} and {other.field!r}")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else 0
-            b = other.coeffs[i] if i < len(other.coeffs) else 0
-            out.append(f.add(a, b))
-        return Poly.make(f, out)
-
-    def __neg__(self) -> "Poly":
-        f = self.field
-        return Poly(f, tuple(f.neg(c) for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
@@ -107,50 +89,10 @@ class Poly:
         f = self.field
         return Poly.make(f, [f.mul(c, a) for a in self.coeffs])
 
-    def divmod_(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        self._check(other)
-        if other.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        f = self.field
-        rem = list(self.coeffs)
-        dd = other.degree
-        lead_inv = f.inv(other.coeffs[-1])
-        quo = [0] * max(0, len(rem) - dd)
-        while len(rem) - 1 >= dd and rem:
-            c = f.mul(rem[-1], lead_inv)
-            k = len(rem) - 1 - dd
-            quo[k] = c
-            for i in range(dd + 1):
-                rem[k + i] = f.sub(rem[k + i], f.mul(c, other.coeffs[i]))
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly.make(f, quo), Poly.make(f, rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod_(other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod_(other)[1]
-
-    def gcd_(self, other: "Poly") -> "Poly":
-        self._check(other)
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
-
     def monic(self) -> "Poly":
         if self.is_zero() or self.coeffs[-1] == 1:
             return self
         return self.scale(self.field.inv(self.coeffs[-1]))
-
-    def eval_at(self, x: int) -> int:
-        """Evaluate at an element of this polynomial's own field."""
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
-        return acc
 
     def eval_in(self, big: GF, x: int) -> int:
         """Evaluate at a point of an extension, embedding the coefficients."""
@@ -187,10 +129,6 @@ class Poly:
 
     def to_json(self) -> dict:
         return {"field": self.field.to_json(), "coeffs": list(self.coeffs)}
-
-
-def reciprocal(f: Poly) -> Poly:
-    return f.reciprocal()
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .lincode import (
     _gram,
 )
 from .gobound import go_bound
-from .poly import three_factor_scan
+from .poly import factor_xm1, three_factor_scan
 from .qc import (
     ConstituentAssignment,
     DistanceInfo,
@@ -125,8 +125,7 @@ class RunReport:
 
 
 def _factor_check(rep: RunReport, source: str, q_field, m, pair_coeffs, selfrec_coeffs):
-    decomp = decompose_ring(q_field, m, 1)
-    fs = decomp.factors
+    fs = factor_xm1(q_field, m)
     got_pairs = [[list(g.coeffs), list(gs.coeffs)] for g, gs in fs.pairs]
     rep.check("x^m-1 reciprocal pair factors", source + "/factors",
               [sorted(pair_coeffs)], [sorted(p) for p in got_pairs])

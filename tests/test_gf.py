@@ -16,6 +16,7 @@ from qckit.gf import (
     GF,
     Felt,
     _embedding_pair,
+    _is_irreducible,
     field_from_order,
     field_make,
     is_prime,
@@ -38,6 +39,16 @@ def test_canonical_moduli():
 
 
 def test_canonical_modulus_f243_vs_trial_division_oracle():
+    # Rabin's test agrees with trial division on every monic polynomial with
+    # p^t <= 1024, reducible ones included: 5,309 polynomials
+    for p, t_max in ((2, 10), (3, 6), (5, 4), (7, 3), (31, 2)):
+        for t in range(1, t_max + 1):
+            for idx in range(p**t):
+                cand = [idx // p**pos % p for pos in range(t)] + [1]
+                assert _is_irreducible(cand, p) == trial_division_irreducible(cand, p), (p, cand)
+    # x^6 + x^4 + x + 1 = (x + 1)(x^2 + x + 1)(x^3 + x + 1) over F_2 has
+    # x^64 = x, x^8 != x and x^4 != x: only the unit condition rejects it
+    assert not _is_irreducible([1, 1, 0, 0, 1, 0, 1], 2)
     # enumerate monic quintics ascending on (c4,...,c0), keep the first passing
     # the independent trial-division test
     found = None

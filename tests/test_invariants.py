@@ -36,3 +36,14 @@ def test_no_scalar_element_api_outside_gf():
              if name not in ("gf.py", "__init__.py")
              for node in ast.walk(tree) if names(node) & {"Felt", "unembed"}]
     assert found == [], f"Felt or unembed outside gf.py: {found}"
+
+
+def test_no_polynomial_division_or_gcd_in_library():
+    # every polynomial job is a product or a power: the canonical-modulus
+    # search runs Rabin's test in the candidate's residue ring, and D_I's
+    # generator is the product of the factors outside I
+    banned = {"_pgcd", "_pmonic_rem", "_ppowmod", "divmod_", "gcd_", "__floordiv__", "__mod__"}
+    found = [f"{name}:{node.lineno} {node.name}" for name, tree in library_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in banned]
+    assert found == [], f"polynomial division or gcd in the library: {found}"

@@ -132,13 +132,15 @@ def test_ring_mul_matches_poly_product_mod_xm_minus_1():
     rng = np.random.default_rng(9)
     for fld in (F2, F4, F5):
         for m in (1, 2, 5, 7):
-            xm1 = Poly.x_pow_minus_one(fld, m)
             for _ in range(10):
                 a = rng.integers(0, fld.order, size=m)
                 b = rng.integers(0, fld.order, size=m)
-                want = (Poly.make(fld, a) * Poly.make(fld, b)).divmod_(xm1)[1]
+                # reduce mod x^m - 1 by folding the coefficient of x^i onto x^(i mod m)
+                want = [0] * m
+                for i, c in enumerate((Poly.make(fld, a) * Poly.make(fld, b)).coeffs):
+                    want[i % m] = fld.add(want[i % m], c)
                 got = ring_mul(fld, a, b)
-                assert Poly.make(fld, got) == want
+                assert Poly.make(fld, got) == Poly.make(fld, want)
                 assert got.shape == (m,)
 
 

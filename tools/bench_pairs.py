@@ -13,8 +13,14 @@ change first when i is odd, and the workloads interleave within each pair.
 
 The output holds every run and, per workload and end-to-end metric of
 BENCHMARK.json, both sides' median and quartiles, the number of pairs the
-change won in the metric's better direction, the ratio of the medians and
-the parent's interquartile range.
+change won in the metric's better direction, the ratio of the medians, the
+parent's interquartile range, the metric's bound and a verdict:
+
+    worse       the change's median is worse than the parent's by more than
+                bound x the parent's median
+    unresolved  the parent's IQR exceeds bound x its median, and not every
+                change run beats every parent run
+    within      neither
 """
 
 from __future__ import annotations
@@ -62,22 +68,39 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(side: dict, stats: dict, sign: int, bound: float) -> str:
+    """worse, unresolved or within (see the module docstring) from each
+    side's runs and quartiles; sign is 1 when higher is better, else -1."""
+    base = stats["parent"]["median"]
+    if sign * (stats["change"]["median"] - base) < -bound * base:
+        return "worse"
+    spread = stats["parent"]["q3"] - stats["parent"]["q1"]
+    if spread > bound * base and not all(sign * (c - p) > 0
+                                         for c in side["change"] for p in side["parent"]):
+        return "unresolved"
+    return "within"
+
+
 def summarize(runs: list, workloads: list, metrics: dict) -> dict:
+    """Per workload and metric; metrics maps each end-to-end metric's name
+    to its BENCHMARK.json entry (better, bound)."""
     summary = {}
     for w in workloads:
         mine = [r for r in runs if r["workload"] == w]
         entry = {"pairs": len(mine) // 2, "all_correct": all(r["correct"] for r in mine),
                  "failed_ops": sum(r["failed"] for r in mine), "metrics": {}}
-        for name, better in metrics.items():
+        for name, spec in metrics.items():
             side = {s: [r["metrics"][name] for r in sorted(mine, key=lambda r: r["pair"])
                         if r["side"] == s] for s in ("parent", "change")}
-            sign = 1 if better == "higher" else -1
+            sign = 1 if spec["better"] == "higher" else -1
             stats = {s: quartiles(v) for s, v in side.items()}
             entry["metrics"][name] = {
                 **stats,
                 "change_wins": sum(sign * (c - p) > 0 for p, c in zip(side["parent"], side["change"])),
                 "median_ratio": stats["change"]["median"] / stats["parent"]["median"],
                 "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
+                "bound": spec["bound"],
+                "verdict": verdict(side, stats, sign, spec["bound"]),
             }
         summary[w] = entry
     return summary
@@ -97,7 +120,7 @@ def main(argv=None) -> int:
     import numpy
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
