@@ -10,9 +10,13 @@ from . import errors
 from .gf import (
     GF,
     Felt,
+    embed,
     field_from_order,
     field_make,
     primitive_mth_root,
+    restrict,
+    trace,
+    trace_form,
     unembed,
 )
 from .poly import CosetTable, FactorSet, Poly, cyclotomic_cosets, factor_xm1, three_factor_scan

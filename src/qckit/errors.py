@@ -149,3 +149,7 @@ class PreconditionViolated(QCKitError):
 # serialization
 class NotAnInteger(QCKitError):
     """A JSON field that must be an integer holds something else."""
+
+
+class NotABoolean(QCKitError):
+    """A JSON field that must be a boolean holds something else."""

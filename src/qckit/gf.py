@@ -22,9 +22,14 @@ table built by the same body.  Prime fields multiply integers mod p.
 Extension fields up to LOG_MAX_ORDER multiply and raise to powers through
 lazily built log/antilog arrays, larger ones by polynomial products.
 
-The field maps have one array body each: Frobenius is GF.pow_arr (and
-lincode.code_power_q on codes), the canonical embedding and its inverse are
-_embedding_pair, and the relative trace is qc.CrtDecomposition._trace_table.
+Frobenius is GF.pow_arr (and lincode.code_power_q on codes).  The maps
+between fields are F_p-linear, so each is one small matrix over F_p acting on
+an element's base-p digits, built from the images of the source field's power
+basis (_LinearMap) and applied to the values that occur, never tabulated over
+a whole field: embed is the canonical embedding, restrict its inverse on the
+embedded copy (one elimination), trace the relative trace, taken in a
+common extension on the embedded copy, and trace_form the maps a -> Tr(a * b)
+that the trace formula of qc.assemble_qc applies.
 Two pieces are unused by the library and stay for the benchmark harness in
 perfbench/: the full add/mul tables of fields up to TABLE_MAX_ORDER
 (`tables()`, the array operations on the element grid), and the Felt record
@@ -500,33 +505,126 @@ class Felt:
     val: int
 
 
-_EMBED_CACHE: dict[tuple[int, int, int, int], tuple[np.ndarray, dict[int, int]]] = {}
+# ---------------------------------------------------------------------------
+# F_p-linear maps between fields: the canonical embedding, its inverse and the
+# relative trace
 
 
-def _embedding_pair(src: GF, dst: GF):
-    """(forward array over all src values, inverse dict) for the canonical embedding."""
+class _LinearMap:
+    """F_p-linear maps src -> dst, built from the images of src's power basis
+    1, x, ..., x^(t-1): images[i] is the image of x^i, an element of dst or
+    an array of them, one per map.  The maps are held as one matrix over F_p
+    with src.t rows, holding the images' base-p digits: an element's images
+    are its digit vector times the matrix.  Calling it on a value or an array
+    of values gives their images, with the maps' shape appended; an int with
+    one map gives an int.  Indices and digit products that int64 cannot hold
+    (splitting fields may exceed DEFAULT_ORDER_CAP) are Python ints in object
+    arrays."""
+
+    def __init__(self, src: GF, dst: GF, images):
+        self.p = p = src.p
+        exact = max(src.order, dst.order) <= DEFAULT_ORDER_CAP and src.t * (p - 1) ** 2 < 2**63
+        self.dtype = np.dtype(np.int64 if exact else object)
+        self.src_places = np.array([p**i for i in range(src.t)], dtype=self.dtype)
+        self.dst_places = np.array([p**i for i in range(dst.t)], dtype=self.dtype)
+        images = np.asarray(images, dtype=self.dtype)
+        self.shape = images.shape[1:]
+        self.mat = self._digits(images, self.dst_places).reshape(src.t, -1)
+
+    def _digits(self, a, places) -> np.ndarray:
+        return np.asarray(a, dtype=self.dtype)[..., None] // places % self.p
+
+    def __call__(self, a):
+        d = self._digits(a, self.src_places) @ self.mat % self.p
+        out = d.reshape(np.shape(a) + self.shape + self.dst_places.shape) @ self.dst_places
+        return out if np.ndim(out) else int(out)
+
+
+@functools.cache
+def _embedding(src: GF, dst: GF) -> _LinearMap:
     if src.p != dst.p or dst.t % src.t != 0:
         raise NoEmbedding(f"no embedding {src!r} -> {dst!r}")
-    key = (src.p, src.t, dst.p, dst.t)
-    hit = _EMBED_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if src == dst or src.t == 1:  # a prime field's element c is c in every extension
-        fwd = np.arange(src.order, dtype=np.int64)
-        inv = {i: i for i in range(src.order)}
-        _EMBED_CACHE[key] = (fwd, inv)
-        return fwd, inv
-    if src.order > TABLE_MAX_ORDER * 16:
-        raise OrderCapExceeded(f"embedding table too large for source order {src.order}")
-    # the F_p-linear map sending the power basis x^i to root^i: an element's
-    # image is the sum of its base-p digits times those powers
-    root = _least_root_of_modulus(src, dst)
-    digits = np.arange(src.order)[:, None] // src.p ** np.arange(src.t) % src.p
-    terms = dst.mul_arr(digits, [dst.pow_(root, i) for i in range(src.t)])
-    fwd = functools.reduce(dst.add_arr, terms.T)
-    inv = dict(zip(fwd.tolist(), range(src.order)))
-    _EMBED_CACHE[key] = (fwd, inv)
-    return fwd, inv
+    # a prime field's element c is c in every extension and a field embeds in
+    # itself by the identity; otherwise x goes to the least root of src's modulus
+    root = dst.gen if src == dst or src.t == 1 else _least_root_of_modulus(src, dst)
+    return _LinearMap(src, dst, [dst.pow_(root, i) for i in range(src.t)])
+
+
+@functools.cache
+def _restriction(src: GF, dst: GF) -> _LinearMap:
+    """A left inverse of the embedding src -> dst, as a map dst -> src.  The
+    embedding's digit matrix M has rank src.t, so reducing [M | I] gives
+    [R | T] with T M = R and R the identity on its pivot columns P: the
+    preimage of y = x M is x = y[P] T.  The map sends dst's basis element
+    x^P[k] to the element of src with digits T[k], and the others to 0.
+    Under _embedding's identities M is already [I | 0], so T = I."""
+    from .lincode import _rref  # lincode imports this module
+
+    if src == dst or src.t == 1:
+        return _LinearMap(dst, src, [src.p**i if i < src.t else 0 for i in range(dst.t)])
+    emb = _embedding(src, dst)
+    red, pivots = _rref(field_make(src.p, 1), np.concatenate([emb.mat, np.eye(src.t, dtype=np.int64)], axis=1))
+    images = [0] * dst.t
+    for k, col in enumerate(pivots):
+        images[col] = src.from_coeffs(int(c) for c in red[k, dst.t:])
+    return _LinearMap(dst, src, images)
+
+
+def embed(src: GF, dst: GF, a):
+    """The canonical embedding of src's element(s) a in dst."""
+    return _embedding(src, dst)(a)
+
+
+def restrict(src: GF, dst: GF, b):
+    """The element(s) of src whose canonical embedding in dst is b; raises
+    NotASubfield for a value off the embedded copy of src."""
+    a = _restriction(src, dst)(b)
+    off = np.asarray(_embedding(src, dst)(a) != b)
+    if off.any():
+        value = np.asarray(b)[off][0] if off.ndim else b
+        raise NotASubfield(f"value {value} is not in the embedded copy of {src!r} in {dst!r}")
+    return a
+
+
+@functools.cache
+def _trace(src: GF, dst: GF, base: GF) -> _LinearMap:
+    """Tr_{src/base} on src's power basis: each image is the sum of the
+    conjugates of the basis element's embedded copy in dst, and y -> y^|base|
+    is itself F_p-linear on dst, so the sum is one of digit matrices."""
+    if src.p != base.p or src.t % base.t != 0:
+        raise NoEmbedding(f"{base!r} is not a subfield of {src!r}")
+    emb = _embedding(src, dst)
+    frobenius = _LinearMap(dst, dst, [dst.pow_(dst.pow_(dst.gen, i), base.order) for i in range(dst.t)])
+    y = acc = emb.mat  # the digits of the embedded x^i
+    for _ in range(src.t // base.t - 1):
+        y = y @ frobenius.mat % src.p
+        acc = acc + y
+    return _LinearMap(src, base, restrict(base, dst, acc % src.p @ emb.dst_places))
+
+
+def trace(src: GF, dst: GF, base: GF, a):
+    """The relative trace Tr_{src/base} of src's element(s) a: the sum of the
+    conjugates a^(|base|^j), 0 <= j < [src : base], taken in dst on the
+    embedded copy of src and pulled back along base's embedding in dst."""
+    return _trace(src, dst, base)(a)
+
+
+@functools.cache
+def _trace_gram(src: GF, dst: GF, base: GF) -> np.ndarray:
+    """The trace form on src's power basis: Tr_{src/base}(x^(i + j)) at
+    (i, j), for i, j < src.t."""
+    traces = _trace(src, dst, base)([src.pow_(src.gen, k) for k in range(2 * src.t - 1)])
+    return traces[np.add.outer(np.arange(src.t), np.arange(src.t))]
+
+
+def trace_form(src: GF, dst: GF, base: GF, b):
+    """The F_p-linear maps a -> Tr_{src/base}(a * b_j), one per element b_j
+    of b, traced as in trace: called on a value or an array a, they give
+    Tr(a * b_j) with b's shape appended.  Their images on src's power basis,
+    Tr(x^i * b), are linear in b with the images Tr(x^(i + j)), so no
+    product is taken in src."""
+    images = _LinearMap(src, base, _trace_gram(src, dst, base))(b)
+    return _LinearMap(src, base, np.moveaxis(images, -1, 0))
 
 
 def _least_root_of_modulus(src: GF, dst: GF) -> int:
@@ -563,14 +661,9 @@ def _element_of_order(fld: GF, m: int) -> int:
 
 
 def unembed(a: Felt, source: GF) -> Felt:
-    """The record of source whose canonical embedding is a, through
-    _embedding_pair's inverse; raises NotASubfield off the image.  Kept for
-    the benchmark harness only, like Felt."""
-    _, inv = _embedding_pair(source, a.field)
-    try:
-        return Felt(source, inv[a.val])
-    except KeyError:
-        raise NotASubfield(f"value {a.val} is not in the embedded copy of {source!r}")
+    """The record of source whose canonical embedding is a: restrict on one
+    value.  Kept for the benchmark harness only, like Felt."""
+    return Felt(source, restrict(source, a.field, a.val))
 
 
 def primitive_mth_root(field: GF, m: int) -> int:

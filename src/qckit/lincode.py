@@ -173,7 +173,11 @@ class LinearCode:
 
 def _indices(field: GF, values) -> list[int]:
     """values as element indices of field; MixedFields for an entry that is
-    not an integer in [0, |F|), so floats are never truncated."""
+    not an integer in [0, |F|), so floats are never truncated and booleans
+    (JSON true) never read as 1."""
+    values = list(values)
+    if any(isinstance(v, bool) for v in values):
+        raise MixedFields(f"boolean element index for {field!r}")
     try:
         out = [operator.index(v) for v in values]
     except TypeError:

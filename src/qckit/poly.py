@@ -25,11 +25,12 @@ from .errors import (
     FactorProductMismatch,
     MinimalPolynomialMismatch,
     MixedFields,
+    NotASubfield,
     NotCoprime,
     ReciprocalMismatch,
     ZeroConstantTerm,
 )
-from .gf import GF, _embedding_pair, field_make, is_prime, multiplicative_order, primitive_mth_root
+from .gf import GF, embed, field_make, is_prime, multiplicative_order, primitive_mth_root, restrict
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,9 @@ class Poly:
 
     def eval_in(self, big: GF, x: int) -> int:
         """Evaluate at a point of an extension, embedding the coefficients."""
-        fwd, _ = _embedding_pair(self.field, big)
         acc = 0
         for c in reversed(self.coeffs):
-            acc = big.add(big.mul(acc, x), int(fwd[c]))
+            acc = big.add(big.mul(acc, x), embed(self.field, big, c))
         return acc
 
     def reciprocal(self) -> "Poly":
@@ -252,17 +252,18 @@ def factor_xm1(q_field: GF, m: int) -> FactorSet:
     w = 1 if m == 1 else multiplicative_order(q, m)
     K = field_make(q_field.p, q_field.t * w, order_cap=None)
     alpha = primitive_mth_root(K, m)
-    _, back = _embedding_pair(q_field, K)
 
     coset_factor: dict[tuple[int, ...], Poly] = {}
     for coset in table.cosets:
         mp = Poly.one(K)
         for c in coset:
             mp = mp * Poly(K, (K.neg(K.pow_(alpha, c)), 1))
-        if any(c not in back for c in mp.coeffs):
+        try:
+            coeffs = restrict(q_field, K, list(mp.coeffs))
+        except NotASubfield:
             raise MinimalPolynomialMismatch(
-                f"the product over coset {coset}, {mp}, has a coefficient outside {q_field!r}")
-        coset_factor[coset] = Poly(q_field, tuple(back[c] for c in mp.coeffs))
+                f"the product over coset {coset}, {mp}, has a coefficient outside {q_field!r}") from None
+        coset_factor[coset] = Poly(q_field, tuple(coeffs.tolist()))
 
     pairs = []
     selfrec = []

@@ -21,8 +21,10 @@ duals on self-reciprocal slots (Euclidean on the degree-one x -+ 1 slots).
 from __future__ import annotations
 
 import copy
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .errors import (
     SlotSNotESO,
     UnknownConstituentDistance,
 )
-from .gf import GF, _embedding_pair, field_make
+from .gf import GF, embed, field_make, restrict, trace_form
 from .lincode import (
     DEFAULT_BUDGET,
     LinearCode,
@@ -71,6 +73,10 @@ class Slot:
     degree: int
     cfield: GF
     exceptional: bool  # x - 1, or x + 1 with q odd: Euclidean duality applies
+    # trace_terms() is the maps c -> Tr(c * alpha^(-g * exponent)), g < m: the
+    # slot's terms of the trace formula for constituent entries c, built on
+    # first use
+    trace_terms: Callable = dataclass_field(compare=False, repr=False)
 
     @property
     def label(self) -> str:
@@ -95,25 +101,31 @@ class CrtDecomposition:
         self._alpha_pows = [1] * m
         for i in range(1, m):
             self._alpha_pows[i] = K.mul(self._alpha_pows[i - 1], self.alpha)
+
+        def terms(cf: GF, u: int):
+            # alpha^(-g u) lies in the embedded copy of cf
+            points = [self._alpha_pows[-g * u % m] for g in range(m)]
+            return functools.cache(lambda: trace_form(cf, K, q_field, restrict(cf, K, points)))
+
         slots = []
         for j, (g, gs) in enumerate(self.factors.pairs):
             v = self.factors.rep(g)
             d = g.degree
             cf = field_make(q_field.p, q_field.t * d)
-            slots.append(Slot("pair_g", j, g, v, d, cf, False))
-            slots.append(Slot("pair_gstar", j, gs, (m - v) % m, d, cf, False))
+            w = (m - v) % m
+            slots.append(Slot("pair_g", j, g, v, d, cf, False, terms(cf, v)))
+            slots.append(Slot("pair_gstar", j, gs, w, d, cf, False, terms(cf, w)))
         for i, f in enumerate(self.factors.selfrec):
             u = self.factors.rep(f)
             d = f.degree
             cf = field_make(q_field.p, q_field.t * d)
             exceptional = d == 1 and (2 * u) % m == 0
-            slots.append(Slot("selfrec", i, f, u, d, cf, exceptional))
+            slots.append(Slot("selfrec", i, f, u, d, cf, exceptional, terms(cf, u)))
         self.slots: tuple[Slot, ...] = tuple(slots)
-        self._trace_tabs: dict[int, np.ndarray] = {}
 
     def with_ell(self, ell: int) -> "CrtDecomposition":
-        """The same ring at index ell.  The factors, slots and trace tables
-        depend on (q, m) alone, so the two share them."""
+        """The same ring at index ell.  The factors and the slots, with their
+        trace-formula maps, depend on (q, m) alone, so the two share them."""
         if ell < 1:
             raise LengthMismatch("index ell must be >= 1")
         out = copy.copy(self)
@@ -136,25 +148,6 @@ class CrtDecomposition:
 
     def alpha_pow(self, e: int) -> int:
         return self._alpha_pows[e % self.m]
-
-    def _trace_table(self, cfield: GF) -> np.ndarray:
-        """Relative trace down to F_q of every element of the constituent
-        field, indexed by its value in cfield; computed in K on the embedded
-        copy."""
-        key = cfield.t
-        tab = self._trace_tabs.get(key)
-        if tab is not None:
-            return tab
-        K, base = self.common_field, self.q_field
-        fwd, _ = _embedding_pair(cfield, K)
-        _, base_inv = _embedding_pair(base, K)
-        acc = y = fwd
-        for _ in range(cfield.t // base.t - 1):
-            y = K.pow_arr(y, base.order)
-            acc = K.add_arr(acc, y)
-        tab = np.array([base_inv[int(z)] for z in acc], dtype=np.int64)
-        self._trace_tabs[key] = tab
-        return tab
 
     def to_json(self) -> dict:
         return {
@@ -375,21 +368,17 @@ def dim_from_constituents(decomp: CrtDecomposition, assignment: ConstituentAssig
 def assemble_qc(decomp: CrtDecomposition, assignment: ConstituentAssignment) -> QcCode:
     """Span the trace formula over an F_q-basis of every constituent code."""
     assignment.validate(decomp)
-    K = decomp.common_field
     m, ell = decomp.m, decomp.ell
     blocks = []
     for slot, code in assignment.slot_codes(decomp):
         if code.k == 0:
             continue
         F = slot.cfield
-        _, back = _embedding_pair(F, K)
-        trace_tab = decomp._trace_table(F)
-        # alpha^(-g u) lies in the embedded copy of F, so the products are taken in F
-        apow = np.array([back[decomp.alpha_pow(-g * slot.exponent)] for g in range(m)], dtype=np.int64)
         basis = np.array([F.pow_(F.gen, i) for i in range(slot.degree)], dtype=np.int64)
-        coef = F.mul_arr(basis[:, None], apow[None, :])  # (degree, m)
+        # the rows times an F_q-basis of F span the code over F_q
+        spanning = F.mul_arr(code.gen[:, None, :], basis[None, :, None])  # (row, basis element, j)
         # entry (row, basis element, g, j) of the trace formula
-        vals = trace_tab[F.mul_arr(code.gen[:, None, None, :], coef[None, :, :, None])]
+        vals = slot.trace_terms()(spanning).transpose(0, 1, 3, 2)
         blocks.append(vals.reshape(-1, m * ell))
     rows = np.concatenate(blocks) if blocks else np.zeros((0, m * ell), dtype=np.int64)
     lin = code_from_rows(decomp.q_field, m * ell, rows)
@@ -409,13 +398,11 @@ def constituent_at_exponent(decomp: CrtDecomposition, flat: LinearCode, exp: int
     coset = decomp.factors.cosets.coset_of(exp)
     d = len(coset)
     cfield = field_make(base.p, base.t * d)
-    _, back = _embedding_pair(cfield, K)
-    fwd_base, _ = _embedding_pair(base, K)
     # entry (r*ell + j, i) is the x^i coefficient of column j of flat row r
-    coef = fwd_base[flat.gen].reshape(-1, m, ell).transpose(0, 2, 1).reshape(-1, m)
+    coef = embed(base, K, flat.gen).reshape(-1, m, ell).transpose(0, 2, 1).reshape(-1, m)
     powers = np.array(decomp._alpha_pows, dtype=np.int64)[exp * np.arange(m) % m]
     vals = _matmul(K, coef, powers[:, None])
-    rows = np.array([back[int(v)] for v in vals[:, 0]], dtype=np.int64).reshape(-1, ell)
+    rows = restrict(cfield, K, vals[:, 0]).reshape(-1, ell)
     return code_from_rows(cfield, ell, rows)
 
 

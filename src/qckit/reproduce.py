@@ -19,7 +19,7 @@ from importlib import resources
 from math import sqrt
 
 
-from .gf import _embedding_pair, field_make
+from .gf import field_make, restrict
 from .lincode import (
     LinearCode,
     code_from_rows,
@@ -318,7 +318,7 @@ def run_cor35(budget: int = 2**24, long_mode: bool = False) -> RunReport:
     F243 = sg.cfield
     # the generator "alpha" of the worked example is the slot's own evaluation
     # point: the residue of x in F_3[x]/(g), i.e. the canonical root of g
-    a = _embedding_pair(F243, decomp.common_field)[1][decomp.alpha_pow(sg.exponent)]
+    a = restrict(F243, decomp.common_field, decomp.alpha_pow(sg.exponent))
     row2 = [F243.pow_(a, i) for i in range(1, 6)]
     cp = code_from_rows(F243, 5, [fx["cprime_first_row"], row2])
     rep.check("first constituent is a [5,2,4] code", "cor35-example/constituents",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import operator
 
-from .errors import FieldMismatch, NotAnInteger, QCKitError
+from .errors import FieldMismatch, NotABoolean, NotAnInteger, QCKitError
 from .gf import GF, field_make
 from .lincode import LinearCode, code_from_rows, zero_code
 from .qc import (
@@ -35,11 +35,14 @@ from .qc import (
 
 def _integer(obj: dict, key: str) -> int:
     """obj[key] as an int; NotAnInteger for anything else, so a float is
-    never truncated."""
-    try:
-        return operator.index(obj[key])
-    except TypeError:
-        raise NotAnInteger(f"{key!r} must be an integer, got {obj[key]!r}") from None
+    never truncated and a boolean (JSON true) never reads as 1."""
+    value = obj[key]
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise NotAnInteger(f"{key!r} must be an integer, got {value!r}")
 
 
 def field_from_json(obj: dict) -> GF:
@@ -57,7 +60,10 @@ def code_from_json(obj: dict) -> LinearCode:
 def _distance_from_json(obj) -> DistanceInfo | None:
     if obj is None:
         return None
-    return DistanceInfo(_integer(obj, "value"), bool(obj.get("exact", False)), obj.get("how", "given"))
+    exact = obj.get("exact", False)
+    if not isinstance(exact, bool):  # bool("false") would mark the distance exact
+        raise NotABoolean(f"'exact' must be a boolean, got {exact!r}")
+    return DistanceInfo(_integer(obj, "value"), exact, obj.get("how", "given"))
 
 
 def assignment_from_spec(spec: dict) -> tuple[CrtDecomposition, ConstituentAssignment]:

@@ -7,7 +7,7 @@ from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
 from qckit.cli import main
-from qckit.errors import BudgetExceeded, NotAnInteger
+from qckit.errors import BudgetExceeded, MixedFields, NotABoolean, NotAnInteger
 from qckit.reproduce import run_example42
 from qckit.serial import assignment_from_spec, code_from_json
 
@@ -130,6 +130,8 @@ NON_INTEGRAL_CODES = [
     {"field": {"p": 5.7, "t": 1.2}, "n": 2.9, "rows": [[1, 2]]},  # once a [2,1] code over GF(5)
     {"field": {"p": 5, "t": 1}, "n": 2.0, "rows": [[1, 2]]},
     {"field": {"p": 5, "t": "1"}, "n": 2, "rows": [[1, 2]]},
+    {"field": {"p": 5, "t": 1}, "n": True, "rows": [[1]]},  # once a [1,1] code
+    {"field": {"p": 5, "t": True}, "n": 2, "rows": [[1, 2]]},
 ]
 
 
@@ -142,21 +144,31 @@ def test_code_from_json_rejects_non_integral_fields(raw):
 @pytest.mark.parametrize("where,value", [
     (("m",), 7.0), (("ell",), 3.5), (("pairs", 0, "rep"), 12.0),
     (("pairs", 0, "cprime_distance", "value"), 3.2),
+    # JSON true is no integer: it once read as m = 1, ell = 1, rep 1 and the element 1
+    (("m",), True), (("ell",), True), (("pairs", 0, "rep"), True),
+    (("pairs", 0, "cprime_rows", 0, 0), True),
+    # bool("false") once marked a given distance exact
+    (("pairs", 0, "cprime_distance", "exact"), "false"),
+    (("pairs", 0, "cprime_distance", "exact"), 1),
 ])
 def test_assignment_from_spec_rejects_non_integral_fields(where, value):
-    def spec(v):
+    def spec(*v):
         out = {"q": {"p": 2, "t": 2}, "m": 7, "ell": 3,
                "pairs": [{"rep": 5, "cprime_rows": [[2, 2, 2]],
                           "cprime_distance": {"value": 3, "exact": True}}]}
-        node = out
-        for key in where[:-1]:
-            node = node[key]
-        node[where[-1]] = v
+        if v:
+            node = out
+            for key in where[:-1]:
+                node = node[key]
+            node[where[-1]] = v[0]
         return out
 
-    with pytest.raises(NotAnInteger):
+    error = (NotABoolean if where[-1] == "exact" else
+             MixedFields if "cprime_rows" in where else NotAnInteger)
+    with pytest.raises(error):
         assignment_from_spec(spec(value))
-    _, assignment = assignment_from_spec(spec(int(value)))  # rep 12 reads as 5 mod 7
+    # a float's integer part is valid (rep 12 reads as 5 mod 7), and so is the spec as it was
+    _, assignment = assignment_from_spec(spec(int(value)) if isinstance(value, float) else spec())
     assert assignment.pairs[0].cprime.k == 1
 
 

@@ -15,13 +15,16 @@ from qckit.gf import (
     ADD_TABLE_MAX_ORDER,
     GF,
     Felt,
-    _embedding_pair,
     _is_irreducible,
+    embed,
     field_from_order,
     field_make,
     is_prime,
     multiplicative_order,
     primitive_mth_root,
+    restrict,
+    trace,
+    trace_form,
     unembed,
 )
 from qckit.lincode import _check_conj_base, code_from_rows, code_power_q
@@ -100,14 +103,13 @@ def test_field_axioms_randomized():
 
 def test_felt_operators_and_errors():
     # Felt is a bare (field, index) record for the benchmark harness: no
-    # arithmetic of its own, and unembed is _embedding_pair's inverse on it
+    # arithmetic of its own, and unembed is restrict on it
     f4, f64 = field_make(2, 2), field_make(2, 6)
     assert [name for name in vars(Felt) if not name.startswith("__")] == []
     with pytest.raises(TypeError):
         _ = Felt(f4, 2) + Felt(f4, 2)
-    fwd, inv = _embedding_pair(f4, f64)
-    assert unembed(Felt(f64, int(fwd[3])), f4) == Felt(f4, 3)
-    off_image = next(x for x in range(64) if x not in inv)
+    assert unembed(Felt(f64, embed(f4, f64, 3)), f4) == Felt(f4, 3)
+    off_image = next(x for x in range(64) if x not in embed(f4, f64, np.arange(4)))
     with pytest.raises(NotASubfield):
         unembed(Felt(f64, off_image), f4)
 
@@ -145,14 +147,15 @@ def test_frobenius_fixes_exactly_the_subfield():
 
 
 def test_trace_examples():
-    # the relative trace of a constituent field down to F_q is
-    # CrtDecomposition._trace_table, indexed by the element
-    f4 = field_make(2, 2)
-    dec = decompose_ring(field_make(2, 1), 3, 1)  # x^3 - 1 = (x - 1)(x^2 + x + 1): F_4 constituent
+    # the relative trace of a constituent field down to F_q, taken in the
+    # decomposition's common field K
+    f2, f4 = field_make(2, 1), field_make(2, 2)
+    dec = decompose_ring(f2, 3, 1)  # x^3 - 1 = (x - 1)(x^2 + x + 1): F_4 constituent
     # Tr(0) = 0, Tr(1) = 1 + 1 = 0, Tr(w) = w + w^2 = 1, Tr(w + 1) = 1
-    assert dec._trace_table(f4).tolist() == [0, 0, 1, 1]
+    assert trace(f4, dec.common_field, f2, np.arange(4)).tolist() == [0, 0, 1, 1]
+    assert trace(f4, dec.common_field, f2, 2) == 1
     with pytest.raises(NoEmbedding):
-        dec._trace_table(field_make(3, 1))
+        trace(field_make(3, 1), dec.common_field, f2, 0)
 
 
 def test_trace_linear_and_surjective():
@@ -164,11 +167,10 @@ def test_trace_linear_and_surjective():
         dec = decompose_ring(base, m, 1)
         K = dec.common_field
         for cf in {s.cfield for s in dec.slots if s.degree > 1}:
-            tab = dec._trace_table(cf)
+            tab = trace(cf, K, base, np.arange(cf.order))
             assert set(tab.tolist()) == set(range(q))  # surjective onto F_q
             # F_q-linear, with F_q inside cf as the elements that K's copy of F_q pulls back to
-            _, inv_cf = _embedding_pair(cf, K)
-            scalars = np.array([inv_cf[int(v)] for v in _embedding_pair(base, K)[0]])
+            scalars = restrict(cf, K, embed(base, K, np.arange(q)))
             a, b = rng.integers(0, cf.order, size=(2, 25))
             c = rng.integers(0, q, size=25)
             assert (tab[cf.add_arr(a, b)] == base.add_arr(tab[a], tab[b])).all()
@@ -177,8 +179,8 @@ def test_trace_linear_and_surjective():
 
 def test_embed_least_root_and_hom():
     f2, f4, f64 = field_make(2, 1), field_make(2, 2), field_make(2, 6)
-    assert _embedding_pair(f2, f4)[0].tolist() == [0, 1]
-    fwd, inv = _embedding_pair(f4, f64)
+    assert embed(f2, f4, np.arange(2)).tolist() == [0, 1]
+    fwd = embed(f4, f64, np.arange(4))
     # oracle: enumerate the roots of x^2 + x + 1 in F_64 ascending
     roots = [x for x in range(64) if f64.add(f64.mul(x, x), f64.add(x, 1)) == 0]
     assert fwd[2] == min(roots) == 58
@@ -186,10 +188,13 @@ def test_embed_least_root_and_hom():
     assert (fwd[f4.add_arr(x[:, None], x)] == f64.add_arr(fwd[:, None], fwd)).all()
     assert (fwd[f4.mul_arr(x[:, None], x)] == f64.mul_arr(fwd[:, None], fwd)).all()
     # the inverse map holds the image and nothing else
-    assert inv == {int(v): i for i, v in enumerate(fwd)} and len(inv) == 4
+    assert restrict(f4, f64, fwd).tolist() == [0, 1, 2, 3]
+    for y in set(range(64)) - set(fwd.tolist()):
+        with pytest.raises(NotASubfield):
+            restrict(f4, f64, y)
     for dst in (field_make(2, 3), field_make(3, 2)):
         with pytest.raises(NoEmbedding):
-            _embedding_pair(f4, dst)
+            embed(f4, dst, 1)
 
 
 def test_embed_tower_prime_base():
@@ -197,8 +202,8 @@ def test_embed_tower_prime_base():
     for (p, a, b) in ((2, 2, 6), (3, 2, 4), (5, 1, 2)):
         Fa, Fb = field_make(p, a), field_make(p, b if b % a == 0 else a * b)
         base = field_make(p, 1)
-        to_a, to_b = _embedding_pair(base, Fa)[0], _embedding_pair(base, Fb)[0]
-        assert (_embedding_pair(Fa, Fb)[0][to_a] == to_b).all()
+        x = np.arange(p)
+        assert (embed(Fa, Fb, embed(base, Fa, x)) == embed(base, Fb, x)).all()
 
 
 @pytest.mark.xfail(strict=True,
@@ -206,8 +211,83 @@ def test_embed_tower_prime_base():
                           "F_8 in F_64 in F_4096 composes to a different root")
 def test_embed_tower_extension_base_known_exception():
     f8, f64, f4096 = field_make(2, 3), field_make(2, 6), field_make(2, 12)
-    to_64 = _embedding_pair(f8, f64)[0]
-    assert (_embedding_pair(f64, f4096)[0][to_64] == _embedding_pair(f8, f4096)[0]).all()
+    x = np.arange(8)
+    assert (embed(f64, f4096, embed(f8, f64, x)) == embed(f8, f4096, x)).all()
+
+
+def reference_embedding(src, dst):
+    """The canonical embedding over the whole of src as a dict: the identity
+    on a prime field or on dst itself, otherwise the power map x^i -> r^i for
+    the least root r of src's modulus, found by scanning every element of dst."""
+    if src == dst or src.t == 1:
+        return {a: a for a in range(src.order)}
+
+    def at(poly, x):
+        acc = 0
+        for c in reversed(poly):
+            acc = dst.add(dst.mul(acc, x), c)
+        return acc
+
+    root = min(x for x in range(dst.order) if at(src.modulus, x) == 0)
+    powers = [dst.pow_(root, i) for i in range(src.t)]
+    out = {}
+    for a in range(src.order):
+        acc = 0
+        for c, pw in zip(src.coeffs(a), powers):
+            acc = dst.add(acc, dst.mul(c, pw))
+        out[a] = acc
+    return out
+
+
+def reference_trace(src, dst, base):
+    """Tr_{src/base} over the whole of src as a list: the sum of the
+    Frobenius powers y^(|base|^j) of src's embedded copy y in dst, pulled
+    back along base's embedding in dst."""
+    back = {v: c for c, v in reference_embedding(base, dst).items()}
+    fwd = reference_embedding(src, dst)
+    out = []
+    for a in range(src.order):
+        acc = 0
+        for j in range(src.t // base.t):
+            acc = dst.add(acc, dst.pow_(fwd[a], base.order**j))
+        out.append(back[acc])
+    return out
+
+
+# every field pair the embedding and trace tests above use: (p, t) of source
+# and target, and the (q, m) of the trace tests' decompositions
+EMBED_PAIRS = [((2, 1), (2, 2)), ((2, 2), (2, 6)), ((2, 1), (2, 6)), ((3, 1), (3, 2)),
+               ((3, 2), (3, 4)), ((3, 1), (3, 4)), ((5, 1), (5, 1)), ((5, 1), (5, 2)),
+               ((2, 3), (2, 6)), ((2, 6), (2, 12)), ((2, 3), (2, 12))]
+TRACE_RINGS = [(2, 3), (4, 5), (4, 9), (9, 5), (8, 9), (2, 21)]
+
+
+def test_field_maps_match_whole_field_reference():
+    pairs = {(field_make(*s), field_make(*d)) for s, d in EMBED_PAIRS}
+    traces = set()
+    for q, m in TRACE_RINGS:
+        dec = decompose_ring(field_from_order(q), m, 1)
+        K = dec.common_field
+        for cf in {s.cfield for s in dec.slots}:
+            traces.add((cf, K, dec.q_field))
+            pairs |= {(cf, K), (dec.q_field, K)}
+    assert len(pairs) == 16 and len(traces) == 14
+    for src, dst in pairs:
+        ref = reference_embedding(src, dst)
+        x = np.arange(src.order)
+        assert embed(src, dst, x).tolist() == [ref[a] for a in x], (src, dst)
+        assert [embed(src, dst, int(a)) for a in x] == [ref[a] for a in x]
+        assert restrict(src, dst, embed(src, dst, x)).tolist() == x.tolist()
+        for y in sorted(set(range(dst.order)) - set(ref.values())):
+            with pytest.raises(NotASubfield):
+                restrict(src, dst, y)
+    for src, dst, base in traces:
+        ref = reference_trace(src, dst, base)
+        x = np.arange(src.order)
+        assert trace(src, dst, base, x).tolist() == ref
+        # the trace form: Tr(a * b) at (a, b), for every pair
+        assert (trace_form(src, dst, base, x)(x) == np.array(ref)[src.mul_arr(x[:, None], x)]).all()
+        assert trace_form(src, dst, base, 1)(2 % src.order) == ref[2 % src.order]
 
 
 def test_primitive_mth_root():
@@ -254,7 +334,7 @@ def test_trace_identity_on_same_field():
     f4 = field_make(2, 2)
     dec = decompose_ring(f4, 5, 1)
     assert dec.slots[-1].cfield == f4
-    assert dec._trace_table(f4).tolist() == [0, 1, 2, 3]
+    assert trace(f4, dec.common_field, f4, np.arange(4)).tolist() == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("raw_mul", [

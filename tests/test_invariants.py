@@ -47,3 +47,20 @@ def test_no_polynomial_division_or_gcd_in_library():
              for node in ast.walk(tree)
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in banned]
     assert found == [], f"polynomial division or gcd in the library: {found}"
+
+
+def test_no_private_gf_name_outside_gf():
+    # the field maps have one body, in gf.py: other modules embed, restrict
+    # and trace through the public functions, never through gf's private
+    # helpers, so no second whole-field table can grow around them
+    found = []
+    for name, tree in library_trees():
+        if name == "gf.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "gf":
+                found += [f"{name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "gf" and node.attr.startswith("_")):
+                found.append(f"{name}:{node.lineno} gf.{node.attr}")
+    assert found == [], f"private gf names outside gf.py: {found}"

@@ -187,9 +187,9 @@ def run_family_sqrt_suite():
     dec = decompose_ring(f3, 11, 5)
     sg = dec.pair_slots[0][0]
     F243 = sg.cfield
-    from qckit.gf import _embedding_pair
+    from qckit.gf import restrict
 
-    a = _embedding_pair(F243, dec.common_field)[1][dec.alpha_pow(sg.exponent)]
+    a = restrict(F243, dec.common_field, dec.alpha_pow(sg.exponent))
     cp = code_from_rows(F243, 5, [(1, 2, 1, 2, 1), [F243.pow_(a, i) for i in range(1, 6)]])
     cs = code_from_rows(f3, 5, [(1, 1, 1, 0, 0), (1, 2, 0, 1, 0)])
     asn = ConstituentAssignment(

@@ -12,7 +12,7 @@ from qckit.errors import (
     SlotSNotESO,
 )
 from qckit import lincode
-from qckit.gf import _embedding_pair, field_make
+from qckit.gf import field_make, restrict
 from qckit.lincode import (
     code_from_rows,
     code_power_q,
@@ -168,6 +168,17 @@ def test_assemble_trivial(dec47):
     assert assemble_qc(dec47, assignment_all_full(dec47)).k == 21
 
 
+@pytest.mark.parametrize("q,m,rank", [(3, 23, 46), (2, 41, 82)])
+def test_full_assembly_over_large_constituent_fields(q, m, rank):
+    # the constituent fields F_3^11 and F_2^20 lie above LOG_MAX_ORDER; the
+    # embedding, its inverse and the trace act on the values that occur, so
+    # assembly does not walk the whole field
+    dec = decompose_ring(field_make(q, 1), m, 2)
+    assert {s.cfield.order for s in dec.slots} == {q, q ** ((m - 1) // 2)}
+    qc = assemble_qc(dec, assignment_all_full(dec))
+    assert qc.k == rank and is_shift_invariant(qc)
+
+
 def test_assemble_example(ex41, dec47):
     assert (ex41.n, ex41.k) == (21, 12)
     assert dim_from_constituents(dec47, ex41.assignment) == 12
@@ -286,7 +297,7 @@ def _cor35_plan(u_max=3, materialize_max=60):
     dec = decompose_ring(F3, 11, 5)
     sg = dec.pair_slots[0][0]
     F243 = sg.cfield
-    a = _embedding_pair(F243, dec.common_field)[1][dec.alpha_pow(sg.exponent)]
+    a = restrict(F243, dec.common_field, dec.alpha_pow(sg.exponent))
     cp = code_from_rows(F243, 5, [(1, 2, 1, 2, 1), [F243.pow_(a, i) for i in range(1, 6)]])
     cs = code_from_rows(F3, 5, [(1, 1, 1, 0, 0), (1, 2, 0, 1, 0)])
     asn = ConstituentAssignment(
@@ -490,7 +501,7 @@ def family_plans() -> dict:
     fx = load_tables()
     dec = decompose_ring(F3, 11, 5)
     F243 = dec.pair_slots[0][0].cfield
-    a = _embedding_pair(F243, dec.common_field)[1][dec.alpha_pow(dec.pair_slots[0][0].exponent)]
+    a = restrict(F243, dec.common_field, dec.alpha_pow(dec.pair_slots[0][0].exponent))
     cp = code_from_rows(F243, 5, [fx["cor35"]["cprime_first_row"],
                                   [F243.pow_(a, i) for i in range(1, 6)]])
     cor35 = ConstituentAssignment(
@@ -598,7 +609,7 @@ def test_elimination_counts(ex41, monkeypatch):
 
 
 def test_build_family_factors_once(monkeypatch):
-    # every level shares level 1's factors, slots and trace tables
+    # every level shares level 1's factors and slots, with their trace-formula maps
     calls = []
     factor = qc_module.factor_xm1
     monkeypatch.setattr(qc_module, "factor_xm1", lambda *args: calls.append(args) or factor(*args))
