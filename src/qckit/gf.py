@@ -515,29 +515,39 @@ class _LinearMap:
     1, x, ..., x^(t-1): images[i] is the image of x^i, an element of dst or
     an array of them, one per map.  The maps are held as one matrix over F_p
     with src.t rows, holding the images' base-p digits: an element's images
-    are its digit vector times the matrix.  Calling it on a value or an array
-    of values gives their images, with the maps' shape appended; an int with
-    one map gives an int.  Indices and digit products that int64 cannot hold
-    (splitting fields may exceed DEFAULT_ORDER_CAP) are Python ints in object
-    arrays."""
+    are its digit vector times the matrix, one lincode._matmul over F_p.
+    Calling it on a value or an array of values gives their images, with the
+    maps' shape appended; an int with one map gives an int.  Indices that
+    int64 cannot hold (splitting fields may exceed DEFAULT_ORDER_CAP) are
+    Python ints in object arrays."""
 
     def __init__(self, src: GF, dst: GF, images):
-        self.p = p = src.p
-        exact = max(src.order, dst.order) <= DEFAULT_ORDER_CAP and src.t * (p - 1) ** 2 < 2**63
-        self.dtype = np.dtype(np.int64 if exact else object)
-        self.src_places = np.array([p**i for i in range(src.t)], dtype=self.dtype)
-        self.dst_places = np.array([p**i for i in range(dst.t)], dtype=self.dtype)
+        self.fp = field_make(src.p, 1)
+        self.dtype = np.dtype(np.int64 if max(src.order, dst.order) <= DEFAULT_ORDER_CAP else object)
+        self.src_t, self.dst_t = src.t, dst.t
         images = np.asarray(images, dtype=self.dtype)
         self.shape = images.shape[1:]
-        self.mat = self._digits(images, self.dst_places).reshape(src.t, -1)
+        self.mat = self._digits(images, dst.t).reshape(src.t, -1)
 
-    def _digits(self, a, places) -> np.ndarray:
-        return np.asarray(a, dtype=self.dtype)[..., None] // places % self.p
+    def _digits(self, a, t: int) -> np.ndarray:
+        """The t base-p digits of indices a, along a new last axis."""
+        p = self.fp.p
+        places = np.array([p**i for i in range(t)], dtype=self.dtype)
+        return (np.asarray(a, dtype=self.dtype)[..., None] // places % p).astype(np.int64, copy=False)
+
+    def _indices(self, digits: np.ndarray) -> np.ndarray:
+        """The indices whose base-p digits run along the last axis (Horner)."""
+        out = digits[..., -1].astype(self.dtype, copy=False)
+        for i in range(digits.shape[-1] - 2, -1, -1):
+            out = out * self.fp.p + digits[..., i]
+        return out
 
     def __call__(self, a):
-        d = self._digits(a, self.src_places) @ self.mat % self.p
-        out = d.reshape(np.shape(a) + self.shape + self.dst_places.shape) @ self.dst_places
-        return out if np.ndim(out) else int(out)
+        from .lincode import _matmul  # lincode imports this module
+
+        d = _matmul(self.fp, self._digits(a, self.src_t).reshape(-1, self.src_t), self.mat)
+        out = self._indices(d.reshape(np.shape(a) + self.shape + (self.dst_t,)))
+        return out if out.ndim else int(out)
 
 
 @functools.cache
@@ -563,7 +573,7 @@ def _restriction(src: GF, dst: GF) -> _LinearMap:
     if src == dst or src.t == 1:
         return _LinearMap(dst, src, [src.p**i if i < src.t else 0 for i in range(dst.t)])
     emb = _embedding(src, dst)
-    red, pivots = _rref(field_make(src.p, 1), np.concatenate([emb.mat, np.eye(src.t, dtype=np.int64)], axis=1))
+    red, pivots = _rref(emb.fp, np.concatenate([emb.mat, np.eye(src.t, dtype=np.int64)], axis=1))
     images = [0] * dst.t
     for k, col in enumerate(pivots):
         images[col] = src.from_coeffs(int(c) for c in red[k, dst.t:])
@@ -591,15 +601,17 @@ def _trace(src: GF, dst: GF, base: GF) -> _LinearMap:
     """Tr_{src/base} on src's power basis: each image is the sum of the
     conjugates of the basis element's embedded copy in dst, and y -> y^|base|
     is itself F_p-linear on dst, so the sum is one of digit matrices."""
+    from .lincode import _matmul  # lincode imports this module
+
     if src.p != base.p or src.t % base.t != 0:
         raise NoEmbedding(f"{base!r} is not a subfield of {src!r}")
     emb = _embedding(src, dst)
     frobenius = _LinearMap(dst, dst, [dst.pow_(dst.pow_(dst.gen, i), base.order) for i in range(dst.t)])
     y = acc = emb.mat  # the digits of the embedded x^i
     for _ in range(src.t // base.t - 1):
-        y = y @ frobenius.mat % src.p
+        y = _matmul(emb.fp, y, frobenius.mat)
         acc = acc + y
-    return _LinearMap(src, base, restrict(base, dst, acc % src.p @ emb.dst_places))
+    return _LinearMap(src, base, restrict(base, dst, emb._indices(acc % src.p)))
 
 
 def trace(src: GF, dst: GF, base: GF, a):

@@ -23,8 +23,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass, field as dataclass_field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,10 +72,6 @@ class Slot:
     degree: int
     cfield: GF
     exceptional: bool  # x - 1, or x + 1 with q odd: Euclidean duality applies
-    # trace_terms() is the maps c -> Tr(c * alpha^(-g * exponent)), g < m: the
-    # slot's terms of the trace formula for constituent entries c, built on
-    # first use
-    trace_terms: Callable = dataclass_field(compare=False, repr=False)
 
     @property
     def label(self) -> str:
@@ -101,31 +96,24 @@ class CrtDecomposition:
         self._alpha_pows = [1] * m
         for i in range(1, m):
             self._alpha_pows[i] = K.mul(self._alpha_pows[i - 1], self.alpha)
-
-        def terms(cf: GF, u: int):
-            # alpha^(-g u) lies in the embedded copy of cf
-            points = [self._alpha_pows[-g * u % m] for g in range(m)]
-            return functools.cache(lambda: trace_form(cf, K, q_field, restrict(cf, K, points)))
-
         slots = []
         for j, (g, gs) in enumerate(self.factors.pairs):
             v = self.factors.rep(g)
             d = g.degree
             cf = field_make(q_field.p, q_field.t * d)
-            w = (m - v) % m
-            slots.append(Slot("pair_g", j, g, v, d, cf, False, terms(cf, v)))
-            slots.append(Slot("pair_gstar", j, gs, w, d, cf, False, terms(cf, w)))
+            slots.append(Slot("pair_g", j, g, v, d, cf, False))
+            slots.append(Slot("pair_gstar", j, gs, (m - v) % m, d, cf, False))
         for i, f in enumerate(self.factors.selfrec):
             u = self.factors.rep(f)
             d = f.degree
             cf = field_make(q_field.p, q_field.t * d)
             exceptional = d == 1 and (2 * u) % m == 0
-            slots.append(Slot("selfrec", i, f, u, d, cf, exceptional, terms(cf, u)))
+            slots.append(Slot("selfrec", i, f, u, d, cf, exceptional))
         self.slots: tuple[Slot, ...] = tuple(slots)
 
     def with_ell(self, ell: int) -> "CrtDecomposition":
-        """The same ring at index ell.  The factors and the slots, with their
-        trace-formula maps, depend on (q, m) alone, so the two share them."""
+        """The same ring at index ell.  The factors and slots depend on (q, m)
+        alone, so the two share them."""
         if ell < 1:
             raise LengthMismatch("index ell must be >= 1")
         out = copy.copy(self)
@@ -365,6 +353,16 @@ def dim_from_constituents(decomp: CrtDecomposition, assignment: ConstituentAssig
                        for sa, slot in zip(assignment.selfrec, decomp.selfrec_slots))
 
 
+@functools.cache
+def _trace_terms(cfield: GF, K: GF, q_field: GF, points: tuple[int, ...]):
+    """The maps c -> Tr(c * x^b * y) over the F_q-basis x^b of cfield and the
+    points y of K, which lie in the embedded copy of cfield: a slot's terms
+    of the trace formula, for its evaluation points alpha^(-g u)."""
+    basis = np.array([cfield.pow_(cfield.gen, b) for b in range(cfield.t // q_field.t)], dtype=np.int64)
+    # the products are taken in cfield
+    return trace_form(cfield, K, q_field, cfield.mul_arr(basis[:, None], restrict(cfield, K, points)[None, :]))
+
+
 def assemble_qc(decomp: CrtDecomposition, assignment: ConstituentAssignment) -> QcCode:
     """Span the trace formula over an F_q-basis of every constituent code."""
     assignment.validate(decomp)
@@ -373,13 +371,11 @@ def assemble_qc(decomp: CrtDecomposition, assignment: ConstituentAssignment) -> 
     for slot, code in assignment.slot_codes(decomp):
         if code.k == 0:
             continue
-        F = slot.cfield
-        basis = np.array([F.pow_(F.gen, i) for i in range(slot.degree)], dtype=np.int64)
-        # the rows times an F_q-basis of F span the code over F_q
-        spanning = F.mul_arr(code.gen[:, None, :], basis[None, :, None])  # (row, basis element, j)
-        # entry (row, basis element, g, j) of the trace formula
-        vals = slot.trace_terms()(spanning).transpose(0, 1, 3, 2)
-        blocks.append(vals.reshape(-1, m * ell))
+        points = tuple(decomp.alpha_pow(-g * slot.exponent) for g in range(m))
+        # entry (row, j, basis element, g) of the trace formula: the rows times
+        # an F_q-basis of the constituent field span the code over F_q
+        vals = _trace_terms(slot.cfield, decomp.common_field, decomp.q_field, points)(code.gen)
+        blocks.append(vals.transpose(0, 2, 3, 1).reshape(-1, m * ell))
     rows = np.concatenate(blocks) if blocks else np.zeros((0, m * ell), dtype=np.int64)
     lin = code_from_rows(decomp.q_field, m * ell, rows)
     expected = dim_from_constituents(decomp, assignment)

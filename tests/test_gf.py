@@ -156,6 +156,8 @@ def test_trace_examples():
     assert trace(f4, dec.common_field, f2, 2) == 1
     with pytest.raises(NoEmbedding):
         trace(field_make(3, 1), dec.common_field, f2, 0)
+    with pytest.raises(NoEmbedding):  # F_4 is no subfield of F_8
+        trace(field_make(2, 3), field_make(2, 6), f4, 0)
 
 
 def test_trace_linear_and_surjective():

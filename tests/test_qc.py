@@ -609,7 +609,7 @@ def test_elimination_counts(ex41, monkeypatch):
 
 
 def test_build_family_factors_once(monkeypatch):
-    # every level shares level 1's factors and slots, with their trace-formula maps
+    # every level shares level 1's factors and slots
     calls = []
     factor = qc_module.factor_xm1
     monkeypatch.setattr(qc_module, "factor_xm1", lambda *args: calls.append(args) or factor(*args))
