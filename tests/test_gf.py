@@ -287,8 +287,9 @@ def test_field_maps_match_whole_field_reference():
         ref = reference_trace(src, dst, base)
         x = np.arange(src.order)
         assert trace(src, dst, base, x).tolist() == ref
-        # the trace form: Tr(a * b) at (a, b), for every pair
-        assert (trace_form(src, dst, base, x)(x) == np.array(ref)[src.mul_arr(x[:, None], x)]).all()
+        # the trace form: Tr(a * b) at (a, b), for every pair, with b's shape kept
+        b = np.stack([x, x[::-1]])
+        assert (trace_form(src, dst, base, b)(x) == np.array(ref)[src.mul_arr(x[:, None, None], b)]).all()
         assert trace_form(src, dst, base, 1)(2 % src.order) == ref[2 % src.order]
 
 

@@ -8,7 +8,10 @@ field F_{q^d} (d the largest q-cyclotomic coset size mod m) has order at most
 2^62, so that its elements fit the int64 index API, one subprocess at a time
 times decompose_ring(F_q, m, 2) and assemble_qc with every constituent the
 full space, then checks that the code has rank 2m and is shift invariant.
-A row that outlives --timeout seconds is killed and reported as "timeout".
+A row that outlives --timeout seconds is killed and reported as "timeout";
+each row's address space is capped at ROW_MEMORY_BYTES, so code that
+tabulates a whole large field fails with a MemoryError ("error") instead of
+taking the machine's memory.
 
 The output is JSON: the host, and one record per row with q, m, the
 constituent order, status ("ok", "timeout" or "error"), decompose_s,
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -33,6 +37,7 @@ from qckit.poly import cyclotomic_cosets  # noqa: E402
 from qckit.qc import assemble_qc, assignment_all_full, decompose_ring, is_shift_invariant  # noqa: E402
 
 ELL = 2
+ROW_MEMORY_BYTES = 2 * 2**30
 
 
 def rows() -> list[tuple[int, int, int]]:
@@ -67,6 +72,7 @@ def main(argv=None) -> int:
     ap.add_argument("--row", type=int, nargs=2, metavar=("Q", "M"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.row:  # the per-row subprocess
+        resource.setrlimit(resource.RLIMIT_AS, (ROW_MEMORY_BYTES, ROW_MEMORY_BYTES))
         print(json.dumps(measure(*args.row)))
         return 0
     records = []
