@@ -14,13 +14,13 @@ powers there: f is irreducible iff x^(p^t) = x and, for each prime r | t,
 its generator to the least root of its modulus in the target field.  Both
 rules are deterministic, so two fields with equal (p, t) are interchangeable.
 
-Addition and negation have one body each, which takes Python ints and integer
-arrays alike (uint16 ones for the prime fields whose dtype is uint16, see
-PANEL); add_arr and neg_arr are that body on arrays, except that
-odd-characteristic extension fields up to ADD_TABLE_MAX_ORDER add through a
-table built by the same body.  Prime fields multiply integers mod p.
-Extension fields up to LOG_MAX_ORDER multiply and raise to powers through
-lazily built log/antilog arrays, larger ones by polynomial products.
+Addition, negation and the product of F_p[x]/(modulus) (_raw_mul) have one
+body each, which takes Python ints and integer arrays alike (uint16 ones for
+the prime fields whose dtype is uint16, see PANEL).  Odd-characteristic
+extension fields up to ADD_TABLE_MAX_ORDER add through a table built by that
+body.  Prime fields multiply integers mod p.  Extension fields up to
+LOG_MAX_ORDER multiply through log/antilog arrays that the product body
+builds; above it, and in the modulus search, every product is that body.
 
 Frobenius is GF.pow_arr (and lincode.code_power_q on codes).  The maps
 between fields are F_p-linear, so each is one small matrix over F_p acting on
@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -127,38 +128,7 @@ def _has_exact_order(x: int, m: int, power) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over F_p (coefficient lists, ascending degree)
-
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
-    # f monic
-    a = a[:]
-    df = len(f) - 1
-    while len(a) > df:
-        c = a[-1]
-        if c:
-            k = len(a) - 1 - df
-            for i in range(df):
-                a[k + i] = (a[k + i] - c * f[i]) % p
-        a.pop()
-    return _ptrim(a)
+# the canonical modulus
 
 
 def _is_irreducible(coeffs: list[int], p: int) -> bool:
@@ -173,8 +143,8 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
         return False
     if t == 1:
         return True
-    if coeffs[0] == 0:
-        return False  # divisible by x
+    if coeffs[0] == 0 or sum(coeffs) % p == 0 or sum(coeffs[::2]) % p == sum(coeffs[1::2]) % p:
+        return False  # a root 0, 1 or -1: divisible by x, x - 1 or x + 1
     ring = GF(p, t, tuple(coeffs))
     x = ring.gen
     if ring._raw_pow(x, p**t) != x:
@@ -189,12 +159,7 @@ def _canonical_modulus(p: int, t: int) -> tuple[int, ...]:
         return (0, 1)
     for idx in range(p**t):
         # little-endian base-p decode: ascending idx sorts (c_{t-1}, ..., c_0)
-        rem = idx
-        coeffs = [0] * t
-        for pos in range(t):
-            coeffs[pos] = rem % p
-            rem //= p
-        cand = coeffs + [1]
+        cand = [idx // p**pos % p for pos in range(t)] + [1]
         if _is_irreducible(cand, p):
             return tuple(cand)
     raise RuntimeError(f"no irreducible polynomial of degree {t} over F_{p}")  # pragma: no cover
@@ -251,18 +216,20 @@ class GF:
         return {"p": self.p, "t": self.t, "modulus": list(self.modulus)}
 
     # -- element encoding ----------------------------------------------------
+    # coeffs and from_coeffs take ints or integer arrays, like add
 
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        out = []
+    def coeffs(self, a) -> tuple:
+        p, out = self.p, []
         for _ in range(self.t):
-            out.append(a % self.p)
-            a //= self.p
+            q = a // p
+            out.append(a - q * p)
+            a = q
         return tuple(out)
 
-    def from_coeffs(self, cs) -> int:
-        v = 0
+    def from_coeffs(self, cs):
+        p, v = self.p, 0
         for c in reversed(list(cs)):
-            v = v * self.p + (c % self.p)
+            v = v * p + (c - c // p * p)
         return v
 
     @property
@@ -281,9 +248,9 @@ class GF:
     # add_arr, neg_arr and mul_arr return uint16 when the field's dtype and
     # their inputs are, and int64 otherwise.
     # Prime fields multiply integers mod p: mul_arr in int64 up to p = 2^31,
-    # where products stay inside int64.  Over extension fields, multiplication
-    # and powers go through the log/antilog arrays up to LOG_MAX_ORDER, and
-    # through polynomial products (_raw_mul) above it.
+    # where products stay inside int64.  Extension fields up to LOG_MAX_ORDER
+    # multiply and raise to powers through the log/antilog arrays, larger
+    # fields through _raw_mul and _raw_pow, on ints and arrays alike.
 
     def add(self, a, b):
         p = self.p
@@ -341,7 +308,7 @@ class GF:
         if a == 0:
             return 0 if n else 1
         n %= self.order - 1
-        if self.t == 1:
+        if a < self.p:  # the prime subfield's powers stay in it
             return pow(a, n, self.p)
         exp, log = self._logs()
         if exp is not None:
@@ -357,11 +324,32 @@ class GF:
             self._build_logs()
         return self._exp, self._log
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        prod = _pmul(list(self.coeffs(a)), list(self.coeffs(b)), self.p)
-        return self.from_coeffs(_pmod(prod, list(self.modulus), self.p))
+    def _raw_mul(self, a, b):
+        """a * b in F_p[x]/(modulus), for Python ints and integer arrays alike.
+        p = 2: Horner over b's bits, a shift with a conditional XOR of the
+        modulus per step.  Odd p: the schoolbook product of the digit lists,
+        reduced from the top by the monic modulus.  Its sums stay below
+        t (p - 1)^2 + p, inside int64 when t >= 2 (p^t <= 2^62) or p <= 2^31."""
+        p, t, f = self.p, self.t, self.modulus
+        if p == 2:
+            fx = sum(c << i for i, c in enumerate(f))  # the modulus, x^t included
+            out = 0
+            for j in range(t - 1, -1, -1):  # out * x + b_j * a, reduced
+                out = out << 1 ^ (out >> t - 1) * fx ^ (b >> j & 1) * a
+            return out
+        c, db = [0] * (2 * t - 1), self.coeffs(b)
+        for i, x in enumerate(self.coeffs(a)):
+            for j, y in enumerate(db):
+                c[i + j] += x * y  # in place only on the arrays made here
+        c = [v - v // p * p for v in c]
+        low = [(i, p - fi) for i, fi in enumerate(f[:t]) if fi]  # x^t = sum (p - f_i) x^i
+        for k in range(2 * t - 2, t - 1, -1):
+            top = c[k] - c[k] // p * p
+            for i, g in low:
+                c[k - t + i] += top * g
+        return self.from_coeffs(c[:t])
 
-    def _raw_pow(self, a: int, n: int) -> int:
+    def _raw_pow(self, a, n: int):
         """a^n by square-and-multiply over _raw_mul; needs no log arrays."""
         result = 1
         while n:
@@ -371,6 +359,24 @@ class GF:
             n >>= 1
         return result
 
+    def _wide(self, a: np.ndarray) -> np.ndarray:
+        """a as Python ints where int64 products overflow (p > 2^31)."""
+        return a.astype(object) if self.p > 2**31 else a
+
+    def _powers(self, g: int, n: int) -> np.ndarray:
+        """g^0, ..., g^(n-1) by doubling: the powers below k times g^k are
+        those from k up to 2k, one _raw_mul per step.  Indices that int64
+        cannot hold are Python ints in an object array.  The few powers of a
+        map's basis are running products of ints instead, as an array product
+        costs about as much as ten scalar ones at those sizes."""
+        out = np.ones(n, dtype=np.int64 if self.order <= DEFAULT_ORDER_CAP else object)
+        k, gk = 1, g
+        while k < n:
+            out[k:2 * k] = self._raw_mul(out[:min(k, n - k)], gk)
+            gk = self._raw_mul(gk, gk)
+            k *= 2
+        return out
+
     def _build_logs(self):
         """exp/log arrays for a primitive element g.  log[0] is the sentinel 2n
         and exp is zero from index 2n on, so exp[log[a] + log[b]] is the
@@ -379,16 +385,13 @@ class GF:
         g = next((c for c in range(1, self.order) if _has_exact_order(c, n, self._raw_pow)), None)
         if g is None:
             raise InvalidLogTable(f"no primitive element found in {self!r}")
-        exp = np.zeros(4 * n + 1, dtype=np.int64)
-        log = np.full(self.order, 2 * n, dtype=np.int64)
-        x = 1
-        for i in range(n):
-            exp[i] = x
-            exp[i + n] = x
-            log[x] = i
-            x = self._raw_mul(x, g)
-        if x != 1:
+        powers = self._powers(g, n)
+        if self._raw_mul(int(powers[-1]), g) != 1:
             raise InvalidLogTable(f"powers of {g} do not cycle back to 1 in {self!r}")
+        exp = np.zeros(4 * n + 1, dtype=np.int64)
+        exp[:n] = exp[n:2 * n] = powers
+        log = np.full(self.order, 2 * n, dtype=np.int64)
+        log[powers] = np.arange(n)
         self._exp = exp
         self._log = log
 
@@ -444,19 +447,22 @@ class GF:
             return a & b
         if self.t == 1 and self.p <= 2**31:
             return residue(a * b, self.p)
-        if self.order > LOG_MAX_ORDER:
-            return np.frompyfunc(self.mul, 2, 1)(a.astype(object), b.astype(object)).astype(np.int64)
-        exp, log = self._logs()
-        return exp[log[a] + log[b]]
+        if self.order <= LOG_MAX_ORDER:
+            exp, log = self._logs()
+            return exp[log[a] + log[b]]
+        return self._raw_mul(self._wide(a), b).astype(np.int64, copy=False)
 
     def pow_arr(self, a, n: int) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
-        if self.order > LOG_MAX_ORDER:
-            return np.frompyfunc(lambda x: self.pow_(x, n), 1, 1)(a.astype(object)).astype(np.int64)
         if n < 0 and (a == 0).any():
             raise DivisionByZero(f"inverse of zero in {self!r}")
-        exp, log = self._logs()
-        return np.where(a == 0, 0 if n else 1, exp[log[a] * (n % (self.order - 1)) % (self.order - 1)])
+        e = n % (self.order - 1)
+        if self.order > LOG_MAX_ORDER:
+            powers = self._raw_pow(self._wide(a), e)
+        else:
+            exp, log = self._logs()
+            powers = exp[log[a] * e % (self.order - 1)]
+        return np.where(a == 0, 0 if n else 1, powers).astype(np.int64, copy=False)
 
 
 _FIELD_CACHE: dict[tuple[int, int], GF] = {}
@@ -481,13 +487,13 @@ def field_make(p: int, t: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> GF:
     return fld
 
 
-def field_from_order(q: int, order_cap: int | None = DEFAULT_ORDER_CAP) -> GF:
+def field_from_order(q: int) -> GF:
     """F_q for a prime power q."""
     fac = factorize(q)
     if len(fac) != 1:
         raise NonPrimeCharacteristic(f"{q} is not a prime power")
     (p, t), = fac.items()
-    return field_make(p, t, order_cap)
+    return field_make(p, t)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +563,7 @@ def _embedding(src: GF, dst: GF) -> _LinearMap:
     # a prime field's element c is c in every extension and a field embeds in
     # itself by the identity; otherwise x goes to the least root of src's modulus
     root = dst.gen if src == dst or src.t == 1 else _least_root_of_modulus(src, dst)
-    return _LinearMap(src, dst, [dst.pow_(root, i) for i in range(src.t)])
+    return _LinearMap(src, dst, list(accumulate(repeat(root, src.t - 1), dst.mul, initial=1)))
 
 
 @functools.cache
@@ -606,7 +612,8 @@ def _trace(src: GF, dst: GF, base: GF) -> _LinearMap:
     if src.p != base.p or src.t % base.t != 0:
         raise NoEmbedding(f"{base!r} is not a subfield of {src!r}")
     emb = _embedding(src, dst)
-    frobenius = _LinearMap(dst, dst, [dst.pow_(dst.pow_(dst.gen, i), base.order) for i in range(dst.t)])
+    xq = dst.pow_(dst.gen, base.order)  # (x^i)^|base| = xq^i
+    frobenius = _LinearMap(dst, dst, list(accumulate(repeat(xq, dst.t - 1), dst.mul, initial=1)))
     y = acc = emb.mat  # the digits of the embedded x^i
     for _ in range(src.t // base.t - 1):
         y = _matmul(emb.fp, y, frobenius.mat)
@@ -625,7 +632,7 @@ def trace(src: GF, dst: GF, base: GF, a):
 def _trace_gram(src: GF, dst: GF, base: GF) -> np.ndarray:
     """The trace form on src's power basis: Tr_{src/base}(x^(i + j)) at
     (i, j), for i, j < src.t."""
-    traces = _trace(src, dst, base)([src.pow_(src.gen, k) for k in range(2 * src.t - 1)])
+    traces = _trace(src, dst, base)(list(accumulate(repeat(src.gen, 2 * src.t - 2), src.mul, initial=1)))
     return traces[np.add.outer(np.arange(src.t), np.arange(src.t))]
 
 
@@ -645,14 +652,10 @@ def _least_root_of_modulus(src: GF, dst: GF) -> int:
     with |src| elements, so they lie in its unit group: the subgroup of order
     |src| - 1 of dst's units."""
     sub_n = src.order - 1
-    h = _element_of_order(dst, sub_n)
-    xs = [1]
-    for _ in range(sub_n - 1):
-        xs.append(dst.mul(xs[-1], h))
-    xs = np.array(xs, dtype=np.int64)
-    acc = np.zeros_like(xs)
+    xs = dst._powers(_element_of_order(dst, sub_n), sub_n)
+    acc = 0
     for c in reversed(src.modulus):  # Horner; c < p is the prime-subfield element c
-        acc = dst.add_arr(dst.mul_arr(acc, xs), c)
+        acc = dst.add(dst._raw_mul(acc, xs), c)
     roots = xs[acc == 0]
     if not roots.size:
         raise NoEmbedding(f"modulus of {src!r} has no root in {dst!r}")  # pragma: no cover
@@ -685,13 +688,8 @@ def primitive_mth_root(field: GF, m: int) -> int:
         raise NoRootOfThatOrder(f"no primitive {m}-th root of unity in {field!r}")
     if m == 1:
         return 1
-    y = _element_of_order(field, m)
-    # all elements of order m live in the unique cyclic subgroup <y>
-    best = None
-    x = 1
-    for k in range(m):
-        if k and math.gcd(k, m) == 1 and (best is None or x < best):
-            best = x
-        x = field.mul(x, y)
-    return best
+    # all elements of order m live in the unique cyclic subgroup <y>: the y^k
+    # with gcd(k, m) = 1
+    powers = accumulate(repeat(_element_of_order(field, m), m - 1), field.mul, initial=1)
+    return min(x for k, x in enumerate(powers) if math.gcd(k, m) == 1)
 

@@ -176,17 +176,15 @@ def cyclotomic_cosets(q: int, m: int) -> CosetTable:
     return CosetTable(q, m, tuple(cosets))
 
 
-def three_factor_scan(q: int, m_max: int, prime_only: bool = True) -> list[int]:
-    """All m <= m_max where x^m - 1 splits into exactly three irreducible
-    factors over F_q, counted via cyclotomic cosets.
-
-    By default only prime m are reported, matching the published tables;
-    prime squares (e.g. m = 9, 25 over F_2) also hit three factors and are
-    included with prime_only=False.
+def three_factor_scan(q: int, m_max: int) -> list[int]:
+    """All prime m <= m_max where x^m - 1 splits into exactly three
+    irreducible factors over F_q, counted via cyclotomic cosets, matching the
+    published tables (prime squares such as m = 9, 25 over F_2 also give three
+    factors and are not reported).
     """
     out = []
     for m in range(1, m_max + 1):
-        if gcd(m, q) != 1 or (prime_only and not is_prime(m)):
+        if gcd(m, q) != 1 or not is_prime(m):
             continue
         if len(cyclotomic_cosets(q, m).cosets) == 3:
             out.append(m)

@@ -186,11 +186,24 @@ def trial_division_irreducible(coeffs, p) -> bool:
     return all(pmod(coeffs, f, p) for f in irreducibles)
 
 
+def coefficient_product(p, modulus, a, b):
+    """a * b in F_p[x]/(modulus) on element indices (the coefficient vector
+    read little-endian base p): the schoolbook product of the coefficient
+    lists, reduced by the monic modulus."""
+    t = len(modulus) - 1
+    u = [a // p**i % p for i in range(t)]
+    v = [b // p**i % p for i in range(t)]
+    prod = [0] * (2 * t - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            prod[i + j] += x * y
+    return sum(c * p**i for i, c in enumerate(pmod([c % p for c in prod], modulus, p)))
+
+
 def coefficient_tables(p, modulus):
-    """Full add and mul tables of F_p[x]/(modulus) on element indices (the
-    coefficient vector read little-endian base p), each entry computed from
-    coefficient lists: digit-wise sums mod p, and schoolbook products reduced
-    by the monic modulus."""
+    """Full add and mul tables of F_p[x]/(modulus) on element indices, each
+    entry computed from coefficient lists: digit-wise sums mod p, and
+    coefficient_product."""
     t = len(modulus) - 1
     vecs = [[a // p**i % p for i in range(t)] for a in range(p**t)]
 
@@ -198,16 +211,7 @@ def coefficient_tables(p, modulus):
         return sum(c * p**i for i, c in enumerate(cs))
 
     add = [[index([(x + y) % p for x, y in zip(u, v)]) for v in vecs] for u in vecs]
-    mul = []
-    for u in vecs:
-        row = []
-        for v in vecs:
-            prod = [0] * (2 * t - 1)
-            for i, x in enumerate(u):
-                for j, y in enumerate(v):
-                    prod[i + j] += x * y
-            row.append(index(pmod([c % p for c in prod], modulus, p)))
-        mul.append(row)
+    mul = [[coefficient_product(p, modulus, a, b) for b in range(p**t)] for a in range(p**t)]
     return add, mul
 
 

@@ -30,7 +30,7 @@ from qckit.gf import (
 from qckit.lincode import _check_conj_base, code_from_rows, code_power_q
 from qckit.qc import decompose_ring
 
-from oracles import coefficient_tables, trial_division_irreducible
+from oracles import coefficient_product, coefficient_tables, trial_division_irreducible
 
 
 def test_canonical_moduli():
@@ -39,6 +39,13 @@ def test_canonical_moduli():
     assert field_make(2, 3).modulus == (1, 1, 0, 1)
     assert field_make(2, 6).modulus == (1, 1, 0, 0, 0, 0, 1)
     assert field_make(3, 2).modulus == (1, 0, 1)
+    # above LOG_MAX_ORDER: a changed search would re-index every element
+    assert field_make(2, 17).modulus == (1, 0, 0, 1) + (0,) * 13 + (1,)  # x^17 + x^3 + 1
+    assert field_make(2, 44).modulus == (1, 0, 0, 0, 0, 1) + (0,) * 38 + (1,)  # x^44 + x^5 + 1
+    assert field_make(2, 48).modulus == (1, 0, 1, 1, 0, 1) + (0,) * 42 + (1,)  # x^48 + x^5 + x^3 + x^2 + 1
+    assert field_make(3, 11).modulus == (2, 0, 1) + (0,) * 8 + (1,)  # x^11 + x^2 + 2
+    assert field_make(3, 20).modulus == (1, 2, 0, 1) + (0,) * 16 + (1,)  # x^20 + x^3 + 2x + 1
+    assert field_make(11, 16).modulus == (5, 1, 1) + (0,) * 13 + (1,)  # x^16 + x^2 + x + 5
 
 
 def test_canonical_modulus_f243_vs_trial_division_oracle():
@@ -357,7 +364,9 @@ def test_array_arithmetic_matches_scalar():
     # prime fields, odd extension fields with an add table (F_9, F_243)
     # and above ADD_TABLE_MAX_ORDER on the digit loop (F_289, F_3125), and
     # orders above LOG_MAX_ORDER: the largest prime on the int64 product path,
-    # and a prime whose products would overflow int64 (entrywise Python products)
+    # and a prime whose products would overflow int64 (object arrays of Python
+    # ints).  Array and scalar share one product body above LOG_MAX_ORDER, so
+    # test_arithmetic_above_log_tables_matches_coefficient_oracle checks it there
     assert 243 <= ADD_TABLE_MAX_ORDER < 289
     assert is_prime(2**31 - 1) and is_prime(2**32 + 15)
     rng = np.random.default_rng(5)
@@ -411,3 +420,40 @@ def test_arithmetic_matches_coefficient_oracle(p, t):
     assert [[fld.add(a, b) for b in els] for a in els] == add
     assert [[fld.mul(a, b) for b in els] for a in els] == mul
     assert [fld.neg(a) for a in els] == neg
+
+
+def coefficient_power(p, modulus, a, e):
+    """a^e for e >= 0 by square-and-multiply over coefficient_product."""
+    out = 1
+    while e:
+        if e & 1:
+            out = coefficient_product(p, modulus, out, a)
+        a = coefficient_product(p, modulus, a, a)
+        e >>= 1
+    return out
+
+
+@pytest.mark.parametrize("p, t", [(2, 17), (2, 61), (3, 11), (5, 8), (65537, 2), (2**31 - 1, 2)])
+def test_arithmetic_above_log_tables_matches_coefficient_oracle(p, t):
+    # the product body above LOG_MAX_ORDER, scalar and array, against
+    # coefficient lists; F_(2^31 - 1)^2 is the largest-p extension field under
+    # the order cap, where digit products reach 2^62
+    fld = field_make(p, t)
+    assert fld.order > 2**16
+    rng = np.random.default_rng(p + t)
+    a = rng.integers(0, fld.order, size=300)
+    b = rng.integers(0, fld.order, size=300)
+    a[:3], b[2:5] = 0, 1
+    a[5:8] = b[8:11] = fld.order - 1
+    want = [coefficient_product(p, fld.modulus, int(x), int(y)) for x, y in zip(a, b)]
+    assert [fld.mul(int(x), int(y)) for x, y in zip(a, b)] == want
+    assert fld.mul_arr(a, b).tolist() == want
+    units = [int(x) for x in b if x]
+    assert all(coefficient_product(p, fld.modulus, x, fld.inv(x)) == 1 for x in units)
+    assert fld.pow_arr(a, 0).tolist() == [1] * 300
+    assert fld.pow_arr(a, 1).tolist() == a.tolist()
+    assert fld.pow_arr(a, p).tolist() == [coefficient_power(p, fld.modulus, int(x), p) for x in a]
+    assert fld.pow_arr(a, fld.order - 1).tolist() == [int(x != 0) for x in a]  # Lagrange
+    squares = [coefficient_product(p, fld.modulus, x, x) for x in units]
+    assert [coefficient_product(p, fld.modulus, y, s)
+            for y, s in zip(fld.pow_arr(units, -2).tolist(), squares)] == [1] * len(units)

@@ -106,7 +106,9 @@ def test_factor_xm1_structure_suite():
 def test_factor_xm1_large_splitting_field(monkeypatch):
     # one deliberately big case: w = ord_53(2) = 52, splitting field F_2^52,
     # where GF.mul multiplies polynomials (_raw_mul) unless an operand is 0
-    # or 1; this run made 3,359 polynomial products before that shortcut.
+    # or 1, and GF.pow_ unless its base lies in F_2.  This run made 3,359
+    # polynomial products before the first shortcut, and 1,926 before the
+    # second and before primitive_mth_root dropped its last, unused product.
     # The modulus search multiplies through _raw_mul too, so F_2^52 is built
     # first and the count does not depend on which tests ran before
     field_make(2, 52)
@@ -115,11 +117,23 @@ def test_factor_xm1_large_splitting_field(monkeypatch):
     monkeypatch.setattr(GF, "_raw_mul", lambda self, a, b: calls.append(1) or raw_mul(self, a, b))
     fs = factor_xm1(F2, 53)
     assert [f.coeffs for f in fs.factors] == [(1,) * 53, (1, 1)]
-    assert len(calls) == 1926
+    assert len(calls) == 1850
     prod = Poly.one(F2)
     for f in fs.factors:
         prod = prod * f
     assert prod == Poly.x_pow_minus_one(F2, 53)
+
+
+def test_factor_xm1_splitting_field_above_int64():
+    # ord_83(4) = 41, so x^83 - 1 over F_4 splits in F_2^82, whose indices
+    # int64 cannot hold: F_4's least root there comes from a subgroup built in
+    # Python ints
+    fs = factor_xm1(F4, 83)
+    assert [f.degree for f in fs.factors] == [41, 41, 1]
+    prod = Poly.one(F4)
+    for f in fs.factors:
+        prod = prod * f
+    assert prod == Poly.x_pow_minus_one(F4, 83)
 
 
 def test_three_factor_scan():
@@ -127,8 +141,8 @@ def test_three_factor_scan():
     assert three_factor_scan(4, 100) == [3, 5, 7, 11, 13, 19, 23, 29, 37, 47, 53,
                                          59, 61, 67, 71, 79, 83]
     assert three_factor_scan(3, 2) == []
-    # prime squares also give exactly three factors and appear without the filter
-    raw = three_factor_scan(2, 100, prime_only=False)
+    # prime squares also give exactly three factors, and the scan leaves them out
+    raw = [m for m in range(1, 101) if m % 2 and len(cyclotomic_cosets(2, m).cosets) == 3]
     assert set(raw) - set(three_factor_scan(2, 100)) == {9, 25}
     fs9 = factor_xm1(F2, 9)
     assert len(fs9.factors) == 3

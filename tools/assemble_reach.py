@@ -15,7 +15,8 @@ taking the machine's memory.
 
 The output is JSON: the host, and one record per row with q, m, the
 constituent order, status ("ok", "timeout" or "error"), decompose_s,
-assemble_s, the rank and the shift-invariance flag.
+assemble_s, the rank and the shift-invariance flag.  The exit status is 1
+when any row is not "ok".
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def main(argv=None) -> int:
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)
-    return 0
+    return 0 if all(rec["status"] == "ok" for rec in records) else 1
 
 
 if __name__ == "__main__":
