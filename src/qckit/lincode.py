@@ -13,6 +13,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -194,7 +195,7 @@ def code_from_rows(field: GF, n: int, rows) -> LinearCode:
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.ndim == 2:
         if rows.shape[1] != n:
             raise LengthMismatch(f"row length {rows.shape[1]} != {n}")
-        mat = rows.astype(np.int64)
+        mat = rows.astype(np.int64, copy=False)
         bad = (mat < 0) | (mat >= field.order)
         if bad.any():
             raise MixedFields(f"element index {mat[bad][0]} out of range for {field!r}")
@@ -303,19 +304,70 @@ def subspace_leq(c1: LinearCode, c2: LinearCode) -> bool:
     return c1.k <= c2.k and _in_span(c1.field, c1.gen, c2)
 
 
-@dataclass(frozen=True)
 class DualityFlags:
-    """Self-orthogonal / dual-containing / self-dual flags, both inner products.
+    """Self-orthogonal / dual-containing / self-dual flags, both inner
+    products, each computed when first read and then kept.
 
-    Hermitian flags are None when the field order is not a perfect square.
+    Every flag comes from the RREF generator G = I | A, with no dual built.
+    G G^T = I + A A^T, so C is self-orthogonal when that vanishes.  The dual
+    is spanned by the parity rows -A^T | I, which lie in C exactly when
+    -A^T A = I on the free columns, i.e. I + A^T A = 0.  The Hermitian
+    flags are the same two tests with the conjugate A^r (r^2 = |F|) on one
+    side: Frobenius fixes 0 and 1, so C^r has the RREF generator I | A^r.
+    A self-dual flag is its self-orthogonal flag when 2k = n.  Hermitian
+    flags are None when the field order is not a perfect square.
     """
 
-    eso: bool
-    edc: bool
-    esd: bool
-    hso: bool | None
-    hdc: bool | None
-    hsd: bool | None
+    def __init__(self, c: LinearCode):
+        self._code = c
+        self._hermitian = c.field.t % 2 == 0
+        self._half_rate = 2 * c.k == c.n
+
+    def __repr__(self) -> str:
+        return f"DualityFlags({self.to_json()})"
+
+    @cached_property
+    def _free(self) -> np.ndarray:
+        """A: the generator's free columns."""
+        c = self._code
+        return c.gen[:, np.setdiff1d(np.arange(c.n), c.pivots)]
+
+    @cached_property
+    def _conj(self) -> np.ndarray:
+        """A^r, read only over a field of square order."""
+        field = self._code.field
+        return field.pow_arr(self._free, conjugation_base(field))
+
+    def _identity_plus_vanishes(self, x: np.ndarray, y: np.ndarray) -> bool:
+        field = self._code.field
+        prod = _matmul(field, x, y)
+        diag = np.arange(prod.shape[0])
+        prod[diag, diag] = field.add_arr(prod[diag, diag], 1)
+        return not prod.any()
+
+    @cached_property
+    def eso(self) -> bool:
+        return self._identity_plus_vanishes(self._free, self._free.T)
+
+    @cached_property
+    def edc(self) -> bool:
+        return self._identity_plus_vanishes(self._free.T, self._free)
+
+    @cached_property
+    def esd(self) -> bool:
+        return self._half_rate and self.eso
+
+    @cached_property
+    def hso(self) -> bool | None:
+        return self._identity_plus_vanishes(self._free, self._conj.T) if self._hermitian else None
+
+    @cached_property
+    def hdc(self) -> bool | None:
+        return self._identity_plus_vanishes(self._conj.T, self._free) if self._hermitian else None
+
+    @cached_property
+    def hsd(self) -> bool | None:
+        return (self._half_rate and self.hso) if self._hermitian else None
 
     def to_json(self) -> dict:
         return {
@@ -329,33 +381,8 @@ class DualityFlags:
 
 
 def duality_class(c: LinearCode) -> DualityFlags:
-    """All six flags from the RREF generator G = I | A, with no dual built.
-
-    G G^T = I + A A^T, so C is self-orthogonal when that vanishes.  The dual
-    is spanned by the parity rows -A^T | I, which lie in C exactly when
-    -A^T A = I on the free columns, i.e. I + A^T A = 0.  The Hermitian
-    flags are the same two tests with the conjugate A^r (r^2 = |F|) on one
-    side: Frobenius fixes 0 and 1, so C^r has the RREF generator I | A^r.
-    """
-    field = c.field
-    a = c.gen[:, np.setdiff1d(np.arange(c.n), c.pivots)]
-
-    def identity_plus_vanishes(x: np.ndarray, y: np.ndarray) -> bool:
-        prod = _matmul(field, x, y)
-        diag = np.arange(prod.shape[0])
-        prod[diag, diag] = field.add_arr(prod[diag, diag], 1)
-        return not prod.any()
-
-    eso = identity_plus_vanishes(a, a.T)
-    edc = identity_plus_vanishes(a.T, a)
-    esd = eso and 2 * c.k == c.n
-    hso = hdc = hsd = None
-    if field.t % 2 == 0:
-        conj = field.pow_arr(a, conjugation_base(field))
-        hso = identity_plus_vanishes(a, conj.T)
-        hdc = identity_plus_vanishes(conj.T, a)
-        hsd = hso and 2 * c.k == c.n
-    return DualityFlags(eso, edc, esd, hso, hdc, hsd)
+    """The six duality flags of c; each is computed when it is read."""
+    return DualityFlags(c)
 
 
 # ---------------------------------------------------------------------------

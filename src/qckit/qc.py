@@ -425,12 +425,6 @@ def is_shift_invariant(qc: QcCode) -> bool:
 # duality at the constituent level
 
 
-def _duality_triple(code: LinearCode, euclidean: bool) -> tuple:
-    """(SO, DC, SD) of code under the Euclidean or the Hermitian product."""
-    fl = duality_class(code)
-    return (fl.eso, fl.edc, fl.esd) if euclidean else (fl.hso, fl.hdc, fl.hsd)
-
-
 @dataclass(frozen=True)
 class SlotWitness:
     label: str
@@ -490,9 +484,12 @@ def qc_duality_class(qc: QcCode) -> QcDualityReport:
         witnesses.append(SlotWitness(f"({sg.label},{sgs.label})", "pair-euclidean", so, dc, so and dc))
     for sa, slot in zip(qc.assignment.selfrec, qc.decomp.selfrec_slots):
         # a self-reciprocal slot's induced product is Hermitian unless exceptional
-        so, dc, sd = _duality_triple(sa.code, slot.exceptional)
-        product = "euclidean" if slot.exceptional else "hermitian"
-        witnesses.append(SlotWitness(slot.label, product, bool(so), bool(dc), bool(sd)))
+        fl = duality_class(sa.code)
+        if slot.exceptional:
+            product, so, dc, sd = "euclidean", fl.eso, fl.edc, fl.esd
+        else:  # None (no Hermitian product) counts as not holding
+            product, so, dc, sd = "hermitian", bool(fl.hso), bool(fl.hdc), bool(fl.hsd)
+        witnesses.append(SlotWitness(slot.label, product, so, dc, sd))
     w_eso = all(w.ok_so for w in witnesses)
     w_edc = all(w.ok_dc for w in witnesses)
     w_esd = all(w.ok_sd for w in witnesses)
@@ -640,7 +637,6 @@ def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
         raise SlotSNotESO("last self-reciprocal slot is not x - 1")
     if plan.kind not in ("ESO", "EDC", "ESD"):
         raise SlotSNotESO(f"unknown family kind {plan.kind}")
-    kind_at = ("ESO", "EDC", "ESD").index(plan.kind)  # position in an (SO, DC, SD) triple
     if plan.kind != "ESO" and s != 1:
         raise SlotSNotESO("EDC/ESD families need x - 1 as the only self-reciprocal factor")
     for pa in base.pairs:
@@ -649,11 +645,13 @@ def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
 
     # duality hypotheses
     for sa, slot in zip(base.selfrec[:-1], sr_slots[:-1]):
-        if not _duality_triple(sa.code, slot.exceptional)[0]:
+        fl = duality_class(sa.code)
+        if not (fl.eso if slot.exceptional else fl.hso):
             raise ConstituentNotHSO(f"slot {slot.label} constituent is not self-orthogonal")
     slot_s = sr_slots[-1]
     cs = base.selfrec[-1].code
-    if not _duality_triple(cs, True)[kind_at]:
+    flag = plan.kind.lower()  # the DualityFlags attribute the family kind reads
+    if not getattr(duality_class(cs), flag):
         raise SlotSNotESO(f"slot {slot_s.label} constituent is not {plan.kind}")
 
     # ordering hypothesis: the x - 1 constituent must carry the smallest distance
@@ -707,7 +705,7 @@ def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
             qc = assemble_qc(decomp_u, asn_u)
             level.qc = qc
             level.rank_checked = qc.k == k_u
-            level.duality_checked = _duality_triple(qc.lin, True)[kind_at]
+            level.duality_checked = getattr(duality_class(qc.lin), flag)
             prev_flat = qc.lin
         levels.append(level)
     return levels

@@ -16,7 +16,8 @@ from qckit.errors import (
     RepeatedEvaluationPoint,
     ZeroMultiplier,
 )
-from qckit.gf import LOG_MAX_ORDER, field_make
+from qckit import lincode
+from qckit.gf import GF, LOG_MAX_ORDER, field_make
 from qckit.lincode import (
     _BLOCK,
     DistanceReport,
@@ -93,6 +94,9 @@ def test_code_from_rows():
     for bad in (-1, 3):
         with pytest.raises(MixedFields):
             code_from_rows(F3, 2, np.array([[1, 0], [bad, 1]]))
+    rows = np.array([[2, 1, 0], [1, 2, 2]], dtype=np.int64)
+    assert code_from_rows(F3, 3, rows).gen.tolist() == [[1, 2, 0], [0, 0, 1]]
+    assert rows.tolist() == [[2, 1, 0], [1, 2, 2]]  # the caller's rows are only read
     with pytest.raises(MixedFields):
         code_from_rows(F3, 2, [(1, 2**70)])
     # entries are integers: floats are rejected, never truncated
@@ -496,13 +500,55 @@ def test_duality_flags_match_elimination_oracle():
     positives = (eso_523(), esd_634(), _hermitian_self_dual(F4), _hermitian_self_dual(F9),
                  full_space(F4, 3), full_space(F5, 4), zero_code(F9, 3))
     cases = list(_oracle_matrices(71)) + [(c.field, c.gen) for c in positives]
+    rng = np.random.default_rng(72)
     held = set()
     for fld, mat in cases:
         c = code_from_rows(fld, mat.shape[1], mat)
-        flags = duality_class(c).to_json()
-        assert flags == eliminated_duality_flags(fld, mat, c.n), (fld, mat.tolist())
-        held.update(name for name, value in flags.items() if value)
+        expected = eliminated_duality_flags(fld, mat, c.n)
+        assert duality_class(c).to_json() == expected, (fld, mat.tolist())
+        # one flag at a time, in a random order, so that a value kept for
+        # one flag cannot stand in for another
+        flags = duality_class(c)
+        for name in rng.permutation(list(expected)):
+            assert getattr(flags, name.lower()) == expected[name], (fld, mat.tolist(), name)
+        held.update(name for name, value in expected.items() if value)
     assert held == {"ESO", "EDC", "ESD", "HSO", "HDC", "HSD"}
+
+
+def test_duality_flags_are_computed_when_read(monkeypatch):
+    # a flag costs one product when first read and none after; A^r is
+    # built once, and only for a Hermitian flag
+    products, conjugations = [], []
+    matmul, pow_arr = lincode._matmul, GF.pow_arr
+    monkeypatch.setattr(lincode, "_matmul", lambda *a, **kw: products.append(a) or matmul(*a, **kw))
+    monkeypatch.setattr(GF, "pow_arr", lambda *a: conjugations.append(a) or pow_arr(*a))
+
+    def cost(read):
+        products.clear()
+        conjugations.clear()
+        read()
+        return len(products), len(conjugations)
+
+    c4 = code_from_rows(F4, 5, [(1, 0, 2, 3, 1), (0, 1, 1, 2, 3)])  # 2k != n
+    fl = duality_class(c4)
+    assert cost(lambda: fl.eso) == (1, 0)
+    assert cost(lambda: fl.eso) == (0, 0)
+    assert cost(lambda: fl.esd) == (0, 0)
+    assert cost(lambda: fl.hso) == (1, 1)
+    assert cost(lambda: fl.hdc) == (1, 0)
+    assert cost(lambda: fl.hsd) == (0, 0)
+    assert cost(lambda: fl.edc) == (1, 0)
+    assert cost(lambda: fl.to_json()) == (0, 0)
+    assert cost(lambda: duality_class(c4).to_json()) == (4, 1)
+    half = _hermitian_self_dual(F4)
+    fl = duality_class(half)
+    assert cost(lambda: fl.hsd) == (1, 1)
+    assert cost(lambda: fl.hso) == (0, 0)
+    c3 = eso_523()
+    assert cost(lambda: duality_class(c3).to_json()) == (2, 0)
+    fl = duality_class(esd_634())
+    assert cost(lambda: fl.esd) == (1, 0)
+    assert cost(lambda: (fl.eso, fl.hso, fl.hdc, fl.hsd)) == (0, 0)  # F_5 has no A^r
 
 
 def test_derived_codes_match_elimination_of_their_rows():

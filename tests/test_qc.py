@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -412,10 +414,11 @@ def test_duality_class_memory_at_n605():
     tracemalloc.start()
     try:
         flags = duality_class(lin)
+        so, dc = flags.eso, flags.edc  # the products run when a flag is read
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert flags.eso
+    assert so and not dc
     assert peak < 32 * 2**20, f"duality_class peaked at {peak / 2**20:.1f} MB"
 
 
@@ -540,6 +543,22 @@ def test_qc_duality_flags_match_elimination_oracle(ex41):
         assert flags == eliminated_duality_flags(qc.field, qc.lin.gen, qc.n), name
         held.update(flag for flag, value in flags.items() if value)
     assert {"ESO", "EDC", "ESD"} <= held
+
+
+def test_family_duality_checks_match_elimination_oracle():
+    # each materialized level's duality_checked is the oracle's flag for the
+    # family kind.  The scalar oracle takes 3 s at example43's level 2
+    # (n = 147) and 38 s at cor35's (n = 605), so levels materialize up to
+    # n = 147: all of example43's, level 1 of the other two.
+    checked = []
+    for name, plan in family_plans().items():
+        plan = dataclasses.replace(plan, materialize_max=min(plan.materialize_max, 147))
+        for lv in build_family(plan):
+            if lv.qc is not None:
+                oracle = eliminated_duality_flags(plan.q_field, lv.qc.lin.gen, lv.n)
+                assert lv.duality_checked == oracle[plan.kind], (name, lv.u)
+                checked.append((name, lv.u))
+    assert checked == [("cor35", 1), ("example43", 1), ("example43", 2), ("example39", 1)]
 
 
 def test_shift_invariance_matches_rolled_elimination(ex41):
