@@ -60,10 +60,12 @@ DEFAULT_ORDER_CAP = 2**62  # keeps element indices inside int64 for numpy paths
 TABLE_MAX_ORDER = 1024  # full q x q numpy tables (quadratic build cost)
 LOG_MAX_ORDER = 65536  # log/antilog arrays (scalar and array multiplication)
 ADD_TABLE_MAX_ORDER = 256  # q x q int64 add table for odd extension fields: 512 KB at most
-# Columns that elimination (lincode._rref) clears per panel before one product
-# over at most PANEL columns updates the rest.  Prime fields whose uint16
-# residues hold such a product, PANEL * (p - 1)^2 + (p - 1) < 2^16, hold
-# elements as uint16 (GF.dtype): p <= 61.
+# Columns that elimination (lincode._rref) clears per panel of a matrix wider
+# than 4 * PANEL before one product over at most PANEL columns updates the
+# rest; narrower matrices are one panel with no product.  Prime fields whose
+# uint16 residues hold such a product, PANEL * (p - 1)^2 + (p - 1) < 2^16,
+# hold elements as uint16 (GF.dtype): p <= 61.  The same bound covers the
+# sums below p^2 of GF.sub_mul_arr.
 PANEL = 16
 
 
@@ -243,10 +245,12 @@ class GF:
     # add, neg and sub take Python ints or integer arrays (numpy broadcasting),
     # unsigned ones included.  In characteristic 2 addition is XOR and
     # negation the identity; other extension fields work digit by digit on
-    # the base-p expansion.  mul, inv and pow_ take ints; mul_arr and pow_arr
-    # are their array forms.  The *_arr methods always return a new array;
-    # add_arr, neg_arr and mul_arr return uint16 when the field's dtype and
-    # their inputs are, and int64 otherwise.
+    # the base-p expansion, except neg_arr up to LOG_MAX_ORDER, which takes
+    # -a = (p - 1) a through the log arrays.  mul, inv and pow_ take ints;
+    # mul_arr and pow_arr are their array forms, and sub_mul_arr is the fused
+    # acc - a * b of elimination.  The *_arr methods always return a new array;
+    # add_arr, neg_arr, mul_arr and sub_mul_arr return uint16 when the field's
+    # dtype and their inputs are, and int64 otherwise.
     # Prime fields multiply integers mod p: mul_arr in int64 up to p = 2^31,
     # where products stay inside int64.  Extension fields up to LOG_MAX_ORDER
     # multiply and raise to powers through the log/antilog arrays, larger
@@ -439,7 +443,11 @@ class GF:
 
     def neg_arr(self, a) -> np.ndarray:
         a = self._arr(a)
-        return a.copy() if self.p == 2 else self.neg(a)  # neg is the identity in characteristic 2
+        if self.p == 2:
+            return a.copy()  # neg is the identity in characteristic 2
+        if self.t > 1 and self.order <= LOG_MAX_ORDER:
+            return self.mul_arr(a, self.p - 1)
+        return self.neg(a)
 
     def mul_arr(self, a, b) -> np.ndarray:
         a, b = self._arr(a), self._arr(b)
@@ -451,6 +459,17 @@ class GF:
             exp, log = self._logs()
             return exp[log[a] + log[b]]
         return self._raw_mul(self._wide(a), b).astype(np.int64, copy=False)
+
+    def sub_mul_arr(self, acc, a, b) -> np.ndarray:
+        """acc - a * b elementwise, with broadcasting."""
+        acc, a, b = self._arr(acc), self._arr(a), self._arr(b)
+        p = self.p
+        if p == 2:
+            return acc ^ (a & b if self.order == 2 else self.mul_arr(a, b))
+        if self.t == 1 and p <= 2**31:
+            # p - b in [1, p] stands for -b, so the sum stays below p^2
+            return residue(acc + a * (p - b), p)
+        return self.add_arr(acc, self.mul_arr(a, self.neg_arr(b)))
 
     def pow_arr(self, a, n: int) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)

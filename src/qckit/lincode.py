@@ -28,7 +28,7 @@ from .errors import (
     RepeatedEvaluationPoint,
     ZeroMultiplier,
 )
-from .gf import GF, LOG_MAX_ORDER, PANEL, factorize, residue
+from .gf import GF, LOG_MAX_ORDER, PANEL, factorize
 
 DEFAULT_BUDGET = 2**24
 
@@ -40,16 +40,18 @@ DEFAULT_BUDGET = 2**24
 # on whole arrays through the field's elementwise arithmetic (GF.add_arr
 # etc.).  Elimination and products work in the field's dtype (GF.dtype:
 # uint16 for small prime fields), while codes keep int64 generators, whose
-# bytes LinearCode.__hash__ reads.  gf.PANEL, the width of an elimination
-# panel, sets which prime fields take uint16.
+# bytes LinearCode.__hash__ reads.  Elimination steps are GF.sub_mul_arr,
+# one per pivot, and matrices wider than 4 * gf.PANEL columns go by panels
+# of gf.PANEL columns, each followed by one product; that width sets which
+# prime fields take uint16.
 
 
 def _matmul(field: GF, a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
     """acc + a @ b over the field; a is (k, n), b is (n, j), acc defaults to
-    zero.  The result has acc's dtype, int64 by default."""
+    zero and is not written.  The result has acc's dtype, int64 by default."""
     out = np.dtype(np.int64) if acc is None else acc.dtype
     dtype = field.dtype
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype) if acc is None else acc.astype(dtype, copy=False)
+    res = np.zeros((a.shape[0], b.shape[1]), dtype) if acc is None else acc.astype(dtype)
     n = a.shape[1]
     if field.t == 1 and field.order <= LOG_MAX_ORDER:
         # A product over a chunk of columns is exact in floating point while
@@ -57,16 +59,21 @@ def _matmul(field: GF, a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = No
         # Over a uint16 field the chunk keeps its sums below 2^16 - p, so the
         # product converts to uint16 and adds to a residue without overflow;
         # GF.dtype makes that at least one panel of _rref (gf.PANEL columns).
+        # Each chunk's sum and residue go to res through one scratch buffer.
         p = field.p
         ftype, bound = (np.float32, 2**16 - p) if dtype == np.uint16 else (np.float64, 2**53)
         step = bound // (p - 1) ** 2
+        low = np.empty_like(res)
         for s in range(0, n, step):
-            prod = a[:, s:s + step].astype(ftype) @ b[s:s + step].astype(ftype)
-            acc = residue(acc + prod.astype(dtype), p)
+            np.copyto(low, a[:, s:s + step].astype(ftype) @ b[s:s + step].astype(ftype), casting="unsafe")
+            res += low
+            np.floor_divide(res, p, out=low)
+            low *= p
+            res -= low
     else:
         for col in range(n):
-            acc = field.add_arr(acc, field.mul_arr(a[:, col, None], b[col]))
-    return acc.astype(out, copy=False)
+            res = field.add_arr(res, field.mul_arr(a[:, col, None], b[col]))
+    return res.astype(out, copy=False)
 
 
 def _gram(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -77,47 +84,59 @@ def _gram(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _rref(field: GF, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form of mat and its pivot columns.
 
-    Gauss-Jordan by column panels.  A panel is eliminated on its own columns
-    while the same row operations are recorded as coefficients on the
-    panel's pivot rows; one product with those rows then updates every
-    column right of the panel.  Rows are never swapped: pivot rows are
-    gathered in pivot order at the end, which gives the same (unique)
-    reduced form.  A pivot row is scaled only when its pivot is not 1.  The
-    panel is held transposed, so a pivot clears its column with whole-row
-    operations on contiguous arrays; rows with a zero factor stay as they
-    are.
+    Gauss-Jordan by column windows.  A matrix of at most 4 * PANEL columns
+    is one window; wider ones go by windows of PANEL columns, each
+    eliminated on its own columns while the same row operations are
+    recorded as coefficients on the window's pivot rows, and one product
+    with those rows then updates every column right of the window.  Rows
+    are never swapped: pivot rows are gathered in pivot order at the end,
+    which gives the same (unique) reduced form.  The window is held
+    transposed, so a pivot is one fused GF.sub_mul_arr over contiguous
+    rows: the window's columns from the pivot's on and the coefficient
+    columns of the pivots found so far, the only ones on which the pivot row
+    can be nonzero.  That step clears the pivot row too, so its scaled
+    entries are written back after it; they are scaled only when the pivot
+    is not 1.
     """
     rows, n = mat.shape
     r = np.array(mat, dtype=field.dtype)
-    free = np.ones(rows, dtype=bool)  # rows not yet holding a pivot
+    live = np.ones(rows, dtype=r.dtype)  # 1 on rows not yet holding a pivot
+    width = n if n <= 4 * PANEL else PANEL
     pivot_rows: list[int] = []
     pivots: list[int] = []
-    for c0 in range(0, n, PANEL):
+    for c0 in range(0, n, width):
         if len(pivots) == rows:
             break
-        w = min(n, c0 + PANEL) - c0
-        # the panel transposed: its columns, then one coefficient column per
-        # pivot row found in it, each as a row of a
-        a = np.zeros((2 * w, rows), dtype=r.dtype)
+        w = min(n, c0 + width) - c0
+        tail = c0 + w < n
+        # the window transposed: its columns, then, when columns lie right of
+        # it, one coefficient column per pivot row found in it, each as a row
+        a = np.zeros((2 * w if tail else w, rows), dtype=r.dtype)
         a[:w] = r[:, c0:c0 + w].T
         found: list[int] = []
         for j in range(w):
             col = a[j]
-            nonzero = col != 0
-            i = int((nonzero & free).argmax())
-            if not (nonzero[i] and free[i]):
+            masked = col * live
+            i = int(masked.argmax())
+            c = int(masked[i])
+            if not c:
                 continue
-            a[w + len(found), i] = 1
-            if col[i] != 1:
-                a[j:, i] = field.mul_arr(a[j:, i], field.inv(int(col[i])))
-            factors = field.neg_arr(col)
-            factors[i] = 0  # every other row clears its entry in column j
-            a[j:] = field.add_arr(a[j:], field.mul_arr(a[j:, i, None], factors))
-            free[i] = False
+            live[i] = 0
+            if tail:
+                a[w + len(found), i] = 1
             found.append(i)
+            end = w + len(found) if tail else w
+            piv = a[j:end, i]
+            if c != 1:
+                piv = field.mul_arr(piv, field.inv(c))
+            step = field.sub_mul_arr(a[j:end], piv[:, None], col)
+            step[:, i] = piv
+            a[j:end] = step
             pivots.append(c0 + j)
+            if len(pivots) == rows:
+                break
         r[:, c0:c0 + w] = a[:w].T
-        if found and c0 + w < n:
+        if found and tail:
             # rows become coef @ (old pivot rows), plus their old value off the pivot rows
             old = r[found, c0 + w:]
             r[found, c0 + w:] = 0

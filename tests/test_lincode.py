@@ -705,8 +705,10 @@ def test_min_distance_bound_mode_target_early_exit():
 # extension field above LOG_MAX_ORDER (the product body on arrays)
 ORACLE_FIELDS = ((2, 1), (3, 1), (5, 1), (7, 1), (61, 1), (67, 1), (2, 2), (3, 2), (2, 6), (5, 5),
                  (65537, 1), (2, 17))
-# (rows, columns); 12 x 20 and 24 x 40 span several elimination panels
-ORACLE_SHAPES = ((0, 6), (1, 5), (4, 9), (7, 7), (9, 5), (12, 20), (24, 40))
+# (rows, columns); up to 4 * PANEL = 64 columns _rref eliminates one window,
+# so 20 x 64 is its widest case, and 20 x 65 and 30 x 130 take the panel path
+ORACLE_SHAPES = ((0, 6), (1, 5), (4, 9), (7, 7), (9, 5), (12, 20), (24, 40), (20, 64), (20, 65),
+                 (30, 130))
 
 
 def _degenerate_matrix(fld, rng, k, n):
@@ -758,15 +760,62 @@ def test_array_linear_algebra_matches_scalar_oracle(p, t):
 def test_all_p_minus_one_matrices_match_scalar_oracle(p):
     # Every entry p - 1 makes every product term (p - 1)^2, so each chunk of a
     # product reaches the largest sum its exactness bound allows.  48 x 160
-    # spans ten panels.  F_61 and F_67 sit on either side of the uint16 path.
+    # spans ten panels, and 48 x 64 is one window of fused pivot steps, whose
+    # sums come closest to p^2.  F_61 and F_67 sit on either side of the
+    # uint16 path.
     fld = field_make(p, 1)
     assert fld.dtype == (np.uint16 if p <= 61 else np.int64)
     full = np.full((48, 160), p - 1)
     # zero on the diagonal: rank 48 with every row and coefficient dense
     hollow = full.copy()
     hollow[np.arange(48), np.arange(48)] = 0
-    for mat in (full, hollow):
+    for mat in (full, hollow, full[:, :64]):
         gen, piv = _rref(fld, mat)
         assert (gen.tolist(), piv) == scalar_rref(fld, mat)
         assert _gram(fld, mat, mat[:3]).tolist() == scalar_gram(fld, mat, mat[:3])
         assert _gram(fld, mat.T, mat.T[:3]).tolist() == scalar_gram(fld, mat.T, mat.T[:3])
+
+
+@pytest.mark.parametrize("p,t", ORACLE_FIELDS)
+def test_sub_mul_arr_matches_scalar_oracle(p, t):
+    # random entries and every entry p - 1, the largest sum of the prime
+    # path; broadcasting a column against a row as _rref does; int64 inputs,
+    # and uint16 ones holding the elements below 2^16
+    fld = field_make(p, t)
+    rng = np.random.default_rng(7 * p + t)
+    top = min(fld.order, 2**16)
+    for acc, a, b in ([rng.integers(0, top, size=s) for s in ((9, 6), (9, 1), (6,))],
+                      [np.full(s, p - 1) for s in ((4, 5), (4, 1), (5,))]):
+        want = [[fld.sub(int(x), fld.mul(int(y), int(z))) for x, z in zip(row, b)]
+                for row, (y,) in zip(acc, a)]
+        narrow = max(np.max(acc), np.max(a), np.max(b)) < 2**16  # not F_65537's p - 1
+        for dtype in (np.int64, np.uint16) if narrow else (np.int64,):
+            got = fld.sub_mul_arr(acc.astype(dtype), a.astype(dtype), b.astype(dtype))
+            assert got.tolist() == want, (fld, dtype)
+            assert got.dtype == (np.uint16 if dtype == fld.dtype == np.uint16 else np.int64)
+
+
+@pytest.mark.parametrize("p,t", ((2, 1), (3, 1), (2, 2), (3, 2), (65537, 1)))
+def test_narrow_rref_is_one_fused_step_per_pivot(monkeypatch, p, t):
+    # up to 4 * PANEL = 64 columns: one GF.sub_mul_arr per pivot and no
+    # trailing product; a 65th column brings the panels and their products
+    fld = field_make(p, t)
+    mat = np.random.default_rng(p + t).integers(0, fld.order, size=(30, 65))
+    calls = {"sub_mul_arr": 0, "_matmul": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(GF, "sub_mul_arr", counted("sub_mul_arr", GF.sub_mul_arr))
+    monkeypatch.setattr(lincode, "_matmul", counted("_matmul", lincode._matmul))
+    for n in (1, 20, 64):
+        calls.update(sub_mul_arr=0, _matmul=0)
+        gen, piv = _rref(fld, mat[:, :n])
+        assert (gen.tolist(), piv) == scalar_rref(fld, mat[:, :n])
+        assert calls == {"sub_mul_arr": len(piv), "_matmul": 0}, n
+    calls.update(sub_mul_arr=0, _matmul=0)
+    _rref(fld, mat)
+    assert calls["_matmul"] > 0
