@@ -73,14 +73,8 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _build_from_spec(path: str):
-    spec = load_json(path)
-    decomp, assignment = assignment_from_spec(spec)
-    return decomp, assignment
-
-
 def cmd_build(args) -> int:
-    decomp, assignment = _build_from_spec(args.spec)
+    decomp, assignment = assignment_from_spec(load_json(args.spec))
     qc = assemble_qc(decomp, assignment)
     report = qc_duality_class(qc)
     dist = min_distance(qc.lin, budget=args.budget, mode="bound")
@@ -112,7 +106,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gobound(args) -> int:
-    decomp, assignment = _build_from_spec(args.spec)
+    decomp, assignment = assignment_from_spec(load_json(args.spec))
     report = go_bound(decomp, assignment, args.budget)
     lines = ["constituent chain (sorted by distance):"]
     for c in report.chain:
@@ -135,8 +129,7 @@ def cmd_gobound(args) -> int:
 
 
 def cmd_family(args) -> int:
-    spec = load_json(args.spec)
-    decomp, assignment = assignment_from_spec(spec)
+    decomp, assignment = assignment_from_spec(load_json(args.spec))
     plan = FamilyPlan(decomp.q_field, decomp.m, decomp.ell, assignment,
                       u_max=args.levels, kind=args.kind,
                       materialize_max=args.materialize_max, budget=args.budget)

@@ -1,9 +1,10 @@
 """End-to-end replay of the bundled reference examples.
 
-Each target rebuilds one worked construction from scratch, re-derives every
-transcribed claim (factorizations, D-tables, dimensions, duality flags, bound
-values, stabilizer parameters, family ledgers, modulus tables) and reports a
-pass / fail / flagged status per claim.  "flagged" marks a discrepancy the
+Each target builds one worked construction from its construction spec
+`data/spec_<name>.json` (the tables target re-scans the modulus tables),
+re-derives every transcribed claim (factorizations, D-tables, dimensions,
+duality flags, bound values, stabilizer parameters, family ledgers, modulus
+tables) and reports a pass / fail / flagged status per claim.  "flagged" marks a discrepancy the
 suite deliberately surfaces instead of judging (reference values that
 disagree with their own stated construction); computed results that
 contradict a reference claim outright are failures, with the certificate
@@ -19,44 +20,46 @@ from importlib import resources
 from math import sqrt
 
 
-from .gf import field_make, restrict
-from .lincode import (
-    LinearCode,
-    code_from_rows,
-    concat_copies,
-    dual_euclidean,
-    duality_class,
-    full_space,
-    grs_code,
-    min_distance,
-    min_weight_outside,
-    subspace_leq,
-    _gram,
-)
+from .lincode import dual_euclidean, duality_class, min_distance, min_weight_outside, _gram
 from .gobound import go_bound
 from .poly import factor_xm1, three_factor_scan
 from .qc import (
     ConstituentAssignment,
-    DistanceInfo,
+    CrtDecomposition,
     FamilyPlan,
-    PairAssignment,
-    SelfrecAssignment,
     assemble_qc,
     build_family,
-    decompose_ring,
     dim_from_constituents,
     galois_closure_theorem_check,
     qc_duality_class,
     sqrt_like_check,
 )
 from .quantum import QuantumParams, from_dual_containing, singleton_audit, transform
+from .serial import assignment_from_spec
 
 TARGETS = ("example41", "example42", "example43", "cor35-example", "example39", "tables")
 
 
-def load_tables() -> dict:
-    with resources.files("qckit.data").joinpath("paper_tables.json").open("r") as fh:
+def _load_data(name: str) -> dict:
+    with resources.files("qckit.data").joinpath(name).open("r") as fh:
         return json.load(fh)
+
+
+def load_tables() -> dict:
+    return _load_data("paper_tables.json")
+
+
+def load_example(name: str) -> tuple[CrtDecomposition, ConstituentAssignment]:
+    """A worked example's decomposition and constituents, read from its
+    construction spec `data/spec_<name>.json`."""
+    return assignment_from_spec(_load_data(f"spec_{name}.json"))
+
+
+def example_plan(name: str, kind: str, u_max: int, materialize_max: int) -> FamilyPlan:
+    """The family grown from a worked example's constituents."""
+    decomp, asn = load_example(name)
+    return FamilyPlan(decomp.q_field, decomp.m, decomp.ell, asn,
+                      u_max=u_max, kind=kind, materialize_max=materialize_max)
 
 
 @dataclass
@@ -155,22 +158,18 @@ def run_example41(budget: int = 2**25, long_mode: bool = False) -> RunReport:
     t0 = time.time()
     rep = RunReport("reproduce example41", {"budget": budget})
     fx = load_tables()["example41"]
-    f4 = field_make(2, 2)
-    _factor_check(rep, "example41", f4, 7, fx["pair"], fx["selfrec"])
+    decomp, asn = load_example("example41")
+    _factor_check(rep, "example41", decomp.q_field, 7, fx["pair"], fx["selfrec"])
 
-    decomp = decompose_ring(f4, 7, 3)
     sg, sgs = decomp.pair_slots[0]
     rep.check("pair constituent fields", "example41/decomposition",
               [64, 64], [sg.cfield.order, sgs.cfield.order])
     rep.check("self-reciprocal constituent field", "example41/decomposition",
               4, decomp.selfrec_slots[0].cfield.order)
 
-    F64 = sg.cfield
-    gamma = F64.gen  # any element outside the F_4 subfield spans the same line
-    cp = code_from_rows(F64, 3, [(gamma, gamma, gamma)])
-    cs = full_space(f4, 3)
-    asn = ConstituentAssignment((PairAssignment(cp),), (SelfrecAssignment(cs),))
+    cp = asn.pairs[0].cprime
     cd = asn.pairs[0].cdouble_code()
+    cs = asn.selfrec[0].code
     rep.check("constituent parameters [n,k,d]", "example41/constituents",
               fx["constituent_params"],
               [[cp.n, cp.k, min_distance(cp).d_exact],
@@ -221,23 +220,12 @@ def run_example41(budget: int = 2**25, long_mode: bool = False) -> RunReport:
     return rep
 
 
-def _example42_assignment():
-    f2 = field_make(2, 1)
-    decomp = decompose_ring(f2, 7, 8)
-    F8 = decomp.pair_slots[0][0].cfield
-    cp = grs_code(F8, list(range(8)), [1] * 8, 3)
-    fx = load_tables()["example42"]
-    cs = code_from_rows(f2, 8, fx["cs_rows"])
-    asn = ConstituentAssignment((PairAssignment(cp),), (SelfrecAssignment(cs),))
-    return decomp, asn, fx
-
-
 def run_example42(budget: int = 2**25, long_mode: bool = False) -> RunReport:
     t0 = time.time()
     rep = RunReport("reproduce example42", {"budget": budget, "long": long_mode})
-    f2 = field_make(2, 1)
-    _factor_check(rep, "example42", f2, 7, [[1, 1, 0, 1], [1, 0, 1, 1]], [[1, 1]])
-    decomp, asn, fx = _example42_assignment()
+    fx = load_tables()["example42"]
+    decomp, asn = load_example("example42")
+    _factor_check(rep, "example42", decomp.q_field, 7, [[1, 1, 0, 1], [1, 0, 1, 1]], [[1, 1]])
     cp = asn.pairs[0].cprime
     cd = asn.pairs[0].cdouble_code()
     cs = asn.selfrec[0].code
@@ -276,19 +264,11 @@ def run_example43(budget: int = 2**24, long_mode: bool = False) -> RunReport:
     t0 = time.time()
     rep = RunReport("reproduce example43", {"budget": budget})
     fx = load_tables()["example43"]
-    f4 = field_make(2, 2)
-    decomp = decompose_ring(f4, 7, 3)
-    F64 = decomp.pair_slots[0][0].cfield
-    cp = code_from_rows(F64, 3, [(F64.gen,) * 3])
-    cs = code_from_rows(f4, 3, fx["cs_rows"])
+    plan = example_plan("example43", "EDC", u_max=3, materialize_max=24)
+    cs = plan.base.selfrec[0].code
     rep.check("last constituent is an EDC [3,2,2] code", "example43/constituents",
               [3, 2, 2, True],
               [cs.n, cs.k, min_distance(cs).d_exact, duality_class(cs).edc])
-    asn = ConstituentAssignment(
-        (PairAssignment(cp, None, DistanceInfo(3, True), DistanceInfo(2, True)),),
-        (SelfrecAssignment(cs, DistanceInfo(2, True)),),
-    )
-    plan = FamilyPlan(f4, 7, 3, asn, u_max=3, kind="EDC", materialize_max=24)
     levels = build_family(plan)
     rep.check_true("level-1 code materialized with the formula rank and EDC",
                    "example43/family",
@@ -311,36 +291,24 @@ def run_cor35(budget: int = 2**24, long_mode: bool = False) -> RunReport:
     t0 = time.time()
     rep = RunReport("reproduce cor35-example", {"budget": budget})
     fx = load_tables()["cor35"]
-    f3 = field_make(3, 1)
-    _factor_check(rep, "cor35-example", f3, 11, fx["pair"], [[2, 1]])
-    decomp = decompose_ring(f3, 11, 5)
-    sg = decomp.pair_slots[0][0]
-    F243 = sg.cfield
-    # the generator "alpha" of the worked example is the slot's own evaluation
-    # point: the residue of x in F_3[x]/(g), i.e. the canonical root of g
-    a = restrict(F243, decomp.common_field, decomp.alpha_pow(sg.exponent))
-    row2 = [F243.pow_(a, i) for i in range(1, 6)]
-    cp = code_from_rows(F243, 5, [fx["cprime_first_row"], row2])
+    plan = example_plan("cor35", "ESO", u_max=3, materialize_max=60)
+    _factor_check(rep, "cor35-example", plan.q_field, 11, fx["pair"], [[2, 1]])
+    cp = plan.base.pairs[0].cprime
     rep.check("first constituent is a [5,2,4] code", "cor35-example/constituents",
               [5, 2, 4], [cp.n, cp.k, min_distance(cp).d_exact])
     cd = dual_euclidean(cp)
     rep.check("its dual is a [5,3,3] code", "cor35-example/constituents",
               [5, 3, 3], [cd.n, cd.k, min_distance(cd).d_exact])
-    cs = code_from_rows(f3, 5, fx["cs_rows"])
+    cs = plan.base.selfrec[0].code
     rep.check("last constituent is the self-orthogonal [5,2,3] code",
               "cor35-example/constituents",
               [5, 2, 3, True],
               [cs.n, cs.k, min_distance(cs).d_exact, duality_class(cs).eso])
-    asn = ConstituentAssignment(
-        (PairAssignment(cp, None, DistanceInfo(4, True), DistanceInfo(3, True)),),
-        (SelfrecAssignment(cs, DistanceInfo(3, True)),),
-    )
-    plan = FamilyPlan(f3, 11, 5, asn, u_max=3, kind="ESO", materialize_max=60)
     levels = build_family(plan)
     rep.check("family ledger [5*11^u, (5*11^u-1)/2, >=3*11^(u-1)]",
               "cor35-example/family", fx["ledger"], [list(lv.params()) for lv in levels])
     lv1 = levels[0]
-    gram_zero = not _gram(f3, lv1.qc.lin.gen, lv1.qc.lin.gen).any()
+    gram_zero = not _gram(plan.q_field, lv1.qc.lin.gen, lv1.qc.lin.gen).any()
     rep.check("level-1 code: rank 27 and G.G^T = 0 (ESO)", "cor35-example/family",
               [27, True], [lv1.qc.k, gram_zero])
     rep.timing_s = time.time() - t0
@@ -351,23 +319,16 @@ def run_example39(budget: int = 2**24, long_mode: bool = False) -> RunReport:
     t0 = time.time()
     rep = RunReport("reproduce example39", {"budget": budget})
     fx = load_tables()["example39"]
-    f5 = field_make(5, 1)
-    _factor_check(rep, "example39", f5, 11, fx["pair"], [[4, 1]])
-    decomp = decompose_ring(f5, 11, 6)
-    F3125 = decomp.pair_slots[0][0].cfield
-    cp = grs_code(F3125, [0, 1, 2, 3, 4, 5], [1] * 6, 3)
+    plan = example_plan("example39", "ESD", u_max=3, materialize_max=70)
+    _factor_check(rep, "example39", plan.q_field, 11, fx["pair"], [[4, 1]])
+    cp = plan.base.pairs[0].cprime
     rep.check("first constituent is a [6,3] GRS code (MDS: d = 4)",
               "example39/constituents", [6, 3], [cp.n, cp.k])
-    cs = code_from_rows(f5, 6, fx["cs_rows"])
+    cs = plan.base.selfrec[0].code
     rep.check("last constituent is the self-dual [6,3,4] code",
               "example39/constituents",
               [6, 3, 4, True],
               [cs.n, cs.k, min_distance(cs).d_exact, duality_class(cs).esd])
-    asn = ConstituentAssignment(
-        (PairAssignment(cp, None, DistanceInfo(4, True, "mds"), DistanceInfo(4, True, "mds")),),
-        (SelfrecAssignment(cs, DistanceInfo(4, True)),),
-    )
-    plan = FamilyPlan(f5, 11, 6, asn, u_max=3, kind="ESD", materialize_max=70)
     levels = build_family(plan)
     rep.check("dimension-formula ledger [6*11^u, 3*11^u, >=4*11^(u-1)]",
               "example39/family", fx["formula_ledger"], [list(lv.params()) for lv in levels])

@@ -21,7 +21,7 @@ from qckit.gobound import go_bound
 from qckit.lincode import code_from_rows, dual_euclidean, min_distance
 from qckit.qc import assemble_qc
 from qckit.reproduce import (
-    _example42_assignment,
+    load_example,
     load_tables,
     run_cor35,
     run_example39,
@@ -33,7 +33,6 @@ from qckit.reproduce import (
 
 import test_properties as props
 from oracles import macwilliams_weights, naive_min_distance
-from test_gobound import _ex41_assignment
 
 
 def _line(num, ok, text):
@@ -64,21 +63,7 @@ def test_criterion_1_factorization_fidelity():
 
 def test_criterion_2_d_table():
     t0 = time.time()
-    from qckit.lincode import full_space
-    from qckit.qc import (
-        ConstituentAssignment,
-        PairAssignment,
-        SelfrecAssignment,
-        decompose_ring,
-    )
-
-    f4 = field_make(2, 2)
-    dec = decompose_ring(f4, 7, 3)
-    F64 = dec.pair_slots[0][0].cfield
-    asn = ConstituentAssignment(
-        (PairAssignment(code_from_rows(F64, 3, [(F64.gen,) * 3])),),
-        (SelfrecAssignment(full_space(f4, 3)),))
-    rep = go_bound(dec, asn)
+    rep = go_bound(*load_example("example41"))
     fx = load_tables()["example41"]["d_table"]
     got = {",".join(map(str, k)): {"gen": list(v.gen_poly.coeffs), "d": v.distance}
            for k, v in rep.d_table.items()}
@@ -132,7 +117,7 @@ def test_criterion_3_example41_end_to_end():
     # the published constituents fix the code, and its true distance is 5:
     # the claim must be reported as failed, with the certified value
     dist_failed = structural[dist_claim] == "fail" and rep.results["exact_distance"] == 5
-    dec, asn = _ex41_assignment()
+    dec, asn = load_example("example41")
     d_cert, a_d = _certified_distance_f4(assemble_qc(dec, asn).lin)
     go = go_bound(dec, asn)
     ok = (others_ok and dist_failed and (d_cert, a_d) == (5, 63)
@@ -168,8 +153,7 @@ def test_criterion_4_example42_long():
     dist_claim = "exact minimum distance attains the published bound (>= 14)"
     status = {c.claim: c.status for c in rep.checks}[dist_claim]
     exact = rep.results.get("exact_distance")
-    dec, asn, _ = _example42_assignment()
-    go = go_bound(dec, asn)
+    go = go_bound(*load_example("example42"))
     ok = (status == "fail" and exact == 8 and go.d_go == 14 and go.d_sound == 6 <= exact
           and elapsed < 60)
     _line("4-long", ok,

@@ -37,19 +37,13 @@ def run_json(argv, capsys):
     return rc, json.loads(out)
 
 
-SPEC41 = {
-    "q": {"p": 2, "t": 2}, "m": 7, "ell": 3,
-    "pairs": [{"rep": 1, "cprime_rows": [[2, 2, 2]], "cdoubleprime": "dual"}],
-    "selfrec": [{"rep": 0, "rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}],
-}
+DATA = resources.files("qckit.data")
+SPEC41 = str(DATA / "spec_example41.json")
 
 
-@pytest.fixture
-def spec41(tmp_path):
-    path = tmp_path / "spec41.json"
-    path.write_text(json.dumps(SPEC41))
-    validate(SPEC41, "build_spec.json")
-    return str(path)
+@pytest.mark.parametrize("name", sorted(f.name for f in DATA.iterdir() if f.name.startswith("spec_")))
+def test_shipped_specs_match_the_schema(name):
+    validate(json.loads((DATA / name).read_text()), "build_spec.json")
 
 
 def test_factor_command(capsys):
@@ -84,9 +78,9 @@ def test_decompose_command(capsys):
     assert [s["constituent_order"] for s in payload["slots"]] == [64, 64, 4]
 
 
-def test_build_verify_round_trip(tmp_path, spec41, capsys):
+def test_build_verify_round_trip(tmp_path, capsys):
     out = tmp_path / "code.json"
-    rc, built = run_json(["build", "--spec", spec41, "--out", str(out)], capsys)
+    rc, built = run_json(["build", "--spec", SPEC41, "--out", str(out)], capsys)
     assert rc == 0
     validate(built, "build.json")
     validate(built["code"], "code.json")
@@ -102,11 +96,11 @@ def test_build_verify_round_trip(tmp_path, spec41, capsys):
         json.dumps(built["distance"], sort_keys=True)
 
 
-def test_build_over_budget_reports_an_interval(tmp_path, spec41, capsys):
+def test_build_over_budget_reports_an_interval(tmp_path, capsys):
     # q^k = 4^12 exceeds the budget: the engine still runs, capped at 100
     # codewords, and reports the certified interval around d = 5
     out = tmp_path / "code.json"
-    rc, built = run_json(["build", "--spec", spec41, "--budget", "100", "--out", str(out)], capsys)
+    rc, built = run_json(["build", "--spec", SPEC41, "--budget", "100", "--out", str(out)], capsys)
     assert rc == 0
     validate(built, "build.json")
     dist = built["distance"]
@@ -179,14 +173,14 @@ def test_verify_rejects_non_integral_shape_fields(tmp_path, capsys):
     assert "must be an integer" in capsys.readouterr().err
 
 
-def test_negative_budget_is_a_usage_error(tmp_path, spec41, capsys):
+def test_negative_budget_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["build", "--spec", spec41, "--budget", "-5"])
+        main(["build", "--spec", SPEC41, "--budget", "-5"])
     assert exc.value.code == 2 and "--budget" in capsys.readouterr().err
 
 
-def test_gobound_command(spec41, capsys):
-    rc, payload = run_json(["gobound", "--spec", spec41], capsys)
+def test_gobound_command(capsys):
+    rc, payload = run_json(["gobound", "--spec", SPEC41], capsys)
     assert rc == 0
     validate(payload, "gobound.json")
     assert payload["d_go"] == 7
@@ -194,21 +188,8 @@ def test_gobound_command(spec41, capsys):
     assert payload["d_table"]["D_3"]["distance"] == 7
 
 
-def test_family_command(tmp_path, capsys):
-    spec = {
-        "q": {"p": 3, "t": 1}, "m": 11, "ell": 5,
-        "pairs": [{"rep": 2,
-                   "cprime_rows": [[1, 2, 1, 2, 1], [3, 9, 27, 81, 1]],
-                   "cdoubleprime": "dual",
-                   "cprime_distance": {"value": 4, "exact": True},
-                   "cdoubleprime_distance": {"value": 3, "exact": True}}],
-        "selfrec": [{"rep": 0, "rows": [[1, 1, 1, 0, 0], [1, 2, 0, 1, 0]],
-                     "distance": {"value": 3, "exact": True}}],
-    }
-    path = tmp_path / "fam.json"
-    path.write_text(json.dumps(spec))
-    validate(spec, "build_spec.json")
-    rc, payload = run_json(["family", "--spec", str(path), "--levels", "3",
+def test_family_command(capsys):
+    rc, payload = run_json(["family", "--spec", str(DATA / "spec_cor35.json"), "--levels", "3",
                             "--materialize-max", "60"], capsys)
     assert rc == 0
     validate(payload, "family.json")
@@ -217,9 +198,9 @@ def test_family_command(tmp_path, capsys):
     assert payload["levels"][0]["materialized"]
 
 
-def test_quantum_command(tmp_path, spec41, capsys):
+def test_quantum_command(tmp_path, capsys):
     out = tmp_path / "code.json"
-    main(["build", "--spec", spec41, "--out", str(out)])
+    main(["build", "--spec", SPEC41, "--out", str(out)])
     capsys.readouterr()  # drain the build's text output
     rc, payload = run_json(["quantum", "--code", str(out)], capsys)
     assert rc == 0
@@ -288,15 +269,10 @@ def test_reproduce_all_matches_pinned_output(capsys):
 
 def test_spec_rep_leniency_and_distance_entries(tmp_path, capsys):
     # a rep may be any member of its coset; distance entries pass through
-    spec = {
-        "q": {"p": 2, "t": 2}, "m": 7, "ell": 3,
-        "pairs": [{"rep": 5,  # member of the g*-coset {3,5,6}: same pair
-                   "cprime_rows": [[2, 2, 2]],
-                   "cdoubleprime": "dual",
-                   "cprime_distance": {"value": 3, "exact": True}}],
-        "selfrec": [{"rep": 0, "rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                     "distance": {"value": 1, "exact": True}}],
-    }
+    spec = json.loads(Path(SPEC41).read_text())
+    spec["pairs"][0]["rep"] = 5  # member of the g*-coset {3,5,6}: same pair
+    spec["pairs"][0]["cprime_distance"] = {"value": 3, "exact": True}
+    spec["selfrec"][0]["distance"] = {"value": 1, "exact": True}
     path = tmp_path / "lenient.json"
     path.write_text(json.dumps(spec))
     rc, payload = run_json(["build", "--spec", str(path)], capsys)

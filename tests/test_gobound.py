@@ -1,27 +1,25 @@
 import pytest
 
 from qckit.errors import BudgetExceeded, EmptyAssignment, RepNotACosetMin
-from qckit.gf import field_make, restrict
+from qckit.gf import field_make
 from qckit.gobound import associated_cyclic_family, cyclic_from_nonzeros, go_bound
 from qckit.lincode import (
     code_from_rows,
     dual_euclidean,
     full_space,
-    grs_code,
     min_distance,
     subspace_leq,
     zero_code,
 )
 from qckit.qc import (
     ConstituentAssignment,
-    DistanceInfo,
     PairAssignment,
     SelfrecAssignment,
     assemble_qc,
     decompose_ring,
 )
+from qckit.reproduce import load_example
 
-F2 = field_make(2, 1)
 F4 = field_make(2, 2)
 
 
@@ -38,18 +36,8 @@ def test_cyclic_from_nonzeros_examples():
         cyclic_from_nonzeros(F4, 7, [0, 0])
 
 
-def _ex41_assignment():
-    dec = decompose_ring(F4, 7, 3)
-    F64 = dec.pair_slots[0][0].cfield
-    cp = code_from_rows(F64, 3, [(F64.gen,) * 3])
-    asn = ConstituentAssignment((PairAssignment(cp),),
-                                (SelfrecAssignment(full_space(F4, 3)),))
-    return dec, asn
-
-
 def test_go_bound_reference_values():
-    dec, asn = _ex41_assignment()
-    rep = go_bound(dec, asn)
+    rep = go_bound(*load_example("example41"))
     assert [c.distance.value for c in rep.chain] == [3, 2, 1]
     assert rep.d_go == 7 and rep.exact_mode
     # Jensen: prefixes min(3*4, 2*2, 1*1) = 1, suffixes min(3*1, 2*3, 1*7) = 3
@@ -73,15 +61,7 @@ def test_go_bound_reference_values():
 
 
 def test_go_bound_example42_value():
-    f2 = F2
-    dec = decompose_ring(f2, 7, 8)
-    F8 = dec.pair_slots[0][0].cfield
-    cp = grs_code(F8, list(range(8)), [1] * 8, 3)
-    cs = code_from_rows(f2, 8, [
-        (1, 0, 0, 1, 0, 0, 0, 0), (0, 1, 0, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0),
-        (0, 0, 0, 0, 1, 0, 0, 1), (0, 0, 0, 0, 0, 1, 0, 1), (0, 0, 0, 0, 0, 0, 1, 1)])
-    rep = go_bound(dec, ConstituentAssignment((PairAssignment(cp),),
-                                              (SelfrecAssignment(cs),)))
+    rep = go_bound(*load_example("example42"))
     assert [c.distance.value for c in rep.chain] == [6, 4, 2]
     assert rep.d_go == 14
     # Jensen: prefixes min(6*4, 4*2, 2*1) = 2, suffixes min(6*1, 4*3, 2*7) = 6
@@ -89,7 +69,7 @@ def test_go_bound_example42_value():
 
 
 def test_go_bound_single_constituent_rep0():
-    dec, _ = _ex41_assignment()
+    dec = decompose_ring(F4, 7, 3)
     F64 = dec.pair_slots[0][0].cfield
     cs = code_from_rows(F4, 3, [(1, 1, 1)])
     asn = ConstituentAssignment(
@@ -111,7 +91,7 @@ def test_formula_unsoundness_regression():
     README section "Reference-material defects found by the suite".  The
     sound bound is exact here: chain (2, 1), min(2*3, 1*7) = 6.
     """
-    dec, _ = _ex41_assignment()
+    dec = decompose_ring(F4, 7, 3)
     F64 = dec.pair_slots[0][0].cfield
     cd = dual_euclidean(code_from_rows(F64, 3, [(1, 1, 1)]))
     asn = ConstituentAssignment(
@@ -127,7 +107,7 @@ def test_formula_unsoundness_regression():
 def test_example41_exact_distance_regression():
     """The full worked example: formula 7, sound bound 3, true exact distance 5
     (see the README section "Reference-material defects found by the suite")."""
-    dec, asn = _ex41_assignment()
+    dec, asn = load_example("example41")
     rep = go_bound(dec, asn)
     qc = assemble_qc(dec, asn)
     assert rep.d_go == 7 and rep.d_sound == 3
@@ -135,7 +115,7 @@ def test_example41_exact_distance_regression():
 
 
 def test_d_table_nesting_monotonicity():
-    dec, asn = _ex41_assignment()
+    dec, asn = load_example("example41")
     fam = associated_cyclic_family(dec, asn)
     codes = fam.codes
     dists = {k: min_distance(v).d_exact for k, v in codes.items()}
@@ -147,7 +127,7 @@ def test_d_table_nesting_monotonicity():
 
 
 def test_go_bound_errors():
-    dec, _ = _ex41_assignment()
+    dec = decompose_ring(F4, 7, 3)
     F64 = dec.pair_slots[0][0].cfield
     empty = ConstituentAssignment(
         (PairAssignment(zero_code(F64, 3), zero_code(F64, 3)),),
@@ -165,39 +145,20 @@ def test_go_bound_errors():
 
 def test_family_ledger_consistency():
     # formula value at the materialized level stays above the ledger claim
-    f3 = field_make(3, 1)
-    dec = decompose_ring(f3, 11, 5)
-    sg = dec.pair_slots[0][0]
-    F243 = sg.cfield
-    a = restrict(F243, dec.common_field, dec.alpha_pow(sg.exponent))
-    cp = code_from_rows(F243, 5, [(1, 2, 1, 2, 1), [F243.pow_(a, i) for i in range(1, 6)]])
-    cs = code_from_rows(f3, 5, [(1, 1, 1, 0, 0), (1, 2, 0, 1, 0)])
-    asn = ConstituentAssignment(
-        (PairAssignment(cp, None, DistanceInfo(4, True), DistanceInfo(3, True)),),
-        (SelfrecAssignment(cs, DistanceInfo(3, True)),))
-    rep = go_bound(dec, asn)
+    rep = go_bound(*load_example("cor35"))
     assert rep.d_go >= 3  # the u = 1 ledger claim 3 * 11^0
 
 
 def test_bch_fallback_lower_bound_mode():
     from qckit.gobound import _bch_bound, cyclic_code_from_gen
-    from qckit.qc import DistanceInfo
 
     assert _bch_bound(7, {0, 3, 5, 6}) == 4  # cyclic run 5,6,0
     assert _bch_bound(7, set()) == 1
     assert _bch_bound(7, set(range(7))) == 8  # whole space of zeros: sentinel
     assert _bch_bound(7, {1, 2, 3, 4}) == 5
 
-    f3 = field_make(3, 1)
-    dec = decompose_ring(f3, 11, 5)
-    sg = dec.pair_slots[0][0]
-    F243 = sg.cfield
-    a = restrict(F243, dec.common_field, dec.alpha_pow(sg.exponent))
-    cp = code_from_rows(F243, 5, [(1, 2, 1, 2, 1), [F243.pow_(a, i) for i in range(1, 6)]])
-    cs = code_from_rows(f3, 5, [(1, 1, 1, 0, 0), (1, 2, 0, 1, 0)])
-    asn = ConstituentAssignment(
-        (PairAssignment(cp, None, DistanceInfo(4, True), DistanceInfo(3, True)),),
-        (SelfrecAssignment(cs, DistanceInfo(3, True)),))
+    dec, asn = load_example("cor35")
+    f3 = dec.q_field
     # 100 codewords certify every entry; 50 certify D_3 and D_1,2 only
     lo = go_bound(dec, asn, distance_budget=50)
     hi = go_bound(dec, asn, distance_budget=2**22)

@@ -46,13 +46,8 @@ from qckit.lincode import (
     _rref,
     _stage_blocks,
 )
-from qckit.qc import (
-    ConstituentAssignment,
-    PairAssignment,
-    SelfrecAssignment,
-    assemble_qc,
-    decompose_ring,
-)
+from qckit.qc import assemble_qc
+from qckit.reproduce import load_example
 
 from oracles import (
     brute_dual_vectors,
@@ -382,11 +377,7 @@ def test_min_distance_bound_mode_is_sound():
     known.append((light, naive_min_distance(light)))
     for fld, n, k in ((F9, 8, 4), (field_make(5, 5), 10, 3), (field_make(65537, 1), 8, 3)):
         known.append((grs_code(fld, range(1, n + 1), [1] * n, k), n - k + 1))
-    dec = decompose_ring(F4, 7, 3)
-    F64 = dec.pair_slots[0][0].cfield
-    asn = ConstituentAssignment((PairAssignment(code_from_rows(F64, 3, [(F64.gen,) * 3])),),
-                                (SelfrecAssignment(full_space(F4, 3)),))
-    known.append((assemble_qc(dec, asn).lin, 5))
+    known.append((assemble_qc(*load_example("example41")).lin, 5))
     for c, d in known:
         for budget in (0, 1, 5, 40, 300, 3000):
             rep = min_distance(c, budget=budget, mode="bound")
@@ -415,10 +406,7 @@ def _traced_peak(run):
 
 
 def test_min_distance_memory_example42():
-    from qckit.reproduce import _example42_assignment
-
-    dec, asn, _ = _example42_assignment()
-    code = assemble_qc(dec, asn).lin  # [56,30]_2
+    code = assemble_qc(*load_example("example42")).lin  # [56,30]_2
     # q^k = 2^30 exceeds the budget; the engine certifies d = 8 far below it
     rep, peak = _traced_peak(lambda: min_distance(code, budget=2**25))
     assert rep.mode == "exact" and rep.d_exact == 8 and rep.enumerated == 348872

@@ -24,8 +24,6 @@ from qckit.lincode import (
 from qckit.gobound import go_bound
 from qckit.qc import (
     ConstituentAssignment,
-    DistanceInfo,
-    FamilyPlan,
     PairAssignment,
     SelfrecAssignment,
     assemble_qc,
@@ -39,6 +37,7 @@ from qckit.qc import (
     shift,
     sqrt_like_check,
 )
+from qckit.reproduce import example_plan
 
 SEED = 12345
 
@@ -183,19 +182,7 @@ def run_family_sqrt_suite():
                     bad.append(("power-inequality", m, u))
             elif not m**u <= m ** (2 * (u - 1)):
                 bad.append(("power-inequality", m, u))
-    f3 = field_make(3, 1)
-    dec = decompose_ring(f3, 11, 5)
-    sg = dec.pair_slots[0][0]
-    F243 = sg.cfield
-    from qckit.gf import restrict
-
-    a = restrict(F243, dec.common_field, dec.alpha_pow(sg.exponent))
-    cp = code_from_rows(F243, 5, [(1, 2, 1, 2, 1), [F243.pow_(a, i) for i in range(1, 6)]])
-    cs = code_from_rows(f3, 5, [(1, 1, 1, 0, 0), (1, 2, 0, 1, 0)])
-    asn = ConstituentAssignment(
-        (PairAssignment(cp, None, DistanceInfo(4, True), DistanceInfo(3, True)),),
-        (SelfrecAssignment(cs, DistanceInfo(3, True)),))
-    levels = build_family(FamilyPlan(f3, 11, 5, asn, u_max=5, kind="ESO", materialize_max=60))
+    levels = build_family(example_plan("cor35", "ESO", u_max=5, materialize_max=60))
     res = sqrt_like_check(levels, 5, c=3 / math.sqrt(5))
     if not res["all_ok"]:
         bad.append(("sqrt-like", res))

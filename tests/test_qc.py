@@ -14,7 +14,7 @@ from qckit.errors import (
     SlotSNotESO,
 )
 from qckit import lincode
-from qckit.gf import field_make, restrict
+from qckit.gf import field_make
 from qckit.lincode import (
     code_from_rows,
     code_power_q,
@@ -23,7 +23,6 @@ from qckit.lincode import (
     dual_hermitian,
     duality_class,
     full_space,
-    grs_code,
     is_galois_closed,
     juxtapose,
     min_distance,
@@ -60,7 +59,7 @@ from qckit.qc import (
 )
 from qckit.poly import Poly
 from qckit.quantum import css
-from qckit.reproduce import _example42_assignment, load_tables
+from qckit.reproduce import example_plan, load_example
 
 from oracles import eliminated_duality_flags, scalar_rref
 
@@ -76,12 +75,8 @@ def dec47():
 
 
 @pytest.fixture(scope="module")
-def ex41(dec47):
-    F64 = dec47.pair_slots[0][0].cfield
-    cp = code_from_rows(F64, 3, [(F64.gen,) * 3])
-    asn = ConstituentAssignment((PairAssignment(cp),),
-                                (SelfrecAssignment(full_space(F4, 3)),))
-    return assemble_qc(dec47, asn)
+def ex41():
+    return assemble_qc(*load_example("example41"))
 
 
 def test_decompose_shapes(dec47):
@@ -247,14 +242,7 @@ def test_qc_dual(ex41, dec47):
     qz = assemble_qc(dec47, assignment_all_zero(dec47))
     assert qc_dual(qz).k == 21
     # a self-dual construction equals its own dual (x - 1 slot over F_5)
-    dec5 = decompose_ring(F5, 11, 6)
-    F3125 = dec5.pair_slots[0][0].cfield
-    from qckit.lincode import grs_code
-
-    cp = grs_code(F3125, [0, 1, 2, 3, 4, 5], [1] * 6, 3)
-    cs = code_from_rows(F5, 6, [(1, 0, 0, 2, 2, 4), (0, 1, 0, 2, 4, 2), (0, 0, 1, 4, 2, 2)])
-    qc = assemble_qc(dec5, ConstituentAssignment((PairAssignment(cp),),
-                                                 (SelfrecAssignment(cs),)))
+    qc = assemble_qc(*load_example("example39"))
     assert qc_dual(qc).lin == qc.lin
 
 
@@ -296,17 +284,7 @@ def test_galois_closure_theorem(ex41, dec47):
 
 
 def _cor35_plan(u_max=3, materialize_max=60):
-    dec = decompose_ring(F3, 11, 5)
-    sg = dec.pair_slots[0][0]
-    F243 = sg.cfield
-    a = restrict(F243, dec.common_field, dec.alpha_pow(sg.exponent))
-    cp = code_from_rows(F243, 5, [(1, 2, 1, 2, 1), [F243.pow_(a, i) for i in range(1, 6)]])
-    cs = code_from_rows(F3, 5, [(1, 1, 1, 0, 0), (1, 2, 0, 1, 0)])
-    asn = ConstituentAssignment(
-        (PairAssignment(cp, None, DistanceInfo(4, True), DistanceInfo(3, True)),),
-        (SelfrecAssignment(cs, DistanceInfo(3, True)),),
-    )
-    return FamilyPlan(F3, 11, 5, asn, u_max=u_max, kind="ESO", materialize_max=materialize_max)
+    return example_plan("cor35", "ESO", u_max, materialize_max)
 
 
 def test_build_family_ledger():
@@ -326,16 +304,7 @@ def test_build_family_u1_matches_direct_computation():
 
 def test_family_f4_dimension_formula():
     # the second worked construction: EDC family over F_4 with m = 7
-    dec = decompose_ring(F4, 7, 3)
-    F64 = dec.pair_slots[0][0].cfield
-    cp = code_from_rows(F64, 3, [(F64.gen,) * 3])
-    cs = code_from_rows(F4, 3, [(0, 1, 2), (1, 0, 3)])
-    asn = ConstituentAssignment(
-        (PairAssignment(cp, None, DistanceInfo(3, True), DistanceInfo(2, True)),),
-        (SelfrecAssignment(cs, DistanceInfo(2, True)),),
-    )
-    plan = FamilyPlan(F4, 7, 3, asn, u_max=3, kind="EDC", materialize_max=24)
-    levels = build_family(plan)
+    levels = build_family(example_plan("example43", "EDC", u_max=3, materialize_max=24))
     # dimension follows the recursion formula 3(7^u - 1)/2 + 2; the published
     # 3(7^u + 1)/2 contradicts the stated [3,2,2] constituent (see the README
     # section "Reference-material defects found by the suite")
@@ -423,15 +392,7 @@ def test_duality_class_memory_at_n605():
 
 
 def test_family_level2_materialization_edc():
-    dec = decompose_ring(F4, 7, 3)
-    F64 = dec.pair_slots[0][0].cfield
-    cp = code_from_rows(F64, 3, [(F64.gen,) * 3])
-    cs = code_from_rows(F4, 3, [(0, 1, 2), (1, 0, 3)])
-    asn = ConstituentAssignment(
-        (PairAssignment(cp, None, DistanceInfo(3, True), DistanceInfo(2, True)),),
-        (SelfrecAssignment(cs, DistanceInfo(2, True)),))
-    levels = build_family(FamilyPlan(F4, 7, 3, asn, u_max=2, kind="EDC",
-                                     materialize_max=147))
+    levels = build_family(example_plan("example43", "EDC", u_max=2, materialize_max=147))
     lv2 = levels[1]
     assert (lv2.n, lv2.k) == (147, 74)
     assert lv2.rank_checked and lv2.duality_checked  # EDC propagates to level 2
@@ -499,46 +460,23 @@ def test_hso_slot_yields_eso_code():
 
 
 def family_plans() -> dict:
-    """The cor35, example43 and example39 recipes from the reference tables,
-    with level u = 2 materialized."""
-    fx = load_tables()
-    dec = decompose_ring(F3, 11, 5)
-    F243 = dec.pair_slots[0][0].cfield
-    a = restrict(F243, dec.common_field, dec.alpha_pow(dec.pair_slots[0][0].exponent))
-    cp = code_from_rows(F243, 5, [fx["cor35"]["cprime_first_row"],
-                                  [F243.pow_(a, i) for i in range(1, 6)]])
-    cor35 = ConstituentAssignment(
-        (PairAssignment(cp, None, DistanceInfo(4, True), DistanceInfo(3, True)),),
-        (SelfrecAssignment(code_from_rows(F3, 5, fx["cor35"]["cs_rows"]), DistanceInfo(3, True)),))
-    F64 = field_make(2, 6)
-    example43 = ConstituentAssignment(
-        (PairAssignment(code_from_rows(F64, 3, [(F64.gen,) * 3]), None,
-                        DistanceInfo(3, True), DistanceInfo(2, True)),),
-        (SelfrecAssignment(code_from_rows(F4, 3, fx["example43"]["cs_rows"]),
-                           DistanceInfo(2, True)),))
-    mds = DistanceInfo(4, True, "mds")
-    example39 = ConstituentAssignment(
-        (PairAssignment(grs_code(field_make(5, 5), range(6), [1] * 6, 3), None, mds, mds),),
-        (SelfrecAssignment(code_from_rows(F5, 6, fx["example39"]["cs_rows"]), DistanceInfo(4, True)),))
+    """The cor35, example43 and example39 families with level u = 2 materialized."""
     return {
-        "cor35": FamilyPlan(F3, 11, 5, cor35, u_max=2, kind="ESO", materialize_max=605),
-        "example43": FamilyPlan(F4, 7, 3, example43, u_max=2, kind="EDC", materialize_max=147),
-        "example39": FamilyPlan(F5, 11, 6, example39, u_max=2, kind="ESD", materialize_max=726),
+        "cor35": example_plan("cor35", "ESO", u_max=2, materialize_max=605),
+        "example43": example_plan("example43", "EDC", u_max=2, materialize_max=147),
+        "example39": example_plan("example39", "ESD", u_max=2, materialize_max=726),
     }
 
 
-def _example_qc_codes(ex41):
-    """example41, example42 and the level-1 codes of the three family recipes."""
-    dec42, asn42, _ = _example42_assignment()
-    codes = {"example41": ex41, "example42": assemble_qc(dec42, asn42)}
-    for name, plan in family_plans().items():
-        codes[name] = assemble_qc(decompose_ring(plan.q_field, plan.m, plan.ell), plan.base)
-    return codes
+def _example_qc_codes():
+    """The five worked examples' QC codes (level 1 of the three families)."""
+    return {name: assemble_qc(*load_example(name))
+            for name in ("example41", "example42", "cor35", "example43", "example39")}
 
 
-def test_qc_duality_flags_match_elimination_oracle(ex41):
+def test_qc_duality_flags_match_elimination_oracle():
     held = set()
-    for name, qc in _example_qc_codes(ex41).items():
+    for name, qc in _example_qc_codes().items():
         flags = duality_class(qc.lin).to_json()
         assert flags == eliminated_duality_flags(qc.field, qc.lin.gen, qc.n), name
         held.update(flag for flag, value in flags.items() if value)
@@ -561,9 +499,9 @@ def test_family_duality_checks_match_elimination_oracle():
     assert checked == [("cor35", 1), ("example43", 1), ("example43", 2), ("example39", 1)]
 
 
-def test_shift_invariance_matches_rolled_elimination(ex41):
+def test_shift_invariance_matches_rolled_elimination():
     rng = np.random.default_rng(41)
-    codes = list(_example_qc_codes(ex41).values())
+    codes = list(_example_qc_codes().values())
     for k in (1, 4, 9):
         v = rng.integers(0, 4, size=(k, 21))
         codes.append(QcCode(code_from_rows(F4, 21, v), 7, 3))  # almost surely not closed
