@@ -147,11 +147,8 @@ def cmd_family(args) -> int:
 def cmd_quantum(args) -> int:
     raw = load_json(args.code)
     code = code_from_json(raw.get("code", raw))
-    dist = min_distance(code, budget=args.budget, mode="bound")
-    exact = dist.mode == "exact"
     params = from_dual_containing(code, mode="exact" if args.exact else "bound",
-                                  d=dist.d_exact if exact else max(1, dist.d_lower),
-                                  d_is_exact=exact, budget=args.budget)
+                                  budget=args.budget)
     if args.chain:
         params = transform_chain(params, args.chain)
     audit = singleton_audit(params)

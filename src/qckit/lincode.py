@@ -162,9 +162,6 @@ class LinearCode:
     def k(self) -> int:
         return self.gen.shape[0]
 
-    def is_zero(self) -> bool:
-        return self.k == 0
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LinearCode)
@@ -495,10 +492,6 @@ class DistanceReport:
     budget: int
     zero_code: bool = False
     d_lower: int | None = None
-
-    @property
-    def value(self) -> int:
-        return self.d_exact if self.d_exact is not None else self.d_upper
 
     def to_json(self) -> dict:
         return {

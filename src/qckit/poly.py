@@ -143,10 +143,6 @@ class CosetTable:
     m: int
     cosets: tuple[tuple[int, ...], ...]
 
-    @property
-    def reps(self) -> tuple[int, ...]:
-        return tuple(c[0] for c in self.cosets)
-
     def coset_of(self, s: int) -> tuple[int, ...]:
         s %= self.m
         for c in self.cosets:
@@ -178,24 +174,21 @@ def cyclotomic_cosets(q: int, m: int) -> CosetTable:
 
 def three_factor_scan(q: int, m_max: int) -> list[int]:
     """All prime m <= m_max where x^m - 1 splits into exactly three
-    irreducible factors over F_q, counted via cyclotomic cosets, matching the
-    published tables (prime squares such as m = 9, 25 over F_2 also give three
-    factors and are not reported).
+    irreducible factors over F_q, matching the published tables (prime
+    squares such as m = 9, 25 over F_2 also give three factors and are not
+    reported).  For a prime m not dividing q, the cosets are {0} and those of
+    the units, each of size ord_m(q), so there are three exactly when
+    2 ord_m(q) = m - 1.
     """
-    out = []
-    for m in range(1, m_max + 1):
-        if gcd(m, q) != 1 or not is_prime(m):
-            continue
-        if len(cyclotomic_cosets(q, m).cosets) == 3:
-            out.append(m)
-    return out
+    return [m for m in range(2, m_max + 1)
+            if is_prime(m) and q % m and 2 * multiplicative_order(q, m) == m - 1]
 
 
 # ---------------------------------------------------------------------------
 # factorization of x^m - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorSet:
     """x^m - 1 = delta * prod g_j g_j* * prod f_i over F_q, canonically ordered.
 
@@ -241,8 +234,19 @@ class FactorSet:
         }
 
 
+_FACTOR_CACHE: dict[tuple[GF, int], FactorSet] = {}
+
+
 def factor_xm1(q_field: GF, m: int) -> FactorSet:
-    """Factor x^m - 1 over F_q into reciprocal pairs and self-reciprocal parts."""
+    """Factor x^m - 1 over F_q into reciprocal pairs and self-reciprocal
+    parts.  Each (F_q, m) is factored once and kept."""
+    fs = _FACTOR_CACHE.get((q_field, m))
+    if fs is None:
+        fs = _FACTOR_CACHE[(q_field, m)] = _factor(q_field, m)
+    return fs
+
+
+def _factor(q_field: GF, m: int) -> FactorSet:
     q = q_field.order
     if m < 1 or gcd(m, q) != 1:
         raise NotCoprime(f"gcd({m}, {q}) != 1")

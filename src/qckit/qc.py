@@ -20,7 +20,6 @@ duals on self-reciprocal slots (Euclidean on the degree-one x -+ 1 slots).
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -110,15 +109,6 @@ class CrtDecomposition:
             exceptional = d == 1 and (2 * u) % m == 0
             slots.append(Slot("selfrec", i, f, u, d, cf, exceptional))
         self.slots: tuple[Slot, ...] = tuple(slots)
-
-    def with_ell(self, ell: int) -> "CrtDecomposition":
-        """The same ring at index ell.  The factors and slots depend on (q, m)
-        alone, so the two share them."""
-        if ell < 1:
-            raise LengthMismatch("index ell must be >= 1")
-        out = copy.copy(self)
-        out.ell = ell
-        return out
 
     @property
     def n(self) -> int:
@@ -690,7 +680,7 @@ def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
         if n_u <= plan.materialize_max:
             copies = m ** (u - 1)
             ell_u = copies * ell
-            decomp_u = decomp1.with_ell(ell_u)
+            decomp_u = decompose_ring(plan.q_field, m, ell_u)
             pairs_u = tuple(
                 PairAssignment(concat_copies(pa.cprime, copies) if u > 1 else pa.cprime)
                 for pa in base.pairs

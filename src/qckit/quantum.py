@@ -73,71 +73,73 @@ class QuantumParams:
             )
 
 
-def css(c1: LinearCode, c2: LinearCode, mode: str = "bound",
-        d1: int | None = None, d2: int | None = None,
-        budget: int = DEFAULT_BUDGET) -> QuantumParams:
-    """CSS construction for c2^perp <= c1: [[n, k1+k2-n]] pure to min(d1,d2).
+def _engine_d(c: LinearCode, budget: int) -> tuple[int, bool]:
+    """c's distance from one engine run of at most `budget` codewords and
+    whether it is certified; an uncertified run gives its certified lower
+    bound, at least 1."""
+    rep = min_distance(c, budget, mode="bound")
+    if rep.d_exact is not None:  # certified, or the zero code's sentinel n + 1
+        return rep.d_exact, True
+    return max(1, rep.d_lower), False
 
-    bound mode uses the provided classical distances, or the distance engine's
-    certified lower bounds within `budget` codewords; exact mode certifies the
-    min weight over (c1 \\ c2^perp) union (c2 \\ c1^perp) within the budget or
-    raises BudgetExceeded.
-    """
-    if c1.field != c2.field or c1.n != c2.n:
-        raise LengthMismatch("CSS inputs live in different ambient spaces")
-    if not _in_span(c1.field, _parity_rows(c2), c1):
-        raise NotNested("CSS requires dual(C2) contained in C1")
+
+def _css(c1: LinearCode, c2: LinearCode, mode: str, budget: int, pure_to: int) -> QuantumParams:
+    """The CSS parameters of nested c1, c2 whose classical distances give
+    pure_to; exact mode enumerates the stabilizer distance."""
     n = c1.n
     k = c1.k + c2.k - n
     q = c1.field.order
-
-    def classical_d(c, given):
-        if given is not None:
-            return given
-        rep = min_distance(c, budget, mode="bound")
-        if rep.d_exact is not None:  # certified, or the zero code's sentinel n + 1
-            return rep.d_exact
-        return max(1, rep.d_lower)  # the budgeted run's certified lower bound
-
-    dd1 = classical_d(c1, d1)
-    dd2 = dd1 if c2 == c1 and d2 == d1 else classical_d(c2, d2)
-    pure_to = min(dd1, dd2)
     if mode == "bound":
         return QuantumParams(n, k, pure_to, q, purity=pure_to,
                              derivation=(f"css({c1.n},{c1.k})x({c2.n},{c2.k})",))
     if mode != "exact":
         raise PreconditionViolated(f"unknown css mode {mode!r}")
-    w1, _ = min_weight_outside(c1, c2, budget)
-    w2, _ = min_weight_outside(c2, c1, budget)
-    d = min(w1, w2)
+    d, _ = min_weight_outside(c1, c2, budget)
+    if c2 != c1:
+        d = min(d, min_weight_outside(c2, c1, budget)[0])
     if d > n:
         raise PreconditionViolated("CSS difference sets are empty (c1 = c2^perp)")
     return QuantumParams(n, k, d, q, d_exact=d, purity=pure_to,
                          derivation=(f"css-exact({c1.n},{c1.k})x({c2.n},{c2.k})",))
 
 
-def from_dual_containing(c: LinearCode, mode: str = "bound", d: int | None = None,
-                         d_is_exact: bool = False,
-                         budget: int = DEFAULT_BUDGET) -> QuantumParams:
-    """[[n, 2k-n, >= d]] pure to d from an EDC code.
+def css(c1: LinearCode, c2: LinearCode, mode: str = "bound",
+        budget: int = DEFAULT_BUDGET) -> QuantumParams:
+    """CSS construction for c2^perp <= c1: [[n, k1+k2-n]] pure to min(d1,d2).
 
-    When d is the exact classical distance (d_is_exact) and the dual's
-    certified lower bound within `budget` codewords exceeds d, the quantum
-    distance is certified equal to d; a d that is only a lower bound never
-    yields an exactness claim."""
+    The classical distances come from the distance engine within `budget`
+    codewords each: certified, or the certified lower bound.  bound mode
+    reports their minimum; exact mode certifies the min weight over
+    (c1 \\ c2^perp) union (c2 \\ c1^perp) within the budget or raises
+    BudgetExceeded.
+    """
+    if c1.field != c2.field or c1.n != c2.n:
+        raise LengthMismatch("CSS inputs live in different ambient spaces")
+    if not _in_span(c1.field, _parity_rows(c2), c1):
+        raise NotNested("CSS requires dual(C2) contained in C1")
+    d1, _ = _engine_d(c1, budget)
+    d2 = d1 if c2 == c1 else _engine_d(c2, budget)[0]
+    return _css(c1, c2, mode, budget, min(d1, d2))
+
+
+def from_dual_containing(c: LinearCode, mode: str = "bound",
+                         budget: int = DEFAULT_BUDGET) -> QuantumParams:
+    """[[n, 2k-n, >= d]] pure to d = d(C) from an EDC code C.
+
+    The engine runs once on C within `budget` codewords.  When it certifies
+    d(C) and the mode is bound, it runs on C^perp too: a certified lower
+    bound d(C^perp) > d(C) puts a minimum-weight word of C outside C^perp,
+    so the stabilizer distance is exactly d(C).  A d(C) that is only a
+    lower bound never yields an exactness claim."""
     if not duality_class(c).edc:
         raise NotDualContaining("code does not contain its Euclidean dual")
-    params = css(c, c, mode=mode, d1=d, d2=d, budget=budget)
-    d_used = params.d_lower if params.d_exact is None else params.d_exact
-    exact = params.d_exact
-    if exact is None and d is not None and d_is_exact:
-        # certification: if d(C^perp) > d(C) then the quantum distance is d(C)
+    d, certified = _engine_d(c, budget)
+    params = _css(c, c, mode, budget, d)
+    if params.d_exact is None and certified:
         dual = dual_euclidean(c)
         if dual.k and min_distance(dual, budget, mode="bound").d_lower > d:
-            exact = d
-    return QuantumParams(params.n, params.k, d_used, params.q, d_exact=exact,
-                         purity=params.purity,
-                         derivation=(f"dual-containing[{c.n},{c.k}]",))
+            params = replace(params, d_exact=d)
+    return replace(params, derivation=(f"dual-containing[{c.n},{c.k}]",))
 
 
 def transform(params: QuantumParams, op: str, other: QuantumParams | None = None) -> QuantumParams:
@@ -198,6 +200,5 @@ class SingletonAudit:
 
 
 def singleton_audit(params: QuantumParams) -> SingletonAudit:
-    d = params.d_exact if params.d_exact is not None else params.d_lower
-    slack = params.n + 2 - params.k - 2 * d
+    slack = params.n + 2 - params.k - 2 * params.d
     return SingletonAudit(ok=slack >= 0, slack=slack, quantum_mds=slack == 0)

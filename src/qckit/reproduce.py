@@ -20,7 +20,7 @@ from importlib import resources
 from math import sqrt
 
 
-from .lincode import dual_euclidean, duality_class, min_distance, min_weight_outside, _gram
+from .lincode import DEFAULT_BUDGET, dual_euclidean, duality_class, min_distance, min_weight_outside, _gram
 from .gobound import go_bound
 from .poly import factor_xm1, three_factor_scan
 from .qc import (
@@ -34,7 +34,7 @@ from .qc import (
     qc_duality_class,
     sqrt_like_check,
 )
-from .quantum import QuantumParams, from_dual_containing, singleton_audit, transform
+from .quantum import QuantumParams, singleton_audit, transform
 from .serial import assignment_from_spec
 
 TARGETS = ("example41", "example42", "example43", "cor35-example", "example39", "tables")
@@ -154,7 +154,7 @@ def _derived_table_replay(rep: RunReport, source: str, base: QuantumParams, fx: 
     rep.check("lengthening chain parameters", source + "/derived-table", fx["lengthen"], got)
 
 
-def run_example41(budget: int = 2**25, long_mode: bool = False) -> RunReport:
+def run_example41(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunReport:
     t0 = time.time()
     rep = RunReport("reproduce example41", {"budget": budget})
     fx = load_tables()["example41"]
@@ -206,7 +206,10 @@ def run_example41(budget: int = 2**25, long_mode: bool = False) -> RunReport:
                    "example41/exact-distance",
                    dist.d_exact >= 7 and dist.d_exact >= go.d_go, dist.d_exact)
 
-    q = from_dual_containing(qc.lin, d=fx["css"][2])
+    # d is the paper's value, not a certified one (ROADMAP item 1)
+    d_pub = fx["css"][2]
+    q = QuantumParams(qc.n, 2 * qc.k - qc.n, d_pub, qc.field.order, purity=d_pub,
+                      derivation=("published",))
     rep.check("CSS parameters [[n,k,>=d]]", "example41/css",
               fx["css"], [q.n, q.k, q.d_lower])
     csse, _ = min_weight_outside(qc.lin, qc.lin, budget)
@@ -220,7 +223,7 @@ def run_example41(budget: int = 2**25, long_mode: bool = False) -> RunReport:
     return rep
 
 
-def run_example42(budget: int = 2**25, long_mode: bool = False) -> RunReport:
+def run_example42(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunReport:
     t0 = time.time()
     rep = RunReport("reproduce example42", {"budget": budget, "long": long_mode})
     fx = load_tables()["example42"]
@@ -251,7 +254,10 @@ def run_example42(budget: int = 2**25, long_mode: bool = False) -> RunReport:
         rep.check_true("exact minimum distance attains the published bound (>= 14)",
                        "example42/exact-distance", dist.d_exact >= 14, dist.d_exact)
 
-    q = from_dual_containing(qc.lin, d=fx["css"][2])
+    # d is the paper's value, not a certified one (ROADMAP item 1)
+    d_pub = fx["css"][2]
+    q = QuantumParams(qc.n, 2 * qc.k - qc.n, d_pub, qc.field.order, purity=d_pub,
+                      derivation=("published",))
     rep.check("CSS parameters [[n,k,>=d]]", "example42/css", fx["css"], [q.n, q.k, q.d_lower])
     rep.check("quantum Singleton audit", "example42/singleton",
               {"ok": True, "slack": 26, "quantum_mds": False}, singleton_audit(q).to_json())
@@ -260,7 +266,7 @@ def run_example42(budget: int = 2**25, long_mode: bool = False) -> RunReport:
     return rep
 
 
-def run_example43(budget: int = 2**24, long_mode: bool = False) -> RunReport:
+def run_example43(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunReport:
     t0 = time.time()
     rep = RunReport("reproduce example43", {"budget": budget})
     fx = load_tables()["example43"]
@@ -280,14 +286,14 @@ def run_example43(budget: int = 2**24, long_mode: bool = False) -> RunReport:
               fx["d_lower"], [lv.d_lower for lv in levels])
     rep.check("published dimension column 3(7^u+1)/2 vs the dimension formula",
               "example43/family", fx["published_dims"], [lv.k for lv in levels], flag_only=True)
-    q1 = from_dual_containing(levels[0].qc.lin, d=2)
     rep.check("published logical dimension 3 vs 2k-n from the stated constituents",
-              "example43/quantum", fx["published_quantum_k"], q1.k, flag_only=True)
+              "example43/quantum", fx["published_quantum_k"],
+              2 * levels[0].qc.k - levels[0].n, flag_only=True)
     rep.timing_s = time.time() - t0
     return rep
 
 
-def run_cor35(budget: int = 2**24, long_mode: bool = False) -> RunReport:
+def run_cor35(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunReport:
     t0 = time.time()
     rep = RunReport("reproduce cor35-example", {"budget": budget})
     fx = load_tables()["cor35"]
@@ -315,7 +321,7 @@ def run_cor35(budget: int = 2**24, long_mode: bool = False) -> RunReport:
     return rep
 
 
-def run_example39(budget: int = 2**24, long_mode: bool = False) -> RunReport:
+def run_example39(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunReport:
     t0 = time.time()
     rep = RunReport("reproduce example39", {"budget": budget})
     fx = load_tables()["example39"]
@@ -345,7 +351,7 @@ def run_example39(budget: int = 2**24, long_mode: bool = False) -> RunReport:
     return rep
 
 
-def run_tables(budget: int = 0, long_mode: bool = False) -> RunReport:
+def run_tables(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunReport:
     t0 = time.time()
     rep = RunReport("reproduce tables", {})
     fx = load_tables()["three_factor_tables"]
@@ -371,7 +377,7 @@ _RUNNERS = {
 }
 
 
-def run_target(target: str, budget: int = 2**25, long_mode: bool = False) -> list[RunReport]:
+def run_target(target: str, budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> list[RunReport]:
     if target != "all" and target not in _RUNNERS:
         raise KeyError(f"unknown reproduce target {target!r}; choose from {TARGETS + ('all',)}")
     names = _RUNNERS if target == "all" else (target,)

@@ -216,6 +216,18 @@ def test_quantum_command(tmp_path, capsys):
     assert payload["params"]["n"] == 19 and payload["params"]["k"] == 5
 
 
+def test_quantum_exact_command(tmp_path, capsys):
+    out = tmp_path / "code.json"
+    main(["build", "--spec", SPEC41, "--out", str(out)])
+    capsys.readouterr()  # drain the build's text output
+    rc, payload = run_json(["quantum", "--code", str(out), "--exact"], capsys)
+    assert rc == 0
+    validate(payload, "quantum.json")
+    params = payload["params"]
+    # the enumerated stabilizer distance, pure to the certified d(C) = 5
+    assert params["d_exact"] == params["d_lower"] == params["purity"] == 5
+
+
 def test_reproduce_tables_command(capsys):
     rc, payload = run_json(["reproduce", "tables"], capsys)
     assert rc == 0

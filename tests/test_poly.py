@@ -9,7 +9,7 @@ from qckit.errors import (
     ReciprocalMismatch,
     ZeroConstantTerm,
 )
-from qckit.gf import GF, field_make
+from qckit.gf import GF, field_make, is_prime
 from qckit.poly import Poly, cyclotomic_cosets, factor_xm1, three_factor_scan
 
 from oracles import trial_division_irreducible
@@ -110,8 +110,10 @@ def test_factor_xm1_large_splitting_field(monkeypatch):
     # polynomial products before the first shortcut, and 1,926 before the
     # second and before primitive_mth_root dropped its last, unused product.
     # The modulus search multiplies through _raw_mul too, so F_2^52 is built
-    # first and the count does not depend on which tests ran before
+    # first, and the factor cache starts empty, so the count does not depend
+    # on which tests ran before
     field_make(2, 52)
+    monkeypatch.setattr(poly, "_FACTOR_CACHE", {})
     calls = []
     raw_mul = GF._raw_mul
     monkeypatch.setattr(GF, "_raw_mul", lambda self, a, b: calls.append(1) or raw_mul(self, a, b))
@@ -144,13 +146,18 @@ def test_three_factor_scan():
     # prime squares also give exactly three factors, and the scan leaves them out
     raw = [m for m in range(1, 101) if m % 2 and len(cyclotomic_cosets(2, m).cosets) == 3]
     assert set(raw) - set(three_factor_scan(2, 100)) == {9, 25}
+    # an independent count from the cosets, for every field of the tables
+    for q in (2, 3, 5, 7, 11, 4, 9, 25, 49, 121):
+        by_cosets = [m for m in range(2, 101) if is_prime(m) and q % m
+                     and len(cyclotomic_cosets(q, m).cosets) == 3]
+        assert three_factor_scan(q, 100) == by_cosets, q
     fs9 = factor_xm1(F2, 9)
     assert len(fs9.factors) == 3
 
 
 def test_scan_matches_order_criterion_for_primes():
     # for prime m: exactly three cosets iff ord_m(q) = (m-1)/2
-    from qckit.gf import is_prime, multiplicative_order
+    from qckit.gf import multiplicative_order
 
     for q in (2, 3, 4, 5):
         for m in three_factor_scan(q, 100):
@@ -165,13 +172,15 @@ def _split_coset_124(q, m):
 
 # Each factor_xm1 self-check, broken by a monkeypatch, raises its typed error,
 # so the checks also run under python -O.  x^7 - 1 over F_2 has a reciprocal
-# pair of cubics, so every check is reached.
+# pair of cubics, so every check is reached; the factor cache starts empty,
+# so the factorization runs.
 @pytest.mark.parametrize("owner,attr,fake,error", [
     (poly, "cyclotomic_cosets", _split_coset_124, MinimalPolynomialMismatch),
     (Poly, "reciprocal", lambda self: Poly.one(self.field), ReciprocalMismatch),
     (Poly, "x_pow_minus_one", staticmethod(lambda field, m: Poly.one(field)), FactorProductMismatch),
 ])
 def test_factor_checks_raise(owner, attr, fake, error, monkeypatch):
+    monkeypatch.setattr(poly, "_FACTOR_CACHE", {})
     monkeypatch.setattr(owner, attr, fake)
     with pytest.raises(error):
         factor_xm1(F2, 7)

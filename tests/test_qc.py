@@ -13,7 +13,7 @@ from qckit.errors import (
     RankMismatch,
     SlotSNotESO,
 )
-from qckit import lincode
+from qckit import lincode, poly
 from qckit.gf import field_make
 from qckit.lincode import (
     code_from_rows,
@@ -541,7 +541,6 @@ def test_elimination_counts(ex41, monkeypatch):
     assert eliminations(is_galois_closed, c, 2) == 0
     assert eliminations(is_shift_invariant, ex41) == 0
     assert eliminations(qc_duality_class, ex41) == 0  # a dual-mode pair holds by construction
-    assert eliminations(css, c, c, "bound", 3, 3) == 0  # the nesting check only
     assert eliminations(dual_hermitian, c) == 1  # dual_euclidean's recanonicalization
     # the flat dual and the x - 1 slot's dual (a dual-mode pair maps to
     # itself), then the cross-check's assemble_qc: its dual-mode C'' and the
@@ -566,11 +565,15 @@ def test_elimination_counts(ex41, monkeypatch):
 
 
 def test_build_family_factors_once(monkeypatch):
-    # every level shares level 1's factors and slots
+    # from an empty factor cache, a family factors x^m - 1 once, and every
+    # materialized level's decomposition shares that factorization
     calls = []
-    factor = qc_module.factor_xm1
-    monkeypatch.setattr(qc_module, "factor_xm1", lambda *args: calls.append(args) or factor(*args))
+    factor = poly._factor
+    monkeypatch.setattr(poly, "_factor", lambda *args: calls.append(args) or factor(*args))
     for name, plan in family_plans().items():
+        monkeypatch.setattr(poly, "_FACTOR_CACHE", {})
         calls.clear()
-        build_family(plan)
+        levels = build_family(plan)
         assert len(calls) == 1, name
+        decomps = [lv.qc.decomp for lv in levels if lv.qc is not None]
+        assert len(decomps) == 2 and decomps[1].factors is decomps[0].factors, name

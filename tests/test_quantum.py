@@ -32,7 +32,7 @@ def _edc_2144():
 
 def test_css_trivial():
     full = full_space(F2, 3)
-    q = css(full, full, d1=1, d2=1)
+    q = css(full, full)
     assert (q.n, q.k, q.d_lower) == (3, 3, 1)
 
 
@@ -64,10 +64,10 @@ def test_css_exact_vs_oracle():
 
 def test_from_dual_containing():
     c = _edc_2144()
-    q = from_dual_containing(c, d=2, d_is_exact=True)
+    q = from_dual_containing(c)
     assert (q.n, q.k, q.d_lower) == (4, 2, 2)
     full = full_space(F2, 3)
-    q2 = from_dual_containing(full, d=1, d_is_exact=True)
+    q2 = from_dual_containing(full)
     assert (q2.n, q2.k, q2.d_lower) == (3, 3, 1)
     with pytest.raises(NotDualContaining):
         from_dual_containing(code_from_rows(F2, 4, [(1, 1, 1, 1)]))
@@ -102,22 +102,31 @@ def test_min_weight_outside_certifies_over_budget():
         min_weight_outside(c, full_space(F2, 8), budget=2)
 
 
-def test_from_dual_containing_certifies_from_dual_lower_bound():
+def test_from_dual_containing_certifies_from_dual_lower_bound(monkeypatch):
+    from qckit import quantum
+
     # the Hamming [7,4,3]_2 code contains its dual, the simplex [7,3,4]_2 code;
-    # q^k = 8 of the dual exceeds the budget, but 6 codewords certify
-    # d(C^perp) = 4 > 3, so the stabilizer distance is exactly 3
+    # 8 codewords certify d(C) = 3 and 6 certify d(C^perp) = 4 > 3, so the
+    # stabilizer distance is exactly 3
     c = code_from_rows(F2, 7, [(1, 0, 0, 0, 1, 1, 0), (0, 1, 0, 0, 1, 0, 1),
                                (0, 0, 1, 0, 0, 1, 1), (0, 0, 0, 1, 1, 1, 1)])
     dual = dual_euclidean(c)
-    assert min_distance(dual, budget=6).enumerated == 6
-    q = from_dual_containing(c, d=3, d_is_exact=True, budget=6)
-    assert (q.n, q.k, q.d_lower, q.d_exact) == (7, 1, 3, 3)
-    # a budget that leaves d(C^perp) >= 3 only claims nothing
-    low = min_distance(dual, budget=3, mode="bound")
-    assert low.d_lower <= 3
-    assert from_dual_containing(c, d=3, d_is_exact=True, budget=3).d_exact is None
-    # a d that is only a lower bound never yields an exactness claim
-    assert from_dual_containing(c, d=3, budget=6).d_exact is None
+    assert min_distance(c, budget=8).enumerated == 8
+    assert min_distance(dual, budget=8).enumerated == 6
+    q = from_dual_containing(c, budget=8)
+    assert (q.n, q.k, q.d_lower, q.d_exact, q.purity) == (7, 1, 3, 3, 3)
+    # 7 codewords certify only d(C) >= 2: bound mode keeps that lower bound
+    # and claims nothing
+    assert min_distance(c, budget=7, mode="bound").d_lower == 2
+    q = from_dual_containing(c, budget=7)
+    assert (q.d_lower, q.d_exact, q.purity) == (2, None, 2)
+    # a dual run cut at 3 codewords certifies only d(C^perp) >= 3 and claims
+    # nothing
+    assert min_distance(dual, budget=3, mode="bound").d_lower == 3
+    monkeypatch.setattr(quantum, "min_distance", lambda code, budget, **kwargs: min_distance(
+        code, 3 if code == dual else budget, **kwargs))
+    q = from_dual_containing(c, budget=8)
+    assert (q.d_lower, q.d_exact, q.purity) == (3, None, 3)
 
 
 def test_css_of_one_code_computes_its_distance_once(monkeypatch):
@@ -133,21 +142,38 @@ def test_css_of_one_code_computes_its_distance_once(monkeypatch):
     c = _hamming_844()
     q = css(c, c, budget=10)
     assert len(calls) == 1 and (q.n, q.k, q.d_lower, q.purity) == (8, 0, 4, 4)
+    # C's run, then its dual's, since d(C) is certified; C is self-dual, so
+    # d(C^perp) = d(C) and nothing is claimed
     calls.clear()
     q = from_dual_containing(c, budget=10)
-    assert len(calls) == 1 and (q.n, q.k, q.d_lower, q.purity) == (8, 0, 4, 4)
-    # a second code, or a second distance given for the same code, is its own run
+    assert calls == [c, dual_euclidean(c)]
+    assert (q.n, q.k, q.d_lower, q.d_exact, q.purity) == (8, 0, 4, None, 4)
+    # a second code is its own run
     calls.clear()
     assert css(full_space(F2, 4), _edc_2144()).d_lower == 1 and len(calls) == 2
+    # exact mode enumerates one difference set for one code, and both for two
+    outside = []
+
+    def counted_outside(c1, c2, *args):
+        outside.append((c1, c2))
+        return min_weight_outside(c1, c2, *args)
+
+    monkeypatch.setattr(quantum, "min_weight_outside", counted_outside)
+    e = _edc_2144()
+    assert css(e, e, mode="exact").d_exact == 2 and outside == [(e, e)]
+    outside.clear()
     calls.clear()
-    assert css(c, c, d1=3, budget=10).d_lower == 3 and len(calls) == 1
+    assert from_dual_containing(e, mode="exact").d_exact == 2
+    assert outside == [(e, e)] and calls == [e]
+    outside.clear()
+    full = full_space(F2, 4)
+    assert css(full, e, mode="exact").d_exact == 1 and outside == [(full, e), (e, full)]
 
 
 def test_css_agrees_with_dual_containing():
     for c in (_edc_2144(), full_space(F2, 5), full_space(F4, 4)):
-        d = min_distance(c).d_exact
-        a = css(c, c, d1=d, d2=d)
-        b = from_dual_containing(c, d=d)
+        a = css(c, c)
+        b = from_dual_containing(c)
         assert (a.n, a.k, a.d_lower) == (b.n, b.k, b.d_lower)
 
 
