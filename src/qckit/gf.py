@@ -67,6 +67,13 @@ ADD_TABLE_MAX_ORDER = 256  # q x q int64 add table for odd extension fields: 512
 # hold elements as uint16 (GF.dtype): p <= 61.  The same bound covers the
 # sums below p^2 of GF.sub_mul_arr.
 PANEL = 16
+# Columns of one block of _rref's panels: each panel's product updates only
+# the rest of its block, and one product per block updates every column right
+# of it.  On the family level-2 matrices of cor35 (302 x 605 over F_3) and
+# example39 (363 x 726 over F_5), one BLAS thread on a 2-core x86-64 host,
+# best of 40: blocks of one panel took 8.9 and 13.9 ms, 64 columns 7.7 and
+# 10.2 ms, 128 columns 7.3 and 11.0 ms, and 256 columns 8.7 and 12.2 ms.
+COLUMN_BLOCK = 8 * PANEL
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +191,8 @@ class GF:
         "_log",
         "_tables",
         "_add",
+        "_prime",
+        "_xrows",
     )
 
     def __init__(self, p: int, t: int, modulus: tuple[int, ...]):
@@ -197,6 +206,8 @@ class GF:
         self._log = None
         self._tables = None
         self._add = None
+        self._prime = self if t == 1 else None
+        self._xrows = None
 
     # -- representation ----------------------------------------------------
 
@@ -419,6 +430,31 @@ class GF:
     @property
     def has_tables(self) -> bool:
         return self.order <= TABLE_MAX_ORDER
+
+    # -- F_p matrices of multiplication ----------------------------------------
+
+    def _prime_field(self) -> GF:
+        """F_p, on which lincode._matmul multiplies this field's digits: from
+        the field cache, or made here."""
+        if self._prime is None:
+            self._prime = _FIELD_CACHE.get((self.p, 1)) or GF(self.p, 1, (0, 1))
+        return self._prime
+
+    def _x_multiples(self, a: np.ndarray) -> np.ndarray:
+        """a, a x, ..., a x^(t-1) along a new last axis: the digits of a x^s
+        are column s of the t x t matrix over F_p of multiplication by a.  Up
+        to LOG_MAX_ORDER they are read from one uint16 array over the whole
+        field, built by the product body on first use; above, that body
+        computes them for a alone."""
+        big = self.order > LOG_MAX_ORDER
+        if big or self._xrows is None:
+            x = np.asarray(a if big else np.arange(self.order), dtype=np.int64)
+            rows = np.stack(list(accumulate(repeat(self.gen, self.t - 1), self._raw_mul, initial=x)),
+                            axis=-1)
+            if big:
+                return rows
+            self._xrows = rows.astype(np.uint16)  # indices below LOG_MAX_ORDER = 2^16
+        return np.take(self._xrows, a, axis=0)  # about 15 times faster than self._xrows[a]
 
     # -- elementwise array arithmetic -----------------------------------------
 

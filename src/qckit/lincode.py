@@ -28,7 +28,7 @@ from .errors import (
     RepeatedEvaluationPoint,
     ZeroMultiplier,
 )
-from .gf import GF, LOG_MAX_ORDER, PANEL, factorize
+from .gf import COLUMN_BLOCK, GF, PANEL, factorize
 
 DEFAULT_BUDGET = 2**24
 
@@ -42,38 +42,84 @@ DEFAULT_BUDGET = 2**24
 # uint16 for small prime fields), while codes keep int64 generators, whose
 # bytes LinearCode.__hash__ reads.  Elimination steps are GF.sub_mul_arr,
 # one per pivot, and matrices wider than 4 * gf.PANEL columns go by panels
-# of gf.PANEL columns, each followed by one product; that width sets which
-# prime fields take uint16.
+# of gf.PANEL columns (the width that sets which prime fields take uint16)
+# inside blocks of gf.COLUMN_BLOCK columns, with one product per panel and
+# one per block.  Every product is one BLAS product over F_p, an extension
+# field's on the base-p digits of its elements.
+
+
+def _digits(field: GF, a: np.ndarray, dtype) -> np.ndarray:
+    """The t base-p digits of the indices a, least significant first, along
+    a new axis 1, as dtype."""
+    p, t = field.p, field.t
+    a = a.astype(np.uint16 if field.order <= 2**16 else np.int64, copy=False)  # narrow passes where indices fit
+    out = np.empty(a.shape[:1] + (t,) + a.shape[1:], dtype)
+    for s in range(t):
+        if p == 2:
+            out[:, s] = a >> s & 1
+        else:
+            q = a // p
+            out[:, s] = a - q * p
+            a = q
+    return out
 
 
 def _matmul(field: GF, a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
     """acc + a @ b over the field; a is (k, n), b is (n, j), acc defaults to
-    zero and is not written.  The result has acc's dtype, int64 by default."""
+    zero and is not written.  The result has acc's dtype, int64 by default.
+    Every field's product is one _fp_matmul over its prime field."""
     out = np.dtype(np.int64) if acc is None else acc.dtype
-    dtype = field.dtype
-    res = np.zeros((a.shape[0], b.shape[1]), dtype) if acc is None else acc.astype(dtype)
-    n = a.shape[1]
-    if field.t == 1 and field.order <= LOG_MAX_ORDER:
-        # A product over a chunk of columns is exact in floating point while
-        # every partial sum stays below 2^53 (float64) or 2^24 (float32).
-        # Over a uint16 field the chunk keeps its sums below 2^16 - p, so the
-        # product converts to uint16 and adds to a residue without overflow;
-        # GF.dtype makes that at least one panel of _rref (gf.PANEL columns).
-        # Each chunk's sum and residue go to res through one scratch buffer.
-        p = field.p
-        ftype, bound = (np.float32, 2**16 - p) if dtype == np.uint16 else (np.float64, 2**53)
-        step = bound // (p - 1) ** 2
-        low = np.empty_like(res)
-        for s in range(0, n, step):
-            np.copyto(low, a[:, s:s + step].astype(ftype) @ b[s:s + step].astype(ftype), casting="unsafe")
-            res += low
-            np.floor_divide(res, p, out=low)
-            low *= p
-            res -= low
-    else:
-        for col in range(n):
-            res = field.add_arr(res, field.mul_arr(a[:, col, None], b[col]))
+    (k, n), j = a.shape, b.shape[1]
+    if field.t == 1:
+        res = np.zeros((k, j), field.dtype) if acc is None else acc.astype(field.dtype)
+        return _fp_matmul(field, a, b, res).astype(out, copy=False)
+    # a * b = sum_s b_s (a x^s): multiplication by a is the t x t matrix over
+    # F_p whose column s holds the digits of a x^s (GF._x_multiples).  So
+    # acc + a @ b is one product over F_p of a's (k t) x (n t) block matrix
+    # by b's (n t) x j digit rows, added to acc's digit rows, and the
+    # result's digits go back to indices by Horner.
+    p, t = field.p, field.t
+    fp = field._prime_field()
+    left = _digits(field, field._x_multiples(a), fp.dtype).reshape(k * t, n * t)
+    right = _digits(field, b, fp.dtype).reshape(n * t, j)
+    res = (np.zeros((k * t, j), fp.dtype) if acc is None
+           else _digits(field, acc, fp.dtype).reshape(k * t, j))
+    d = _fp_matmul(fp, left, right, res).reshape(k, t, j)
+    res = d[:, t - 1].astype(d.dtype if field.order <= 2**16 else np.int64)  # holds every index
+    for s in range(t - 2, -1, -1):
+        res *= p
+        res += d[:, s]
     return res.astype(out, copy=False)
+
+
+def _fp_matmul(field: GF, a: np.ndarray, b: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """res + a @ b over a prime field, written to res (in the field's dtype)
+    and returned.
+
+    A product over a chunk of columns is exact in floating point while every
+    partial sum stays below 2^53 (float64) or 2^24 (float32).  Over a uint16
+    field the chunk keeps its sums below 2^16 - p, so the product converts
+    to uint16 and adds to a residue without overflow; GF.dtype makes that at
+    least one panel of _rref (gf.PANEL columns).  Primes whose (p - 1)^2
+    exceeds 2^53 multiply Python ints, reduced before they join the residue.
+    Each chunk's sum and residue go to res through one scratch buffer."""
+    p, n = field.p, a.shape[1]
+    if res.dtype == np.uint16:
+        ftype, step = np.float32, (2**16 - p) // (p - 1) ** 2
+    elif (p - 1) ** 2 <= 2**53:
+        ftype, step = np.float64, 2**53 // (p - 1) ** 2
+    else:
+        ftype, step = object, max(n, 1)
+    low = np.empty_like(res)
+    for s in range(0, n, step):
+        prod = a[:, s:s + step].astype(ftype) @ b[s:s + step].astype(ftype)
+        np.copyto(low, prod % p if ftype is object else prod, casting="unsafe")
+        del prod  # held to the return, it made a 300 x 300 product over F_3 twice as slow
+        res += low
+        np.floor_divide(res, p, out=low)
+        low *= p
+        res -= low
+    return res
 
 
 def _gram(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -81,67 +127,93 @@ def _gram(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _matmul(field, a, b.T)
 
 
+def _apply_rows(field: GF, r: np.ndarray, rows: list[int], coef: np.ndarray, lo: int, hi: int):
+    """Columns lo:hi of r after recorded row operations: each row becomes
+    coef.T @ (the old rows `rows`), plus its old value when it is not one of
+    them."""
+    if lo < hi:
+        old = r[rows, lo:hi]
+        r[rows, lo:hi] = 0
+        r[:, lo:hi] = _matmul(field, coef.T, old, r[:, lo:hi])
+
+
 def _rref(field: GF, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form of mat and its pivot columns.
 
     Gauss-Jordan by column windows.  A matrix of at most 4 * PANEL columns
-    is one window; wider ones go by windows of PANEL columns, each
-    eliminated on its own columns while the same row operations are
-    recorded as coefficients on the window's pivot rows, and one product
-    with those rows then updates every column right of the window.  Rows
-    are never swapped: pivot rows are gathered in pivot order at the end,
-    which gives the same (unique) reduced form.  The window is held
-    transposed, so a pivot is one fused GF.sub_mul_arr over contiguous
-    rows: the window's columns from the pivot's on and the coefficient
-    columns of the pivots found so far, the only ones on which the pivot row
-    can be nonzero.  That step clears the pivot row too, so its scaled
-    entries are written back after it; they are scaled only when the pivot
-    is not 1.
+    is one window.  Wider ones go by windows of PANEL columns inside blocks
+    of COLUMN_BLOCK columns.  Each window is eliminated on its own columns
+    while the same row operations are recorded as coefficients on its pivot
+    rows, and one product with those rows updates the rest of its block.
+    The block's coefficients on all its pivot rows so far are kept too: a
+    window with pivot rows f and coefficients C turns the block's W into
+    [W Z_f + W[:, f] C ; C], Z_f zeroing the columns f, and one product with
+    W then updates every column right of the block.  Rows are never
+    swapped: pivot rows are gathered in pivot order at the end, which gives
+    the same (unique) reduced form, so a live row holding 1 is taken as the
+    pivot when there is one.  The window is held transposed, so a pivot is
+    one fused GF.sub_mul_arr over contiguous rows: the window's columns from
+    the pivot's on and the coefficient columns of the pivots found so far,
+    the only ones on which the pivot row can be nonzero.  That step clears
+    the pivot row too, so its scaled entries are written back after it;
+    they need scaling only when no live row held 1.
     """
     rows, n = mat.shape
     r = np.array(mat, dtype=field.dtype)
     live = np.ones(rows, dtype=r.dtype)  # 1 on rows not yet holding a pivot
-    width = n if n <= 4 * PANEL else PANEL
+    width, block = (n, n) if n <= 4 * PANEL else (PANEL, COLUMN_BLOCK)
     pivot_rows: list[int] = []
     pivots: list[int] = []
-    for c0 in range(0, n, width):
-        if len(pivots) == rows:
-            break
-        w = min(n, c0 + width) - c0
-        tail = c0 + w < n
-        # the window transposed: its columns, then, when columns lie right of
-        # it, one coefficient column per pivot row found in it, each as a row
-        a = np.zeros((2 * w if tail else w, rows), dtype=r.dtype)
-        a[:w] = r[:, c0:c0 + w].T
-        found: list[int] = []
-        for j in range(w):
-            col = a[j]
-            masked = col * live
-            i = int(masked.argmax())
-            c = int(masked[i])
-            if not c:
-                continue
-            live[i] = 0
-            if tail:
-                a[w + len(found), i] = 1
-            found.append(i)
-            end = w + len(found) if tail else w
-            piv = a[j:end, i]
-            if c != 1:
-                piv = field.mul_arr(piv, field.inv(c))
-            step = field.sub_mul_arr(a[j:end], piv[:, None], col)
-            step[:, i] = piv
-            a[j:end] = step
-            pivots.append(c0 + j)
+    for b0 in range(0, n, block):
+        b1 = min(n, b0 + block)
+        coef, block_rows = None, []  # W on the block's pivot rows, when columns lie right of it
+        for c0 in range(b0, b1, width):
             if len(pivots) == rows:
                 break
-        r[:, c0:c0 + w] = a[:w].T
-        if found and tail:
-            # rows become coef @ (old pivot rows), plus their old value off the pivot rows
-            old = r[found, c0 + w:]
-            r[found, c0 + w:] = 0
-            r[:, c0 + w:] = _matmul(field, a[w:w + len(found)].T, old, r[:, c0 + w:])
-        pivot_rows += found
+            w = min(b1, c0 + width) - c0
+            tail = c0 + w < n
+            # the window transposed: its columns, then, when columns lie right
+            # of it, one coefficient column per pivot row found in it, each as a row
+            a = np.zeros((2 * w if tail else w, rows), dtype=r.dtype)
+            a[:w] = r[:, c0:c0 + w].T
+            found: list[int] = []
+            for j in range(w):
+                col = a[j]
+                masked = col * live
+                i = int((masked == 1).argmax())
+                if masked[i] != 1:
+                    i = int(masked.argmax())
+                c = int(masked[i])
+                if not c:
+                    continue
+                live[i] = 0
+                if tail:
+                    a[w + len(found), i] = 1
+                found.append(i)
+                end = w + len(found) if tail else w
+                piv = a[j:end, i]
+                if c != 1:
+                    piv = field.mul_arr(piv, field.inv(c))
+                step = field.sub_mul_arr(a[j:end], piv[:, None], col)
+                step[:, i] = piv
+                a[j:end] = step
+                pivots.append(c0 + j)
+                if len(pivots) == rows:
+                    break
+            r[:, c0:c0 + w] = a[:w].T
+            pivot_rows += found
+            if found and tail:
+                cf = a[w:w + len(found)]
+                _apply_rows(field, r, found, cf, c0 + w, b1)
+                if b1 < n:
+                    if coef is not None:
+                        fold = coef.copy()
+                        fold[:, found] = 0
+                        cf = np.vstack([_matmul(field, coef[:, found], cf, fold), cf])
+                    coef = cf
+                    block_rows += found
+        if block_rows:
+            _apply_rows(field, r, block_rows, coef, b1, n)
     return r[pivot_rows].astype(np.int64), tuple(pivots)
 
 

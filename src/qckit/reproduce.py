@@ -13,6 +13,7 @@ included in the report payload.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field as dc_field
@@ -40,7 +41,10 @@ from .serial import assignment_from_spec
 TARGETS = ("example41", "example42", "example43", "cor35-example", "example39", "tables")
 
 
+@functools.cache
 def _load_data(name: str) -> dict:
+    """A data file, parsed once per process; every caller shares the result
+    and only reads it."""
     with resources.files("qckit.data").joinpath(name).open("r") as fh:
         return json.load(fh)
 

@@ -17,7 +17,7 @@ from qckit.errors import (
     ZeroMultiplier,
 )
 from qckit import lincode
-from qckit.gf import GF, LOG_MAX_ORDER, field_make
+from qckit.gf import COLUMN_BLOCK, GF, LOG_MAX_ORDER, PANEL, field_make
 from qckit.lincode import (
     _BLOCK,
     DistanceReport,
@@ -41,6 +41,7 @@ from qckit.lincode import (
     _copy_block,
     _gram,
     _information_sets,
+    _matmul,
     _min_weight,
     _parity_rows,
     _rref,
@@ -742,6 +743,14 @@ def test_array_linear_algebra_matches_scalar_oracle(p, t):
         rand = LinearCode(fld, n, *_rref(fld, other))
         for c1, c2 in ((half, c), (c, half), (rand, c), (c, rand), (d, c), (c, d), (c, full_space(fld, n))):
             assert subspace_leq(c1, c2) == _oracle_leq(c1, c2), (k, n)
+    # blocks of gf.COLUMN_BLOCK = 128 columns: rank 20 reached inside the
+    # first block with two blocks right of it, and, with the first 120
+    # columns zero, pivots that straddle the first block edge
+    for lead in (0, 120):
+        mat = _degenerate_matrix(fld, rng, 20, 300)
+        mat[:, :lead] = 0
+        gen, piv = _rref(fld, mat)
+        assert (gen.tolist(), piv) == scalar_rref(fld, mat), lead
 
 
 @pytest.mark.parametrize("p", sorted({p for p, t in ORACLE_FIELDS if t == 1 and p <= LOG_MAX_ORDER}))
@@ -757,7 +766,14 @@ def test_all_p_minus_one_matrices_match_scalar_oracle(p):
     # zero on the diagonal: rank 48 with every row and coefficient dense
     hollow = full.copy()
     hollow[np.arange(48), np.arange(48)] = 0
-    for mat in (full, hollow, full[:, :64]):
+    # 48 x 300 spans three blocks of gf.COLUMN_BLOCK columns: the first
+    # block's product with every column right of it takes all 48 pivot rows,
+    # and with the first 100 columns zero the pivots straddle the block edge
+    wide = np.full((48, 300), p - 1)
+    wide[np.arange(48), np.arange(48)] = 0
+    shifted = np.zeros_like(wide)
+    shifted[:, 100:] = wide[:, :200]
+    for mat in (full, hollow, full[:, :64], np.full((48, 300), p - 1), wide, shifted):
         gen, piv = _rref(fld, mat)
         assert (gen.tolist(), piv) == scalar_rref(fld, mat)
         assert _gram(fld, mat, mat[:3]).tolist() == scalar_gram(fld, mat, mat[:3])
@@ -807,3 +823,84 @@ def test_narrow_rref_is_one_fused_step_per_pivot(monkeypatch, p, t):
     calls.update(sub_mul_arr=0, _matmul=0)
     _rref(fld, mat)
     assert calls["_matmul"] > 0
+
+
+@pytest.mark.parametrize("p,t", ORACLE_FIELDS + ((67, 2),))
+def test_matmul_matches_scalar_oracle(p, t):
+    # acc + a @ b with int64 and, where every element fits, uint16
+    # accumulators; inner dimensions 40 and 70 cross the uint16 chunk of
+    # F_61 (18 columns), and F_67^2 takes its digits in int64
+    fld = field_make(p, t)
+    rng = np.random.default_rng(11 * p + t)
+    for k, n, j in ((5, 40, 7), (3, 70, 4), (0, 5, 3), (4, 0, 2), (1, 1, 1)):
+        a, b, acc = (rng.integers(0, fld.order, size=s) for s in ((k, n), (n, j), (k, j)))
+        prod = scalar_gram(fld, a, b.T) if n else [[0] * j for _ in range(k)]
+        want = [[fld.add(int(x), y) for x, y in zip(row, line)] for row, line in zip(acc, prod)]
+        for dtype in (np.int64, np.uint16) if fld.order <= 2**16 else (np.int64,):
+            got = _matmul(fld, a, b, acc.astype(dtype))
+            assert got.dtype == dtype and got.tolist() == want, (k, n, j, dtype)
+        assert _matmul(fld, a, b).tolist() == (prod if k else [])
+
+
+@pytest.mark.parametrize("p,t", ((2, 2), (3, 2), (2, 6), (5, 5), (2, 17)))
+def test_extension_field_product_is_one_prime_field_product(monkeypatch, p, t):
+    # digits in, one product over F_p, Horner out: no elementwise product
+    fld = field_make(p, t)
+    rng = np.random.default_rng(p + t)
+    a, b, acc = (rng.integers(0, fld.order, size=s) for s in ((6, 20), (20, 5), (6, 5)))
+    calls = []
+    mul_arr, fp_matmul = GF.mul_arr, lincode._fp_matmul
+    monkeypatch.setattr(GF, "mul_arr", lambda *args: calls.append("mul_arr") or mul_arr(*args))
+    monkeypatch.setattr(lincode, "_fp_matmul", lambda f, *args: calls.append(f) or fp_matmul(f, *args))
+    got = _matmul(fld, a, b, acc)
+    assert calls == [field_make(p, 1)]
+    monkeypatch.undo()
+    want = [[fld.add(int(x), y) for x, y in zip(row, line)] for row, line in zip(acc, scalar_gram(fld, a, b.T))]
+    assert got.tolist() == want
+
+
+def _three_block_matrix(fld, rng):
+    """20 x 400: rows 0-6 start at column 0, rows 7-13 at column 128 and rows
+    14-19 at column 256, so blocks 0, 1 and 2 of gf.COLUMN_BLOCK columns
+    hold pivots and block 3 holds none."""
+    mat = rng.integers(0, fld.order, size=(20, 400))
+    mat[7:, :COLUMN_BLOCK] = 0
+    mat[14:, :2 * COLUMN_BLOCK] = 0
+    return mat
+
+
+@pytest.mark.parametrize("p,t", ((2, 1), (3, 1), (2, 2), (67, 1)))
+def test_wide_rref_updates_far_columns_once_per_block(monkeypatch, p, t):
+    # a panel's product stays inside its block; each block with pivots and
+    # columns right of it makes one product over all of those columns
+    assert COLUMN_BLOCK == 8 * PANEL
+    fld = field_make(p, t)
+    mat = _three_block_matrix(fld, np.random.default_rng(p + t))
+    spans = []
+    apply_rows = lincode._apply_rows
+    monkeypatch.setattr(lincode, "_apply_rows", lambda f, r, rows, coef, lo, hi:
+                        spans.append((lo, hi)) or apply_rows(f, r, rows, coef, lo, hi))
+    gen, piv = _rref(fld, mat)
+    assert (gen.tolist(), piv) == scalar_rref(fld, mat)
+    assert piv[6] < COLUMN_BLOCK <= piv[7] and piv[13] < 2 * COLUMN_BLOCK <= piv[14] < 3 * COLUMN_BLOCK
+    far = [span for span in spans if span[1] == 400]
+    assert far == [(COLUMN_BLOCK, 400), (2 * COLUMN_BLOCK, 400), (3 * COLUMN_BLOCK, 400)]
+    assert all(lo // COLUMN_BLOCK == (hi - 1) // COLUMN_BLOCK for lo, hi in spans if hi != 400)
+
+
+def test_unit_pivots_scale_no_row(monkeypatch):
+    # E is in echelon form with 1 on every pivot, and 2E's rows are live
+    # with 2 = p - 1, the largest entry, in each pivot column: taking a
+    # live 1 as the pivot scales no row, narrow or wide
+    rng = np.random.default_rng(35)
+    for n in (40, 300):
+        e = np.triu(rng.integers(0, 3, size=(20, n)), 1)
+        e[np.arange(20), np.arange(20)] = 1
+        mat = np.vstack([e, 2 * e % 3])[rng.permutation(40)]
+        calls = []
+        mul_arr = GF.mul_arr
+        monkeypatch.setattr(GF, "mul_arr", lambda *args: calls.append(1) or mul_arr(*args))
+        gen, piv = _rref(F3, mat)
+        monkeypatch.undo()
+        assert calls == [] and piv == tuple(range(20)), n
+        assert (gen.tolist(), piv) == scalar_rref(F3, mat)

@@ -2,6 +2,7 @@
 literal rows come from, the reference-table copies the benchmark's family
 plans read, and the package-data globs that ship them."""
 
+import functools
 import json
 from fnmatch import fnmatch
 from importlib import resources
@@ -11,6 +12,7 @@ import pytest
 
 from qckit.gf import restrict
 from qckit.lincode import grs_code
+from qckit import reproduce
 from qckit.reproduce import load_example, load_tables
 
 DATA = resources.files("qckit.data")
@@ -57,3 +59,21 @@ def test_package_data_globs_cover_every_data_and_schema_file():
              if path.is_file() and path.suffix != ".py"]
     assert "data/spec_cor35.json" in files
     assert [f for f in files if not any(fnmatch(f, g) for g in globs)] == []
+
+
+def test_data_files_are_parsed_once_and_left_unchanged(monkeypatch):
+    # the runners share one parse of each data file, so none may write to it:
+    # two reproduce all passes, rendered and serialized, parse each file once
+    # and leave every parse equal to the file
+    load = functools.cache(reproduce._load_data.__wrapped__)
+    monkeypatch.setattr(reproduce, "_load_data", load)
+    for _ in range(2):
+        for report in reproduce.run_target("all"):
+            report.render()
+            json.dumps(report.to_json())
+    names = ["paper_tables.json"] + [f"spec_{name}.json" for name in
+                                     ("example41", "example42", "example43", "cor35", "example39")]
+    assert load.cache_info().misses == len(names)
+    for name in names:
+        assert load(name) == json.loads((DATA / name).read_text()), name
+    assert load_tables() is load("paper_tables.json")
