@@ -44,52 +44,44 @@ DEFAULT_BUDGET = 2**24
 # one per pivot, and matrices wider than 4 * gf.PANEL columns go by panels
 # of gf.PANEL columns (the width that sets which prime fields take uint16)
 # inside blocks of gf.COLUMN_BLOCK columns, with one product per panel and
-# one per block.  Every product is one BLAS product over F_p, an extension
-# field's on the base-p digits of its elements.
-
-
-def _digits(field: GF, a: np.ndarray, dtype) -> np.ndarray:
-    """The t base-p digits of the indices a, least significant first, along
-    a new axis 1, as dtype."""
-    p, t = field.p, field.t
-    a = a.astype(np.uint16 if field.order <= 2**16 else np.int64, copy=False)  # narrow passes where indices fit
-    out = np.empty(a.shape[:1] + (t,) + a.shape[1:], dtype)
-    for s in range(t):
-        if p == 2:
-            out[:, s] = a >> s & 1
-        else:
-            q = a // p
-            out[:, s] = a - q * p
-            a = q
-    return out
+# one per block.  Every product runs on BLAS over F_p (_fp_matmul), an
+# extension field's on the base-p digits of its elements.
 
 
 def _matmul(field: GF, a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
     """acc + a @ b over the field; a is (k, n), b is (n, j), acc defaults to
     zero and is not written.  The result has acc's dtype, int64 by default.
-    Every field's product is one _fp_matmul over its prime field."""
+    Every field's product is _fp_matmul over its prime field."""
     out = np.dtype(np.int64) if acc is None else acc.dtype
     (k, n), j = a.shape, b.shape[1]
     if field.t == 1:
         res = np.zeros((k, j), field.dtype) if acc is None else acc.astype(field.dtype)
         return _fp_matmul(field, a, b, res).astype(out, copy=False)
-    # a * b = sum_s b_s (a x^s): multiplication by a is the t x t matrix over
-    # F_p whose column s holds the digits of a x^s (GF._x_multiples).  So
-    # acc + a @ b is one product over F_p of a's (k t) x (n t) block matrix
-    # by b's (n t) x j digit rows, added to acc's digit rows, and the
-    # result's digits go back to indices by Horner.
-    p, t = field.p, field.t
-    fp = field._prime_field()
-    left = _digits(field, field._x_multiples(a), fp.dtype).reshape(k * t, n * t)
-    right = _digits(field, b, fp.dtype).reshape(n * t, j)
-    res = (np.zeros((k * t, j), fp.dtype) if acc is None
-           else _digits(field, acc, fp.dtype).reshape(k * t, j))
-    d = _fp_matmul(fp, left, right, res).reshape(k, t, j)
-    res = d[:, t - 1].astype(d.dtype if field.order <= 2**16 else np.int64)  # holds every index
-    for s in range(t - 2, -1, -1):
-        res *= p
-        res += d[:, s]
-    return res.astype(out, copy=False)
+    if k > j:  # the field is commutative: expand the operand with fewer rows
+        return _matmul(field, b.T, a.T, None if acc is None else acc.T).T
+    # a * b = sum_s b_s (a x^s) over b's digits b_s: multiplication by a is
+    # the t x t matrix over F_p whose column s holds the digits of a x^s
+    # (GF._x_multiples).  So acc + a @ b is a product over F_p of a's
+    # (k t) x (n t) block matrix of those columns by b's (n t) x j digit
+    # rows, added to acc's digit rows, and the result's digits go back to
+    # indices by Horner.  a goes by rows so that one block matrix holds at
+    # most 2^22 entries: a (300 x 300) . (300 x 300) product over F_2^17
+    # holds 26 million at once.
+    fp, t = field._prime_field(), field.t
+    right = field._digits(b, fp.dtype).reshape(n * t, j)
+    height = max(1, 2**22 // (n * t * t or 1))
+    res = []
+    for r in range(0, k, height) or [0]:  # one empty chunk when k = 0
+        rows = a[r:r + height]
+        h = len(rows)
+        left = field._digits(field._x_multiples(rows), fp.dtype).reshape(h * t, n * t)
+        d = (np.zeros((h * t, j), fp.dtype) if acc is None
+             else field._digits(acc[r:r + h], fp.dtype).reshape(h * t, j))
+        res.append(field._from_digits(_fp_matmul(fp, left, right, d).reshape(h, t, j)))
+    # one array per chunk, joined at the end: writing each into a preallocated
+    # int64 result made a (300 x 16) . (16 x 600) product over F_4 0.5 ms
+    # slower in a fresh process
+    return np.concatenate(res).astype(out, copy=False)
 
 
 def _fp_matmul(field: GF, a: np.ndarray, b: np.ndarray, res: np.ndarray) -> np.ndarray:
@@ -101,24 +93,33 @@ def _fp_matmul(field: GF, a: np.ndarray, b: np.ndarray, res: np.ndarray) -> np.n
     field the chunk keeps its sums below 2^16 - p, so the product converts
     to uint16 and adds to a residue without overflow; GF.dtype makes that at
     least one panel of _rref (gf.PANEL columns).  Primes whose (p - 1)^2
-    exceeds 2^53 multiply Python ints, reduced before they join the residue.
-    Each chunk's sum and residue go to res through one scratch buffer."""
+    exceeds 2^53 split a into halves below 2^h, a = a_hi 2^h + a_lo, whose
+    terms stay below 2^h p; primes above about 2^35, for which even those
+    terms exceed 2^53, multiply Python ints.  Each chunk's sum and residue
+    go to res through one scratch buffer."""
     p, n = field.p, a.shape[1]
-    if res.dtype == np.uint16:
-        ftype, step = np.float32, (2**16 - p) // (p - 1) ** 2
-    elif (p - 1) ** 2 <= 2**53:
-        ftype, step = np.float64, 2**53 // (p - 1) ** 2
-    else:
-        ftype, step = object, max(n, 1)
+    ftype, bound = (np.float32, 2**16 - p) if res.dtype == np.uint16 else (np.float64, 2**53)
+    parts, top = [(a, 1)], p - 1
+    if top * top > bound:
+        h = (p.bit_length() + 1) // 2
+        parts, top = [(a >> h, 2**h), (a & 2**h - 1, 1)], 2**h - 1
+    step = bound // (top * (p - 1))
+    if not step:
+        res += ((a.astype(object) @ b.astype(object)) % p).astype(res.dtype)
+        return np.remainder(res, p, out=res)
     low = np.empty_like(res)
-    for s in range(0, n, step):
-        prod = a[:, s:s + step].astype(ftype) @ b[s:s + step].astype(ftype)
-        np.copyto(low, prod % p if ftype is object else prod, casting="unsafe")
-        del prod  # held to the return, it made a 300 x 300 product over F_3 twice as slow
-        res += low
-        np.floor_divide(res, p, out=low)
-        low *= p
-        res -= low
+    for part, weight in parts:
+        for s in range(0, n, step):
+            prod = part[:, s:s + step].astype(ftype) @ b[s:s + step].astype(ftype)
+            np.copyto(low, prod, casting="unsafe")
+            del prod  # held to the return, it made a 300 x 300 product over F_3 twice as slow
+            if weight != 1:  # below 2^h p
+                low %= p
+                low *= weight
+            res += low
+            np.floor_divide(res, p, out=low)
+            low *= p
+            res -= low
     return res
 
 

@@ -825,14 +825,22 @@ def test_narrow_rref_is_one_fused_step_per_pivot(monkeypatch, p, t):
     assert calls["_matmul"] > 0
 
 
-@pytest.mark.parametrize("p,t", ORACLE_FIELDS + ((67, 2),))
+# primes past float64's exact squares: 2^24 - 3 chunks every 32 columns,
+# 10^8 + 7, 2^31 - 1 and 2^32 + 15 split a into halves (chunks of 5497, 64
+# and 16 columns), and 2^36 + 31 multiplies Python ints
+LARGE_PRIMES = (2**24 - 3, 10**8 + 7, 2**31 - 1, 2**32 + 15, 2**36 + 31)
+
+
+@pytest.mark.parametrize("p,t", ORACLE_FIELDS + ((67, 2),) + tuple((p, 1) for p in LARGE_PRIMES))
 def test_matmul_matches_scalar_oracle(p, t):
     # acc + a @ b with int64 and, where every element fits, uint16
     # accumulators; inner dimensions 40 and 70 cross the uint16 chunk of
-    # F_61 (18 columns), and F_67^2 takes its digits in int64
+    # F_61 (18 columns) and the chunks of LARGE_PRIMES, F_67^2 takes its
+    # digits in int64, and (9, 6, 2) and (2, 6, 9) expand the extension
+    # field's multiplication matrices of b and of a
     fld = field_make(p, t)
     rng = np.random.default_rng(11 * p + t)
-    for k, n, j in ((5, 40, 7), (3, 70, 4), (0, 5, 3), (4, 0, 2), (1, 1, 1)):
+    for k, n, j in ((5, 40, 7), (3, 70, 4), (9, 6, 2), (2, 6, 9), (0, 5, 3), (4, 0, 2), (1, 1, 1)):
         a, b, acc = (rng.integers(0, fld.order, size=s) for s in ((k, n), (n, j), (k, j)))
         prod = scalar_gram(fld, a, b.T) if n else [[0] * j for _ in range(k)]
         want = [[fld.add(int(x), y) for x, y in zip(row, line)] for row, line in zip(acc, prod)]
@@ -857,6 +865,35 @@ def test_extension_field_product_is_one_prime_field_product(monkeypatch, p, t):
     monkeypatch.undo()
     want = [[fld.add(int(x), y) for x, y in zip(row, line)] for row, line in zip(acc, scalar_gram(fld, a, b.T))]
     assert got.tolist() == want
+
+
+def test_extension_field_product_goes_by_rows_past_2_22_entries(monkeypatch):
+    # over F_2^17 a row of a (70 columns) expands to 17 x 1190 entries, so
+    # a block matrix of 2^22 entries holds 207 rows: 220 rows take two
+    # products over F_2, and match the 220 one-row products
+    fld = field_make(2, 17)
+    rng = np.random.default_rng(17)
+    a, b, acc = (rng.integers(0, fld.order, size=s) for s in ((220, 70), (70, 220), (220, 220)))
+    calls = []
+    fp_matmul = lincode._fp_matmul
+    monkeypatch.setattr(lincode, "_fp_matmul", lambda f, x, *args: calls.append(len(x)) or fp_matmul(f, x, *args))
+    got = _matmul(fld, a, b, acc)
+    assert calls == [207 * 17, 13 * 17]
+    monkeypatch.undo()
+    assert got.tolist() == np.vstack([_matmul(fld, a[r:r + 1], b, acc[r:r + 1]) for r in range(220)]).tolist()
+
+
+@pytest.mark.parametrize("p", (2**31 - 1, 2**32 + 15))
+def test_wide_rref_over_large_primes_matches_scalar_oracle(p):
+    # 150 columns go by panels, whose products split a into halves; with
+    # every entry at p - 1 each term is the largest the split allows
+    fld = field_make(p, 1)
+    rng = np.random.default_rng(p)
+    full = np.full((20, 150), p - 1)
+    full[np.arange(20), np.arange(20)] = 0
+    for mat in (rng.integers(0, p, size=(20, 150)), _degenerate_matrix(fld, rng, 20, 150), full):
+        gen, piv = _rref(fld, mat)
+        assert (gen.tolist(), piv) == scalar_rref(fld, mat)
 
 
 def _three_block_matrix(fld, rng):

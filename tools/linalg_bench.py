@@ -15,7 +15,11 @@ times, and reports the best and the median wall time.  The cases:
     matmul-thin-F<q> _matmul of random (300 x 16) . (16 x 600) over F_q
     matmul-sq-F<q>   _matmul of random (300 x 300) . (300 x 300) over F_q
 
-with q in FIELDS.  The matrices are drawn from a generator seeded per case,
+with q in FIELDS, and the products of EXTRA: a small one over F_64,
+products over F_2^17 (above the log tables) and over primes whose squares
+exceed float64's 2^53, and matrix-vector products (2000 x 64) . (64 x 1)
+over fields of degree 10 and 17, the shape of
+qc.constituent_at_exponent's product.  The matrices are drawn from a generator seeded per case,
 so two checkouts time the same inputs.  The output is JSON: the host and
 one record per case and thread count with best_s and median_s.
 """
@@ -35,8 +39,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIELDS = (2, 3, 5, 4, 8, 9, 25, 64, 121, 3125)
 RECIPES = {"cor35": ("ESO", 605), "example43": ("EDC", 147), "example39": ("ESD", 726)}
+SHAPES = {"thin": (300, 16, 600), "sq": (300, 300, 300), "small": (20, 40, 20), "vec": (2000, 64, 1)}
+EXTRA = ("matmul-small-F64", "matmul-sq-F131072", "matmul-vec-F59049", "matmul-vec-F131072",
+         "matmul-sq-F16777213", "matmul-sq-F2147483647")
 CASES = ([f"rref-F{q}" for q in FIELDS] + [f"family-{r}" for r in RECIPES]
-         + [f"matmul-{s}-F{q}" for s in ("thin", "sq") for q in FIELDS])
+         + [f"matmul-{s}-F{q}" for s in ("thin", "sq") for q in FIELDS] + list(EXTRA))
 
 
 def family_rows(recipe: str):
@@ -80,7 +87,7 @@ def prepare(case: str):
         return lambda: lincode._rref(field, mat)
     shape, fq = rest.split("-")
     field = field_from_order(int(fq[1:]))
-    k, n, j = (300, 16, 600) if shape == "thin" else (300, 300, 300)
+    k, n, j = SHAPES[shape]
     a = rng.integers(0, field.order, size=(k, n))
     b = rng.integers(0, field.order, size=(n, j))
     return lambda: lincode._matmul(field, a, b)
