@@ -34,24 +34,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
 
 from .errors import EmptyAssignment, RepNotACosetMin
 from .gf import GF
 from .lincode import DEFAULT_BUDGET, LinearCode, code_from_rows, min_distance
 from .poly import FactorSet, Poly, factor_xm1
-from .qc import ConstituentAssignment, CrtDecomposition, DistanceInfo, Slot, _distance_of
+from .qc import ConstituentAssignment, CrtDecomposition, DistanceInfo, Slot, _circulant, _distance_of
 
 
 def cyclic_code_from_gen(q_field: GF, m: int, gen_poly: Poly) -> LinearCode:
-    """Cyclic code of length m generated by gen_poly (which divides x^m - 1)."""
-    rows = []
-    g = list(gen_poly.coeffs)
-    for s in range(m - gen_poly.degree):
-        row = [0] * m
-        for i, c in enumerate(g):
-            row[i + s] = c
-        rows.append(row)
-    return code_from_rows(q_field, m, rows)
+    """Cyclic code of length m generated by gen_poly (which divides x^m - 1):
+    the shifts of gen_poly by 0, ..., m - deg - 1, the first rows of its
+    circulant.  x^m - 1 itself, of degree m, gives no row."""
+    first = np.zeros(m + 1, dtype=np.int64)
+    first[:gen_poly.degree + 1] = gen_poly.coeffs
+    return code_from_rows(q_field, m, _circulant(first[:m])[:m - gen_poly.degree])
 
 
 def _generator_outside(factors: FactorSet, check_cosets) -> tuple[Poly, set[int]]:

@@ -316,7 +316,7 @@ def _parity_rows(c: LinearCode) -> np.ndarray:
     """Rows -A^T | I on the pivot / free columns of the RREF generator I | A:
     a basis of the Euclidean dual, not reduced."""
     field, n, g, pivots = c.field, c.n, c.gen, list(c.pivots)
-    free = np.setdiff1d(np.arange(n), pivots)
+    free = np.delete(np.arange(n), pivots)
     rows = np.zeros((free.size, n), dtype=np.int64)
     rows[np.arange(free.size), free] = 1
     rows[:, pivots] = field.neg_arr(g[:, free].T)
@@ -357,7 +357,7 @@ def dual_euclidean(c: LinearCode) -> LinearCode:
         return LinearCode(field, n, h, q)
     top, qs = n - b, list(q)
     r = np.zeros((b, b), dtype=np.int64)
-    free = np.setdiff1d(np.arange(b), qs)
+    free = np.delete(np.arange(b), qs)
     r[free, free] = field.neg(1)
     r[qs] = h
     r[qs, qs] = 0
@@ -419,7 +419,7 @@ class DualityFlags:
     def _free(self) -> np.ndarray:
         """A: the generator's free columns."""
         c = self._code
-        return c.gen[:, np.setdiff1d(np.arange(c.n), c.pivots)]
+        return c.gen[:, np.delete(np.arange(c.n), c.pivots)]
 
     @cached_property
     def _conj(self) -> np.ndarray:

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from math import gcd
 
+import numpy as np
+
 from .errors import (
     FactorProductMismatch,
     MinimalPolynomialMismatch,
@@ -196,7 +198,8 @@ class FactorSet:
     smaller factor and sorted by their smallest coset representative.
     rep_of maps each factor (by coefficient tuple) to the smallest exponent s
     with factor = minpoly(alpha^s) for the canonical alpha, a primitive m-th
-    root of unity in the splitting field F_{q^splitting_w}.  coset_factor
+    root of unity in the splitting field F_{q^splitting_w}, whose powers
+    alpha^0, ..., alpha^(m-1) are alpha_pows.  coset_factor
     maps each q-cyclotomic coset of `cosets` to its minimal polynomial.
     """
 
@@ -209,6 +212,7 @@ class FactorSet:
     splitting_w: int
     splitting_field: GF = dataclass_field(repr=False)
     alpha: int = dataclass_field(repr=False)
+    alpha_pows: np.ndarray = dataclass_field(repr=False, compare=False)
     cosets: CosetTable = dataclass_field(repr=False)
     coset_factor: dict = dataclass_field(repr=False)
 
@@ -254,12 +258,13 @@ def _factor(q_field: GF, m: int) -> FactorSet:
     w = 1 if m == 1 else multiplicative_order(q, m)
     K = field_make(q_field.p, q_field.t * w, order_cap=None)
     alpha = primitive_mth_root(K, m)
+    alpha_pows = K._powers(alpha, m)
 
     coset_factor: dict[tuple[int, ...], Poly] = {}
     for coset in table.cosets:
         mp = Poly.one(K)
         for c in coset:
-            mp = mp * Poly(K, (K.neg(K.pow_(alpha, c)), 1))
+            mp = mp * Poly(K, (K.neg(int(alpha_pows[c])), 1))
         try:
             coeffs = restrict(q_field, K, list(mp.coeffs))
         except NotASubfield:
@@ -304,6 +309,7 @@ def _factor(q_field: GF, m: int) -> FactorSet:
         splitting_w=w,
         splitting_field=K,
         alpha=alpha,
+        alpha_pows=alpha_pows,
         cosets=table,
         coset_factor=coset_factor,
     )

@@ -45,7 +45,9 @@ from .lincode import (
     dual_euclidean,
     dual_hermitian,
     duality_class,
+    full_space,
     min_distance,
+    zero_code,
     _gram,
     _in_span,
     _matmul,
@@ -91,10 +93,6 @@ class CrtDecomposition:
         self.w = self.factors.splitting_w
         self.common_field: GF = self.factors.splitting_field
         self.alpha: int = self.factors.alpha
-        K = self.common_field
-        self._alpha_pows = [1] * m
-        for i in range(1, m):
-            self._alpha_pows[i] = K.mul(self._alpha_pows[i - 1], self.alpha)
         slots = []
         for j, (g, gs) in enumerate(self.factors.pairs):
             v = self.factors.rep(g)
@@ -109,6 +107,8 @@ class CrtDecomposition:
             exceptional = d == 1 and (2 * u) % m == 0
             slots.append(Slot("selfrec", i, f, u, d, cf, exceptional))
         self.slots: tuple[Slot, ...] = tuple(slots)
+        table = self.factors.cosets
+        self._slot_at = {e: s for s in slots for e in table.coset_of(s.exponent)}
 
     @property
     def n(self) -> int:
@@ -124,8 +124,12 @@ class CrtDecomposition:
     def selfrec_slots(self) -> list[Slot]:
         return [s for s in self.slots if s.kind == "selfrec"]
 
+    def slot_of(self, e: int) -> Slot:
+        """The slot whose cyclotomic coset holds the exponent e (mod m)."""
+        return self._slot_at[e % self.m]
+
     def alpha_pow(self, e: int) -> int:
-        return self._alpha_pows[e % self.m]
+        return int(self.factors.alpha_pows[e % self.m])
 
     def to_json(self) -> dict:
         return {
@@ -282,26 +286,21 @@ class ConstituentAssignment:
         return out
 
 
-def assignment_all_full(decomp: CrtDecomposition) -> ConstituentAssignment:
-    from .lincode import full_space
-
-    pairs = tuple(
-        PairAssignment(full_space(sg.cfield, decomp.ell), full_space(sg.cfield, decomp.ell))
-        for sg, _ in decomp.pair_slots
+def _assignment_of(decomp: CrtDecomposition, code) -> ConstituentAssignment:
+    """Every slot holding code(field, ell) over its constituent field."""
+    ell = decomp.ell
+    return ConstituentAssignment(
+        tuple(PairAssignment(code(sg.cfield, ell), code(sg.cfield, ell)) for sg, _ in decomp.pair_slots),
+        tuple(SelfrecAssignment(code(s.cfield, ell)) for s in decomp.selfrec_slots),
     )
-    selfrec = tuple(SelfrecAssignment(full_space(s.cfield, decomp.ell)) for s in decomp.selfrec_slots)
-    return ConstituentAssignment(pairs, selfrec)
+
+
+def assignment_all_full(decomp: CrtDecomposition) -> ConstituentAssignment:
+    return _assignment_of(decomp, full_space)
 
 
 def assignment_all_zero(decomp: CrtDecomposition) -> ConstituentAssignment:
-    from .lincode import zero_code
-
-    pairs = tuple(
-        PairAssignment(zero_code(sg.cfield, decomp.ell), zero_code(sg.cfield, decomp.ell))
-        for sg, _ in decomp.pair_slots
-    )
-    selfrec = tuple(SelfrecAssignment(zero_code(s.cfield, decomp.ell)) for s in decomp.selfrec_slots)
-    return ConstituentAssignment(pairs, selfrec)
+    return _assignment_of(decomp, zero_code)
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +379,10 @@ def constituent_at_exponent(decomp: CrtDecomposition, flat: LinearCode, exp: int
     K = decomp.common_field
     base = decomp.q_field
     m, ell = decomp.m, decomp.ell
-    exp %= m
-    coset = decomp.factors.cosets.coset_of(exp)
-    d = len(coset)
-    cfield = field_make(base.p, base.t * d)
+    cfield = decomp.slot_of(exp).cfield
     # entry (r*ell + j, i) is the x^i coefficient of column j of flat row r
     coef = embed(base, K, flat.gen).reshape(-1, m, ell).transpose(0, 2, 1).reshape(-1, m)
-    powers = np.array(decomp._alpha_pows, dtype=np.int64)[exp * np.arange(m) % m]
+    powers = decomp.factors.alpha_pows[exp * np.arange(m) % m]
     vals = _matmul(K, coef, powers[:, None])
     rows = restrict(cfield, K, vals[:, 0]).reshape(-1, ell)
     return code_from_rows(cfield, ell, rows)

@@ -28,6 +28,7 @@ from .qc import (
     ConstituentAssignment,
     CrtDecomposition,
     FamilyPlan,
+    QcCode,
     assemble_qc,
     build_family,
     dim_from_constituents,
@@ -143,23 +144,55 @@ def _factor_check(rep: RunReport, source: str, q_field, m, pair_coeffs, selfrec_
                        g.reciprocal() == gs)
 
 
-def _derived_table_replay(rep: RunReport, source: str, base: QuantumParams, fx: dict):
-    p = base
-    got = []
-    for _ in range(len(fx["shorten"])):
-        p = transform(p, "shorten")
-        got.append([p.n, p.k, p.d_lower])
-    rep.check("shortening chain parameters", source + "/derived-table", fx["shorten"], got)
-    p = base
-    got = []
-    for _ in range(len(fx["lengthen"])):
-        p = transform(p, "lengthen")
-        got.append([p.n, p.k, p.d_lower])
-    rep.check("lengthening chain parameters", source + "/derived-table", fx["lengthen"], got)
+def _timed(runner):
+    """The runner with its report's timing_s set to the runner's wall time."""
+    @functools.wraps(runner)
+    def timed(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunReport:
+        t0 = time.time()
+        rep = runner(budget, long_mode)
+        rep.timing_s = time.time() - t0
+        return rep
+    return timed
 
 
+def _constituents_and_qc(rep: RunReport, source: str, fx: dict, decomp: CrtDecomposition,
+                         asn: ConstituentAssignment) -> QcCode:
+    """The constituents' [n,k,d] check, then the assembled code and its
+    dimension check."""
+    codes = asn.pairs[0].cprime, asn.pairs[0].cdouble_code(), asn.selfrec[0].code
+    rep.check("constituent parameters [n,k,d]", source + "/constituents",
+              fx["constituent_params"], [[c.n, c.k, min_distance(c).d_exact] for c in codes])
+    qc = assemble_qc(decomp, asn)
+    rep.check("dimension (constituent formula = rank)", source + "/dimension",
+              [fx["dim"], fx["dim"]], [dim_from_constituents(decomp, asn), qc.k])
+    return qc
+
+
+def _published_css(rep: RunReport, source: str, fx: dict, qc: QcCode) -> QuantumParams:
+    """The published CSS parameters and their check."""
+    # d is the paper's value, not a certified one (ROADMAP item 1)
+    d_pub = fx["css"][2]
+    q = QuantumParams(qc.n, 2 * qc.k - qc.n, d_pub, qc.field.order, purity=d_pub,
+                      derivation=("published",))
+    rep.check("CSS parameters [[n,k,>=d]]", source + "/css", fx["css"], [q.n, q.k, q.d_lower])
+    return q
+
+
+def _audit_published(rep: RunReport, source: str, fx: dict, q: QuantumParams, slack: int):
+    """The Singleton audit of the published parameters and the chains of
+    codes derived from them by shortening and lengthening."""
+    rep.check("quantum Singleton audit", source + "/singleton",
+              {"ok": True, "slack": slack, "quantum_mds": False}, singleton_audit(q).to_json())
+    for how in ("shorten", "lengthen"):
+        p, got = q, []
+        for _ in fx[how]:
+            p = transform(p, how)
+            got.append([p.n, p.k, p.d_lower])
+        rep.check(f"{how}ing chain parameters", source + "/derived-table", fx[how], got)
+
+
+@_timed
 def run_example41(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunReport:
-    t0 = time.time()
     rep = RunReport("reproduce example41", {"budget": budget})
     fx = load_tables()["example41"]
     decomp, asn = load_example("example41")
@@ -170,19 +203,7 @@ def run_example41(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunR
               [64, 64], [sg.cfield.order, sgs.cfield.order])
     rep.check("self-reciprocal constituent field", "example41/decomposition",
               4, decomp.selfrec_slots[0].cfield.order)
-
-    cp = asn.pairs[0].cprime
-    cd = asn.pairs[0].cdouble_code()
-    cs = asn.selfrec[0].code
-    rep.check("constituent parameters [n,k,d]", "example41/constituents",
-              fx["constituent_params"],
-              [[cp.n, cp.k, min_distance(cp).d_exact],
-               [cd.n, cd.k, min_distance(cd).d_exact],
-               [cs.n, cs.k, min_distance(cs).d_exact]])
-
-    qc = assemble_qc(decomp, asn)
-    rep.check("dimension (constituent formula = rank)", "example41/dimension",
-              [fx["dim"], fx["dim"]], [dim_from_constituents(decomp, asn), qc.k])
+    qc = _constituents_and_qc(rep, "example41", fx, decomp, asn)
 
     dual_rep = qc_duality_class(qc)
     rep.check_true("dual-containing (flat flags and constituent witness agree)",
@@ -210,41 +231,22 @@ def run_example41(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunR
                    "example41/exact-distance",
                    dist.d_exact >= 7 and dist.d_exact >= go.d_go, dist.d_exact)
 
-    # d is the paper's value, not a certified one (ROADMAP item 1)
-    d_pub = fx["css"][2]
-    q = QuantumParams(qc.n, 2 * qc.k - qc.n, d_pub, qc.field.order, purity=d_pub,
-                      derivation=("published",))
-    rep.check("CSS parameters [[n,k,>=d]]", "example41/css",
-              fx["css"], [q.n, q.k, q.d_lower])
+    q = _published_css(rep, "example41", fx, qc)
     csse, _ = min_weight_outside(qc.lin, qc.lin, budget)
     rep.results["exact_css_distance"] = csse
     rep.check("exact stabilizer distance attains the published bound",
               "example41/css", fx["css"][2], csse, flag_only=True)
-    rep.check("quantum Singleton audit", "example41/singleton",
-              {"ok": True, "slack": 6, "quantum_mds": False}, singleton_audit(q).to_json())
-    _derived_table_replay(rep, "example41", q, fx)
-    rep.timing_s = time.time() - t0
+    _audit_published(rep, "example41", fx, q, slack=6)
     return rep
 
 
+@_timed
 def run_example42(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunReport:
-    t0 = time.time()
     rep = RunReport("reproduce example42", {"budget": budget, "long": long_mode})
     fx = load_tables()["example42"]
     decomp, asn = load_example("example42")
     _factor_check(rep, "example42", decomp.q_field, 7, [[1, 1, 0, 1], [1, 0, 1, 1]], [[1, 1]])
-    cp = asn.pairs[0].cprime
-    cd = asn.pairs[0].cdouble_code()
-    cs = asn.selfrec[0].code
-    rep.check("constituent parameters [n,k,d]", "example42/constituents",
-              fx["constituent_params"],
-              [[cp.n, cp.k, min_distance(cp).d_exact],
-               [cd.n, cd.k, min_distance(cd).d_exact],
-               [cs.n, cs.k, min_distance(cs).d_exact]])
-    qc = assemble_qc(decomp, asn)
-    rep.check("dimension (constituent formula = rank)", "example42/dimension",
-              [fx["dim"], fx["dim"]],
-              [dim_from_constituents(decomp, asn), qc.k])
+    qc = _constituents_and_qc(rep, "example42", fx, decomp, asn)
     rep.check_true("dual-containing", "example42/duality", bool(duality_class(qc.lin).edc))
     go = go_bound(decomp, asn, budget)
     rep.check("associated cyclic code distances (all seven subsets)", "example42/d-table",
@@ -258,20 +260,13 @@ def run_example42(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunR
         rep.check_true("exact minimum distance attains the published bound (>= 14)",
                        "example42/exact-distance", dist.d_exact >= 14, dist.d_exact)
 
-    # d is the paper's value, not a certified one (ROADMAP item 1)
-    d_pub = fx["css"][2]
-    q = QuantumParams(qc.n, 2 * qc.k - qc.n, d_pub, qc.field.order, purity=d_pub,
-                      derivation=("published",))
-    rep.check("CSS parameters [[n,k,>=d]]", "example42/css", fx["css"], [q.n, q.k, q.d_lower])
-    rep.check("quantum Singleton audit", "example42/singleton",
-              {"ok": True, "slack": 26, "quantum_mds": False}, singleton_audit(q).to_json())
-    _derived_table_replay(rep, "example42", q, fx)
-    rep.timing_s = time.time() - t0
+    q = _published_css(rep, "example42", fx, qc)
+    _audit_published(rep, "example42", fx, q, slack=26)
     return rep
 
 
+@_timed
 def run_example43(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunReport:
-    t0 = time.time()
     rep = RunReport("reproduce example43", {"budget": budget})
     fx = load_tables()["example43"]
     plan = example_plan("example43", "EDC", u_max=3, materialize_max=24)
@@ -293,12 +288,11 @@ def run_example43(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunR
     rep.check("published logical dimension 3 vs 2k-n from the stated constituents",
               "example43/quantum", fx["published_quantum_k"],
               2 * levels[0].qc.k - levels[0].n, flag_only=True)
-    rep.timing_s = time.time() - t0
     return rep
 
 
+@_timed
 def run_cor35(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunReport:
-    t0 = time.time()
     rep = RunReport("reproduce cor35-example", {"budget": budget})
     fx = load_tables()["cor35"]
     plan = example_plan("cor35", "ESO", u_max=3, materialize_max=60)
@@ -321,12 +315,11 @@ def run_cor35(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunRepor
     gram_zero = not _gram(plan.q_field, lv1.qc.lin.gen, lv1.qc.lin.gen).any()
     rep.check("level-1 code: rank 27 and G.G^T = 0 (ESO)", "cor35-example/family",
               [27, True], [lv1.qc.k, gram_zero])
-    rep.timing_s = time.time() - t0
     return rep
 
 
+@_timed
 def run_example39(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunReport:
-    t0 = time.time()
     rep = RunReport("reproduce example39", {"budget": budget})
     fx = load_tables()["example39"]
     plan = example_plan("example39", "ESD", u_max=3, materialize_max=70)
@@ -351,23 +344,17 @@ def run_example39(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunR
     chk = sqrt_like_check(levels, 6, c=4 / sqrt(6))
     rep.check_true("square-root-like floor holds for u >= 2 with c = 4/sqrt(6)",
                    "example39/sqrt-like", bool(chk["all_ok"]), chk["per_level"])
-    rep.timing_s = time.time() - t0
     return rep
 
 
+@_timed
 def run_tables(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunReport:
-    t0 = time.time()
     rep = RunReport("reproduce tables", {})
     fx = load_tables()["three_factor_tables"]
-    for q_str, row in fx["base"].items():
-        got = three_factor_scan(int(q_str), 100)
-        rep.check(f"three-factor moduli over F_{q_str} (m <= 100)",
-                  "tables/base-field", row, got)
-    for q_str, row in fx["square"].items():
-        got = three_factor_scan(int(q_str), 100)
-        rep.check(f"three-factor moduli over F_{q_str} (m <= 100)",
-                  "tables/square-field", row, got)
-    rep.timing_s = time.time() - t0
+    for kind in ("base", "square"):
+        for q_str, row in fx[kind].items():
+            rep.check(f"three-factor moduli over F_{q_str} (m <= 100)",
+                      f"tables/{kind}-field", row, three_factor_scan(int(q_str), 100))
     return rep
 
 

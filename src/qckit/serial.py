@@ -22,13 +22,14 @@ import operator
 
 from .errors import FieldMismatch, NotABoolean, NotAnInteger, QCKitError
 from .gf import GF, field_make
-from .lincode import LinearCode, code_from_rows, zero_code
+from .lincode import LinearCode, code_from_rows
 from .qc import (
     ConstituentAssignment,
     CrtDecomposition,
     DistanceInfo,
     PairAssignment,
     SelfrecAssignment,
+    assignment_all_zero,
     decompose_ring,
 )
 
@@ -71,51 +72,29 @@ def assignment_from_spec(spec: dict) -> tuple[CrtDecomposition, ConstituentAssig
     m = _integer(spec, "m")
     ell = _integer(spec, "ell")
     decomp = decompose_ring(q_field, m, ell)
-    table = decomp.factors.cosets
-
-    pair_by_coset = {}
-    for sg, sgs in decomp.pair_slots:
-        key = table.coset_of(sg.exponent)
-        pair_by_coset[key] = (sg, sgs)
-        pair_by_coset[table.coset_of(sgs.exponent)] = (sg, sgs)
-    entries = {}
+    # every slot the spec leaves out holds the zero code
+    zero = assignment_all_zero(decomp)
+    pairs, selfrec = list(zero.pairs), list(zero.selfrec)
     for ent in spec.get("pairs", []):
-        coset = table.coset_of(_integer(ent, "rep") % m)
-        if coset not in pair_by_coset:
+        slot = decomp.slot_of(_integer(ent, "rep"))
+        if slot.kind == "selfrec":
             raise QCKitError(f"rep {ent['rep']} does not belong to a reciprocal pair")
-        sg, sgs = pair_by_coset[coset]
-        cprime = code_from_rows(sg.cfield, ell, ent["cprime_rows"])
+        sg, sgs = decomp.pair_slots[slot.index]
         cdp = ent.get("cdoubleprime", "dual")
-        cdouble = None if cdp == "dual" else code_from_rows(sgs.cfield, ell, cdp)
-        entries[sg.label] = PairAssignment(
-            cprime,
-            cdouble,
+        pairs[slot.index] = PairAssignment(
+            code_from_rows(sg.cfield, ell, ent["cprime_rows"]),
+            None if cdp == "dual" else code_from_rows(sgs.cfield, ell, cdp),
             _distance_from_json(ent.get("cprime_distance")),
             _distance_from_json(ent.get("cdoubleprime_distance")),
         )
-    pairs = []
-    for sg, sgs in decomp.pair_slots:
-        if sg.label in entries:
-            pairs.append(entries[sg.label])
-        else:
-            pairs.append(PairAssignment(zero_code(sg.cfield, ell), zero_code(sgs.cfield, ell)))
-
-    sr_entries = {}
     for ent in spec.get("selfrec", []):
-        coset = table.coset_of(_integer(ent, "rep") % m)
-        slot = next((s for s in decomp.selfrec_slots if table.coset_of(s.exponent) == coset), None)
-        if slot is None:
+        slot = decomp.slot_of(_integer(ent, "rep"))
+        if slot.kind != "selfrec":
             raise QCKitError(f"rep {ent['rep']} is not a self-reciprocal slot")
-        sr_entries[slot.label] = SelfrecAssignment(
+        selfrec[slot.index] = SelfrecAssignment(
             code_from_rows(slot.cfield, ell, ent["rows"]),
             _distance_from_json(ent.get("distance")),
         )
-    selfrec = []
-    for slot in decomp.selfrec_slots:
-        if slot.label in sr_entries:
-            selfrec.append(sr_entries[slot.label])
-        else:
-            selfrec.append(SelfrecAssignment(zero_code(slot.cfield, ell)))
     assignment = ConstituentAssignment(tuple(pairs), tuple(selfrec))
     assignment.validate(decomp)
     return decomp, assignment

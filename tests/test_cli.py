@@ -7,7 +7,7 @@ from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
 from qckit.cli import main
-from qckit.errors import BudgetExceeded, MixedFields, NotABoolean, NotAnInteger
+from qckit.errors import BudgetExceeded, MixedFields, NotABoolean, NotAnInteger, QCKitError
 from qckit.reproduce import run_example42
 from qckit.serial import assignment_from_spec, code_from_json
 
@@ -289,6 +289,16 @@ def test_spec_rep_leniency_and_distance_entries(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     rc, payload = run_json(["build", "--spec", str(path)], capsys)
     assert rc == 0 and payload["k"] == 12
+
+
+@pytest.mark.parametrize("entries,message", [
+    # over F_4 the cosets mod 7 are {0}, {1, 2, 4} and {3, 5, 6}
+    ({"pairs": [{"rep": 0, "cprime_rows": [[1, 1, 1]]}]}, "does not belong to a reciprocal pair"),
+    ({"selfrec": [{"rep": 3, "rows": [[1, 1, 1]]}]}, "is not a self-reciprocal slot"),
+])
+def test_spec_rep_must_name_a_slot_of_its_kind(entries, message):
+    with pytest.raises(QCKitError, match=message):
+        assignment_from_spec({"q": {"p": 2, "t": 2}, "m": 7, "ell": 3, **entries})
 
 
 def test_unassigned_slots_default_to_zero(tmp_path, capsys):

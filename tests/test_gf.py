@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from qckit import gf
 from qckit.errors import (
     DivisionByZero,
     InvalidLogTable,
@@ -10,6 +13,7 @@ from qckit.errors import (
     NoRootOfThatOrder,
     NotASubfield,
     OrderCapExceeded,
+    QCKitError,
 )
 from qckit.gf import (
     ADD_TABLE_MAX_ORDER,
@@ -82,6 +86,29 @@ def test_field_make_caching_and_errors():
         field_make(4, 1)
     with pytest.raises(OrderCapExceeded):
         field_make(2, 80)
+
+
+def test_is_prime_matches_a_sieve_and_rejects_strong_pseudoprimes():
+    sieve = np.ones(10**5 + 1, dtype=bool)
+    sieve[:2] = False
+    for f in range(2, 317):  # Eratosthenes: 317^2 > 10^5
+        if sieve[f]:
+            sieve[f * f::f] = False
+    assert [n for n in range(10**5 + 1) if is_prime(n)] == np.flatnonzero(sieve).tolist()
+    # a Carmichael number, and strong pseudoprimes to the bases 2, 3, 5, 7 and
+    # to every prime base up to 23
+    assert not any(map(is_prime, (561, 3_215_031_751, 3_825_123_056_546_413_051)))
+    assert all(map(is_prime, (2**31 - 1, 2**61 - 1, 2**64 - 59)))
+    with pytest.raises(QCKitError):
+        is_prime(2**89 - 1)  # above the range where the fixed bases decide
+
+
+def test_field_make_of_a_prime_near_the_order_cap_is_quick(monkeypatch):
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    t0 = time.perf_counter()
+    fld = field_make(2**61 - 1, 1)
+    assert time.perf_counter() - t0 < 1.0
+    assert fld.order == 2**61 - 1 and fld.mul(2**60, 2) == 1
 
 
 def test_arithmetic_examples():

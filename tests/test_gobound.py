@@ -34,6 +34,19 @@ def test_cyclic_from_nonzeros_examples():
         cyclic_from_nonzeros(F4, 7, [2])  # 2 is not its coset's minimum
     with pytest.raises(RepNotACosetMin):
         cyclic_from_nonzeros(F4, 7, [0, 0])
+    assert cyclic_from_nonzeros(F4, 7, []).k == 0  # generated by x^7 - 1 itself
+
+
+@pytest.mark.parametrize("name", ["example41", "example42"])
+def test_cyclic_code_from_gen_spans_the_generator_shifts(name):
+    from qckit.gobound import cyclic_code_from_gen
+
+    dec, asn = load_example(name)
+    m = dec.m
+    for entry in go_bound(dec, asn).d_table.values():
+        g = entry.gen_poly
+        rows = [[0] * s + list(g.coeffs) + [0] * (m - g.degree - 1 - s) for s in range(m - g.degree)]
+        assert cyclic_code_from_gen(dec.q_field, m, g) == code_from_rows(dec.q_field, m, rows)
 
 
 def test_go_bound_reference_values():

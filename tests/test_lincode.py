@@ -126,6 +126,20 @@ def test_dual_euclidean():
         assert tuple(int(v) for v in row) in vecs
 
 
+@pytest.mark.parametrize("c", [
+    zero_code(F3, 5), full_space(F3, 5),
+    code_from_rows(F3, 9, np.random.default_rng(11).integers(0, 3, size=(4, 9))),
+])
+def test_free_columns_are_the_sorted_non_pivots(c):
+    # the parity rows and the duality flags take the free columns by position
+    free = np.setdiff1d(np.arange(c.n), c.pivots)
+    rows = np.zeros((free.size, c.n), dtype=np.int64)
+    rows[np.arange(free.size), free] = 1
+    rows[:, list(c.pivots)] = F3.neg_arr(c.gen[:, free].T)
+    assert np.array_equal(_parity_rows(c), rows)
+    assert np.array_equal(duality_class(c)._free, c.gen[:, free])
+
+
 @pytest.mark.parametrize("p,t", [(2, 1), (3, 1), (61, 1), (67, 1), (2, 2), (3, 2), (3, 5), (5, 5)])
 def test_dual_of_copies_matches_elimination(p, t):
     # The closed form for the dual of copies against the elimination of the

@@ -93,6 +93,16 @@ def test_decompose_shapes(dec47):
     assert len(dec1.slots) == 1 and dec1.slots[0].factor.coeffs == (4, 1)
 
 
+@pytest.mark.parametrize("p,t,m", [(2, 2, 7), (3, 1, 11), (2, 1, 23)])
+def test_slot_of_names_the_slot_of_each_exponents_coset(p, t, m):
+    dec = decompose_ring(field_make(p, t), m, 1)
+    table, K = dec.factors.cosets, dec.common_field
+    for e in range(-m, 2 * m):
+        coset = table.coset_of(e)
+        assert dec.slot_of(e) is next(s for s in dec.slots if table.coset_of(s.exponent) == coset)
+        assert dec.alpha_pow(e) == K.pow_(dec.alpha, e % m)
+
+
 def test_phi():
     v = np.zeros(6, dtype=np.int64)
     assert not phi(v, 3, 2).any()
