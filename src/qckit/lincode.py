@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -581,9 +581,10 @@ class DistanceReport:
 _BLOCK = 4096  # most codewords built and scored by one array step
 
 
-def _information_sets(field: GF, gen: np.ndarray, pivots) -> list[tuple[np.ndarray, int]]:
+def _information_sets(field: GF, gen: np.ndarray, pivots):
     """Systematic generators Gamma_j of the code with r_j, their number of
-    pivots on columns that no earlier Gamma has a pivot on.
+    pivots on columns that no earlier Gamma has a pivot on, yielded one at a
+    time, so a set the caller never asks for costs no elimination.
 
     gen must be in RREF with pivot columns `pivots`, so Gamma_0 is gen itself
     with r_0 = k.  Each later Gamma_j is the RREF of gen with the unused
@@ -593,18 +594,18 @@ def _information_sets(field: GF, gen: np.ndarray, pivots) -> list[tuple[np.ndarr
     """
     used = np.zeros(gen.shape[1], dtype=bool)
     used[list(pivots)] = True
-    sets = [(gen, len(pivots))]
+    yield gen, len(pivots)
     while True:
         fresh = np.flatnonzero(~used)
         if not gen[:, fresh].any():
-            return sets
+            return
         order = np.concatenate([fresh, np.flatnonzero(used)])
         g, piv = _rref(field, gen[:, order])
         new = [c for c in piv if c < fresh.size]
         gamma = np.empty_like(g)
         gamma[:, order] = g
         used[order[new]] = True
-        sets.append((gamma, len(new)))
+        yield gamma, len(new)
 
 
 def _stage_blocks(field: GF, k: int, w: int):
@@ -662,6 +663,18 @@ def _stage_blocks(field: GF, k: int, w: int):
                 yield heads, one_head, tail, neg_coef, fixed
 
 
+@lru_cache(maxsize=256)
+def _one_block_stage(field: GF, k: int, w: int) -> tuple:
+    """_stage_blocks(field, k, w) as a tuple, for a stage of at most _BLOCK
+    codewords; it depends on nothing else, so every engine run shares it.
+    Its arrays are read-only, as every caller gets the same ones."""
+    blocks = tuple(_stage_blocks(field, k, w))
+    for heads, parent, tail, neg_coef, _ in blocks:
+        for a in (heads, parent, tail, neg_coef):
+            a.flags.writeable = False
+    return blocks
+
+
 def _block_zeros(field: GF, rows: np.ndarray, block) -> np.ndarray:
     """Which entries of each codeword of the block are zero, one row per
     codeword in block order.
@@ -713,25 +726,47 @@ def _min_weight(field: GF, gen: np.ndarray, pivots, syn: np.ndarray | None,
     with a zero syndrome are skipped: the bound holds for every codeword
     not visited, so it holds for the difference set as well.  The engine
     stops after at most `budget` codewords.
+
+    Gamma_j is built when stage 1 first reaches it.  Until then it adds
+    [r_j = k] to the sum, and at most R // k of the sets not yet built have
+    r_j = k, R being the columns no built set has a pivot on.  So after each
+    set of stage 1 the engine stops when the built sets' sum reaches best,
+    goes on when that sum plus R // k stays below it, and otherwise, as at
+    a budget cut, builds every set and takes the exact sum: each decision is
+    the one the exact sum gives.
     """
     k, n = gen.shape
     q = field.order
-    sets = []  # each Gamma_j with its syndromes alongside, in the field's dtype
-    for g, r in _information_sets(field, gen, pivots):
+    pending = _information_sets(field, gen, pivots)
+    sets = []  # each Gamma_j built so far with its syndromes alongside, in the field's dtype
+    done = []  # w_j: message weight enumerated in full on Gamma_j
+
+    def build() -> bool:
+        """Append the next set; False when there is none."""
+        nxt = next(pending, None)
+        if nxt is None:
+            return False
+        g, r = nxt
         rows = g if syn is None else np.hstack([g, _gram(field, g, syn)])
         sets.append((rows.astype(field.dtype), r))
-    done = [0] * len(sets)  # w_j: message weight enumerated in full on Gamma_j
+        done.append(0)
+        return True
 
-    def bound() -> int:
+    def bound(exact: bool) -> int:
+        """The sum over the built sets, or over every set when exact."""
+        while exact and build():
+            pass
         return sum(max(0, wj + 1 - (k - rj)) for wj, (_, rj) in zip(done, sets))
 
-    best, lower, visited = n + 1, bound(), 0
+    best, visited = n + 1, 0
     for w in range(1, k + 1):
-        # a stage of one block is built once for every set; a larger one is
-        # streamed again per set, so no stage is ever held whole
+        # a stage of one block is built once and kept for every later run; a
+        # larger one is streamed again per set, so no stage is ever held whole
         one = math.comb(k, w) * (q - 1) ** (w - 1) <= _BLOCK
-        kept = list(_stage_blocks(field, k, w)) if one else None
-        for j, (rows, _) in enumerate(sets):
+        kept = _one_block_stage(field, k, w) if one else None
+        j = 0
+        while j < len(sets) or build():
+            rows = sets[j][0]
             for block in kept or _stage_blocks(field, k, w):
                 zero = _block_zeros(field, rows, block)
                 cut = visited + len(zero) > budget
@@ -744,10 +779,15 @@ def _min_weight(field: GF, gen: np.ndarray, pivots, syn: np.ndarray | None,
                 if wts.size:
                     best = min(best, int(wts.min()))
                 if cut:
-                    return best, min(best, lower), visited
+                    return best, min(best, bound(exact=True)), visited
             done[j] = w
-            lower = bound()
-            if w == k or lower >= best:
+            j += 1
+            if w == k:
+                return best, best, visited
+            lower = bound(exact=False)
+            if lower < best and lower + (n - sum(r for _, r in sets)) // k >= best:
+                lower = bound(exact=True)  # the sets not yet built may decide
+            if lower >= best:
                 return best, best, visited
     raise AssertionError("unreachable: the last stage enumerates every message")  # pragma: no cover
 

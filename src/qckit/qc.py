@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -240,7 +240,19 @@ class PairAssignment:
         return self.cdouble is None
 
     def cdouble_code(self) -> LinearCode:
+        return self._cdouble
+
+    @functools.cached_property
+    def _cdouble(self) -> LinearCode:
+        """C'', kept on the assignment: in dual mode it is eliminated once."""
         return dual_euclidean(self.cprime) if self.cdouble is None else self.cdouble
+
+    def with_distances(self, cprime_distance: DistanceInfo | None,
+                       cdouble_distance: DistanceInfo | None) -> PairAssignment:
+        """This assignment with the given distances, sharing its C''."""
+        out = replace(self, cprime_distance=cprime_distance, cdouble_distance=cdouble_distance)
+        out.__dict__["_cdouble"] = self._cdouble
+        return out
 
     @property
     def cdouble_k(self) -> int:

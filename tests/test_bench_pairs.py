@@ -34,3 +34,23 @@ def test_summarize_writes_bound_and_verdict():
         "peak_rss_mb": (0.1, "within"),
     }
     assert got["metrics"]["op_p50_s"]["change_wins"] == 4
+
+
+def test_summarize_marks_a_gain_only_past_the_parent_iqr():
+    # ten pairs of ops_per_s; a gain needs nine tenths of the pairs won and
+    # the medians further apart than the parent's IQR
+    parent = [50, 52, 54, 56, 58, 50, 52, 54, 56, 58]  # median 54, IQR 4
+    cases = {
+        "clear": ([p + 10 for p in parent], True),
+        "one pair lost": ([p + 10 for p in parent[:8]] + [40, 68], True),
+        "two pairs lost": ([p + 10 for p in parent[:8]] + [40, 40], False),
+        "within the IQR": ([p + 3 for p in parent], False),
+        "slower": ([p - 10 for p in parent], False),
+    }
+    metrics = {"ops_per_s": {"better": "higher", "bound": 0.25}}
+    for name, (change, gain) in cases.items():
+        runs = [{"pair": i, "workload": "w", "side": side, "correct": True, "failed": 0,
+                 "metrics": {"ops_per_s": values[i]}}
+                for i in range(10) for side, values in (("parent", parent), ("change", change))]
+        got = bench_pairs.summarize(runs, ["w"], metrics)["w"]["metrics"]["ops_per_s"]
+        assert got["gain"] is gain, (name, got)

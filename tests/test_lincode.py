@@ -357,10 +357,12 @@ def test_information_sets_match_elimination_oracle(monkeypatch):
                 c = code_from_rows(fld, n, mat)
                 if c.k == 0:
                     continue
-                sets = _information_sets(fld, c.gen, c.pivots)
+                sets = list(_information_sets(fld, c.gen, c.pivots))
                 assert [(g.tolist(), r) for g, r in sets] == \
                     eliminated_information_sets(fld, c.gen), (fld, k, n, shape)
-                # Gamma_0 is the generator itself: one elimination per later set
+                # Gamma_0 is the generator itself: one elimination per later
+                # set the run built, which is every set once stage 1 (k
+                # codewords per set, all within the budget) has visited them all
                 calls = []
 
                 def counted(*args):
@@ -368,11 +370,65 @@ def test_information_sets_match_elimination_oracle(monkeypatch):
                     return _rref(*args)
 
                 monkeypatch.setattr(lincode, "_rref", counted)
-                min_distance(c, budget=1000, mode="bound")
+                rep = min_distance(c, budget=1000, mode="bound")
                 monkeypatch.setattr(lincode, "_rref", _rref)
-                assert len(calls) == len(sets) - 1, (fld, k, n, shape)
+                reached = min(len(sets), -(-rep.enumerated // c.k))  # sets stage 1 visited
+                if reached == len(sets):
+                    assert len(calls) == len(sets) - 1, (fld, k, n, shape)
+                else:
+                    assert len(calls) in (reached - 1, len(sets) - 1), (fld, k, n, shape)
                 seen.add((c.k == n, len(sets)))
     assert (True, 1) in seen and any(s > 2 for _, s in seen)  # k = n and many sets
+
+
+def _eliminations(monkeypatch, run):
+    """The _rref calls that run() makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _rref(*args)
+
+    monkeypatch.setattr(lincode, "_rref", counted)
+    run()
+    monkeypatch.setattr(lincode, "_rref", _rref)
+    return len(calls)
+
+
+def test_engine_builds_information_sets_only_when_reached(monkeypatch):
+    # a k = 1 code is certified by Gamma_0's single message: the repetition
+    # code's four later sets, one per other column, are never eliminated
+    for fld in (F2, F5, field_make(2, 6)):
+        c = code_from_rows(fld, 5, [[1] * 5])
+        assert len(list(_information_sets(fld, c.gen, c.pivots))) == 5
+        assert _eliminations(monkeypatch, lambda: min_distance(c)) == 0, fld
+        assert min_distance(c).d_exact == 5
+    # the [7,6,2] even-weight code: stage 1 on Gamma_0 sees weight 2, and
+    # Gamma_0 alone bounds every other codeword by 2, so Gamma_1 (on the last
+    # column) is never built
+    c = code_from_rows(F2, 7, [[int(j in (i, 6)) for j in range(7)] for i in range(6)])
+    assert len(list(_information_sets(F2, c.gen, c.pivots))) == 2
+    assert _eliminations(monkeypatch, lambda: min_distance(c)) == 0
+    rep = min_distance(c)
+    assert (rep.d_exact, rep.enumerated) == (2, 6)
+
+
+def test_one_block_stages_are_kept_across_runs():
+    f64, f65537 = field_make(2, 6), field_make(65537, 1)
+    for fld, k, w in ((F2, 7, 3), (F3, 6, 4), (F9, 5, 2), (f64, 3, 3), (f65537, 3, 1)):
+        assert math.comb(k, w) * (fld.order - 1) ** (w - 1) <= _BLOCK
+        kept = lincode._one_block_stage(fld, k, w)
+        fresh = list(_stage_blocks(fld, k, w))
+        assert len(kept) == len(fresh), (fld, k, w)
+        for a, b in zip(kept, fresh):
+            assert all(np.array_equal(x, y) for x, y in zip(a[:4], b[:4])) and a[4] is b[4] is None
+        assert lincode._one_block_stage(fld, k, w) is kept
+    # the [12,3] Reed-Solomon code over F_65537: its weight-2 stage spans 48
+    # blocks and streams; only its one-block weight-1 stage is kept
+    lincode._one_block_stage.cache_clear()
+    c = grs_code(f65537, range(1, 13), [1] * 12, 3)
+    rep = min_distance(c, budget=3 * 4 * 3 + 5000, mode="bound")
+    assert rep.enumerated == 5036 and lincode._one_block_stage.cache_info().currsize == 1
 
 
 def test_min_distance_bound_mode_is_sound():

@@ -552,10 +552,10 @@ def test_elimination_counts(ex41, monkeypatch):
     assert eliminations(is_shift_invariant, ex41) == 0
     assert eliminations(qc_duality_class, ex41) == 0  # a dual-mode pair holds by construction
     assert eliminations(dual_hermitian, c) == 1  # dual_euclidean's recanonicalization
-    # the flat dual and the x - 1 slot's dual (a dual-mode pair maps to
-    # itself), then the cross-check's assemble_qc: its dual-mode C'' and the
-    # trace rows
-    assert eliminations(qc_dual, ex41) == 4
+    # the flat dual and the x - 1 slot's dual, then the cross-check's
+    # assemble_qc: its trace rows.  A dual-mode pair maps to itself and keeps
+    # the C'' that assembling ex41 eliminated
+    assert eliminations(qc_dual, ex41) == 3
     calls.clear()
     with pytest.raises(NotNested):
         css(line, line)
@@ -587,3 +587,26 @@ def test_build_family_factors_once(monkeypatch):
         assert len(calls) == 1, name
         decomps = [lv.qc.decomp for lv in levels if lv.qc is not None]
         assert len(decomps) == 2 and decomps[1].factors is decomps[0].factors, name
+
+
+def test_pair_assignment_eliminates_its_dual_once(monkeypatch):
+    # a dual-mode pair keeps its C'': repeated cdouble_code(), slot_codes and
+    # go_bound calls on one assignment, and its copy with distances filled
+    # in, eliminate the dual once
+    from qckit.gobound import go_bound
+
+    decomp, asn = load_example("example41")
+    calls = []
+    monkeypatch.setattr(qc_module, "dual_euclidean", lambda c: calls.append(c) or dual_euclidean(c))
+    pa = asn.pairs[0]
+    assert pa.dual_mode
+    cdouble = pa.cdouble_code()
+    assert cdouble == dual_euclidean(pa.cprime)
+    for _ in range(3):
+        assert pa.cdouble_code() is cdouble
+        assert asn.slot_codes(decomp)[1][1] is cdouble
+        go_bound(decomp, asn)
+    given = DistanceInfo(2, True, "given")
+    filled = pa.with_distances(given, given)
+    assert filled.cdouble_code() is cdouble and filled.cdouble_distance == given
+    assert len(calls) == 1

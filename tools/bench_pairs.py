@@ -14,13 +14,17 @@ change first when i is odd, and the workloads interleave within each pair.
 The output holds every run and, per workload and end-to-end metric of
 BENCHMARK.json, both sides' median and quartiles, the number of pairs the
 change won in the metric's better direction, the ratio of the medians, the
-parent's interquartile range, the metric's bound and a verdict:
+parent's interquartile range, the metric's bound, a verdict:
 
     worse       the change's median is worse than the parent's by more than
                 bound x the parent's median
     unresolved  the parent's IQR exceeds bound x its median, and not every
                 change run beats every parent run
     within      neither
+
+and whether the change claims a gain in the metric ("gain"): it won at
+least nine tenths of the pairs, ties counting for neither, and its median
+is better than the parent's by more than the parent's IQR.
 """
 
 from __future__ import annotations
@@ -94,13 +98,17 @@ def summarize(runs: list, workloads: list, metrics: dict) -> dict:
                         if r["side"] == s] for s in ("parent", "change")}
             sign = 1 if spec["better"] == "higher" else -1
             stats = {s: quartiles(v) for s, v in side.items()}
+            wins = sum(sign * (c - p) > 0 for p, c in zip(side["parent"], side["change"]))
+            iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
             entry["metrics"][name] = {
                 **stats,
-                "change_wins": sum(sign * (c - p) > 0 for p, c in zip(side["parent"], side["change"])),
+                "change_wins": wins,
                 "median_ratio": stats["change"]["median"] / stats["parent"]["median"],
-                "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
+                "parent_iqr": iqr,
                 "bound": spec["bound"],
                 "verdict": verdict(side, stats, sign, spec["bound"]),
+                "gain": 10 * wins >= 9 * len(side["parent"])
+                        and sign * (stats["change"]["median"] - stats["parent"]["median"]) > iqr,
             }
         summary[w] = entry
     return summary

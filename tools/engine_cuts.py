@@ -36,7 +36,7 @@ FULL = 2**24
 
 def stage_ends(field, code) -> list[int]:
     """Codewords visited at the end of each stage (w, j), in visit order."""
-    sets = len(_information_sets(field, code.gen, code.pivots))
+    sets = len(list(_information_sets(field, code.gen, code.pivots)))
     ends, total = [], 0
     for w in range(1, code.k + 1):
         for _ in range(sets):
