@@ -411,6 +411,15 @@ def test_engine_builds_information_sets_only_when_reached(monkeypatch):
     assert _eliminations(monkeypatch, lambda: min_distance(c)) == 0
     rep = min_distance(c)
     assert (rep.d_exact, rep.enumerated) == (2, 6)
+    # [I | I | 1]: after set 0 the built sets bound by 2 < 3 = best, and the
+    # unbuilt ones may add R // k = 1, so both are built; Gamma_1 (r = k)
+    # adds 1 and Gamma_2 (r = 1) none, which stops the run where the exact
+    # bound stops it, after Gamma_0's two codewords
+    c = code_from_rows(F2, 5, [(1, 0, 1, 0, 1), (0, 1, 0, 1, 1)])
+    assert [r for _, r in _information_sets(F2, c.gen, c.pivots)] == [2, 2, 1]
+    assert _eliminations(monkeypatch, lambda: min_distance(c)) == 2
+    rep = min_distance(c)
+    assert (rep.d_exact, rep.enumerated) == (3, 2)
 
 
 def test_one_block_stages_are_kept_across_runs():
