@@ -64,7 +64,7 @@ from .qc import (
     r_hermitian_ip,
     sqrt_like_check,
 )
-from .gobound import GoReport, associated_cyclic_family, cyclic_from_nonzeros, go_bound
+from .gobound import GoReport, cyclic_from_nonzeros, go_bound
 from .quantum import QuantumParams, css, from_dual_containing, singleton_audit, transform, transform_chain
 
 __version__ = "0.1.0"

@@ -40,7 +40,7 @@ from .errors import EmptyAssignment, RepNotACosetMin
 from .gf import GF
 from .lincode import DEFAULT_BUDGET, LinearCode, code_from_rows, min_distance
 from .poly import FactorSet, Poly, factor_xm1
-from .qc import ConstituentAssignment, CrtDecomposition, DistanceInfo, Slot, _circulant, _distance_of
+from .qc import ConstituentAssignment, CrtDecomposition, DistanceInfo, _circulant, constituent_distances
 
 
 def cyclic_code_from_gen(q_field: GF, m: int, gen_poly: Poly) -> LinearCode:
@@ -154,36 +154,6 @@ class GoReport:
         }
 
 
-@dataclass(frozen=True)
-class AssociatedCyclicFamily:
-    """The sorted nonzero constituent chain with its nested cyclic codes."""
-
-    decomp: CrtDecomposition
-    chain: tuple[ChainEntry, ...]
-    codes: dict  # subset (1-based positions) -> LinearCode
-
-
-def _constituent_chain(decomp: CrtDecomposition, assignment: ConstituentAssignment,
-                       budget: int) -> list[tuple[Slot, LinearCode, DistanceInfo]]:
-    entries = []
-    for (pa, (sg, sgs)) in zip(assignment.pairs, decomp.pair_slots):
-        entries.append((sg, pa.cprime, pa.cprime_distance))
-        entries.append((sgs, pa.cdouble_code(), pa.cdouble_distance))
-    for sa, slot in zip(assignment.selfrec, decomp.selfrec_slots):
-        entries.append((slot, sa.code, sa.distance))
-    out = []
-    for slot, code, info in entries:
-        if code.k == 0:
-            continue  # zero constituents drop out of the chain
-        out.append((slot, code, _distance_of(code, info, budget)))
-    if not out:
-        raise EmptyAssignment("no nonzero constituents")
-    # descending distance; ties broken by slot order in the decomposition
-    order = {s.label: i for i, s in enumerate(decomp.slots)}
-    out.sort(key=lambda t: (-t[2].value, order[t[0].label]))
-    return out
-
-
 def _d_generator(decomp: CrtDecomposition, subset: tuple[int, ...],
                  chain: list) -> tuple[Poly, int, set[int]]:
     """D_I's generator polynomial, dimension and exponent zero set."""
@@ -206,26 +176,15 @@ def _d_code_entry(decomp: CrtDecomposition, subset: tuple[int, ...],
     return DEntry(subset, gen, dim, max(_bch_bound(decomp.m, zero_exps), rep.d_lower), False)
 
 
-def associated_cyclic_family(decomp: CrtDecomposition, assignment: ConstituentAssignment,
-                             budget: int = DEFAULT_BUDGET) -> AssociatedCyclicFamily:
-    chain = _constituent_chain(decomp, assignment, budget)
-    entries = tuple(
-        ChainEntry(s.label, s.exponent, s.degree, info) for s, _, info in chain
-    )
-    codes = {}
-    h = len(chain)
-    for a in range(1, h + 1):
-        for b in range(a, h + 1):
-            subset = tuple(range(a, b + 1))
-            gen, _, _ = _d_generator(decomp, subset, chain)
-            codes[subset] = cyclic_code_from_gen(decomp.q_field, decomp.m, gen)
-    return AssociatedCyclicFamily(decomp, entries, codes)
-
-
 def go_bound(decomp: CrtDecomposition, assignment: ConstituentAssignment,
              distance_budget: int = DEFAULT_BUDGET) -> GoReport:
     """Evaluate the published telescoped formula and Jensen's sound bound."""
-    chain = _constituent_chain(decomp, assignment, distance_budget)
+    # zero constituents drop out of the chain
+    chain = [e for e in constituent_distances(decomp, assignment, distance_budget) if e[1].k > 0]
+    if not chain:
+        raise EmptyAssignment("no nonzero constituents")
+    # descending distance; the sort is stable, so ties keep decomposition order
+    chain.sort(key=lambda e: -e[2].value)
     h = len(chain)
     d_vals = [info.value for _, _, info in chain]
     exact_mode = all(info.exact for _, _, info in chain)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -247,13 +247,6 @@ class PairAssignment:
         """C'', kept on the assignment: in dual mode it is eliminated once."""
         return dual_euclidean(self.cprime) if self.cdouble is None else self.cdouble
 
-    def with_distances(self, cprime_distance: DistanceInfo | None,
-                       cdouble_distance: DistanceInfo | None) -> PairAssignment:
-        """This assignment with the given distances, sharing its C''."""
-        out = replace(self, cprime_distance=cprime_distance, cdouble_distance=cdouble_distance)
-        out.__dict__["_cdouble"] = self._cdouble
-        return out
-
     @property
     def cdouble_k(self) -> int:
         """dim C'': ell - dim C' in dual mode, read without building the dual."""
@@ -288,14 +281,29 @@ class ConstituentAssignment:
             if sa.code.n != decomp.ell:
                 raise LengthMismatch(f"slot {slot.label}: length {sa.code.n} != {decomp.ell}")
 
-    def slot_codes(self, decomp: CrtDecomposition) -> list[tuple[Slot, LinearCode]]:
+    def entries(self, decomp: CrtDecomposition) -> list[tuple[Slot, LinearCode, DistanceInfo | None]]:
+        """Every slot in decomposition order with its code and its given distance."""
         out = []
         for pa, (sg, sgs) in zip(self.pairs, decomp.pair_slots):
-            out.append((sg, pa.cprime))
-            out.append((sgs, pa.cdouble_code()))
+            out.append((sg, pa.cprime, pa.cprime_distance))
+            out.append((sgs, pa.cdouble_code(), pa.cdouble_distance))
         for sa, slot in zip(self.selfrec, decomp.selfrec_slots):
-            out.append((slot, sa.code))
+            out.append((slot, sa.code, sa.distance))
         return out
+
+
+def constituent_distances(decomp: CrtDecomposition, assignment: ConstituentAssignment,
+                          budget: int) -> list[tuple[Slot, LinearCode, DistanceInfo]]:
+    """Every entry with its distance: the given one; n + 1 for the zero code;
+    otherwise the engine's exact one (BudgetExceeded if the budget cannot
+    certify it)."""
+    out = []
+    for slot, code, info in assignment.entries(decomp):
+        if info is None:
+            info = (DistanceInfo(code.n + 1, True, "zero code") if code.k == 0 else
+                    DistanceInfo(min_distance(code, budget).d_exact, True, "enumerated"))
+        out.append((slot, code, info))
+    return out
 
 
 def _assignment_of(decomp: CrtDecomposition, code) -> ConstituentAssignment:
@@ -369,7 +377,7 @@ def assemble_qc(decomp: CrtDecomposition, assignment: ConstituentAssignment) -> 
     assignment.validate(decomp)
     m, ell = decomp.m, decomp.ell
     blocks = []
-    for slot, code in assignment.slot_codes(decomp):
+    for slot, code, _ in assignment.entries(decomp):
         if code.k == 0:
             continue
         points = tuple(decomp.alpha_pow(-g * slot.exponent) for g in range(m))
@@ -615,16 +623,6 @@ class FamilyLevel:
         }
 
 
-def _distance_of(code: LinearCode, info: DistanceInfo | None, budget: int) -> DistanceInfo:
-    """The given distance, or the engine's exact one (BudgetExceeded if the
-    budget cannot certify it)."""
-    if info is not None:
-        return info
-    if code.k == 0:
-        return DistanceInfo(code.n + 1, True, "zero code")
-    return DistanceInfo(min_distance(code, budget).d_exact, True, "enumerated")
-
-
 def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
     decomp1 = decompose_ring(plan.q_field, plan.m, plan.ell)
     base = plan.base
@@ -652,19 +650,12 @@ def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
     if not getattr(duality_class(cs), flag):
         raise SlotSNotESO(f"slot {slot_s.label} constituent is not {plan.kind}")
 
-    # ordering hypothesis: the x - 1 constituent must carry the smallest distance
-    d_infos: list[DistanceInfo] = []
-    for pa in base.pairs:
-        d_infos.append(_distance_of(pa.cprime, pa.cprime_distance, plan.budget))
-        # a given C'' distance needs no C''
-        d_infos.append(pa.cdouble_distance if pa.cdouble_distance is not None else
-                       _distance_of(pa.cdouble_code(), None, plan.budget))
-    for sa in base.selfrec[:-1]:
-        d_infos.append(_distance_of(sa.code, sa.distance, plan.budget))
-    d_s = _distance_of(cs, base.selfrec[-1].distance, plan.budget)
+    # ordering hypothesis: the x - 1 constituent, the last entry, must carry
+    # the smallest distance
+    *others, (_, _, d_s) = constituent_distances(decomp1, base, plan.budget)
     if not d_s.exact:
         raise UnknownConstituentDistance("the x - 1 constituent needs an exact distance")
-    for di in d_infos:
+    for _, _, di in others:
         if di.value < d_s.value:
             raise OrderingViolated(
                 f"constituent distance {di.value} below the x - 1 slot distance {d_s.value}"
@@ -686,20 +677,14 @@ def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
         level = FamilyLevel(u, n_u, k_u, d_u)
         # n_u grows with u, so a materialized level follows a materialized one
         if n_u <= plan.materialize_max:
-            copies = m ** (u - 1)
-            ell_u = copies * ell
-            decomp_u = decompose_ring(plan.q_field, m, ell_u)
-            pairs_u = tuple(
-                PairAssignment(concat_copies(pa.cprime, copies) if u > 1 else pa.cprime)
-                for pa in base.pairs
-            )
-            sr_u = [
-                SelfrecAssignment(concat_copies(sa.code, copies) if u > 1 else sa.code)
-                for sa in base.selfrec[:-1]
-            ]
-            last = cs if u == 1 else prev_flat
-            sr_u.append(SelfrecAssignment(last))
-            asn_u = ConstituentAssignment(pairs_u, tuple(sr_u))
+            if u == 1:  # the base itself, with the C'' the ordering check built
+                decomp_u, asn_u = decomp1, base
+            else:
+                copies = m ** (u - 1)
+                decomp_u = decompose_ring(plan.q_field, m, copies * ell)
+                pairs_u = tuple(PairAssignment(concat_copies(pa.cprime, copies)) for pa in base.pairs)
+                sr_u = tuple(SelfrecAssignment(concat_copies(sa.code, copies)) for sa in base.selfrec[:-1])
+                asn_u = ConstituentAssignment(pairs_u, sr_u + (SelfrecAssignment(prev_flat),))
             qc = assemble_qc(decomp_u, asn_u)
             level.qc = qc
             level.rank_checked = qc.k == k_u

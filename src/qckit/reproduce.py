@@ -16,18 +16,17 @@ from __future__ import annotations
 import functools
 import json
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from importlib import resources
 from math import sqrt
 
 
 from .lincode import DEFAULT_BUDGET, dual_euclidean, duality_class, min_distance, min_weight_outside, _gram
-from .gobound import go_bound
+from .gobound import GoReport, go_bound
 from .poly import factor_xm1, three_factor_scan
 from .qc import (
     ConstituentAssignment,
     CrtDecomposition,
-    DistanceInfo,
     FamilyPlan,
     QcCode,
     assemble_qc,
@@ -158,26 +157,17 @@ def _timed(runner):
 
 
 def _constituents_and_qc(rep: RunReport, source: str, fx: dict, decomp: CrtDecomposition,
-                         asn: ConstituentAssignment,
-                         budget: int) -> tuple[QcCode, ConstituentAssignment]:
-    """The constituents' [n,k,d] check, then the assembled code and its
-    dimension check.  Also returns the assignment with the distances the
-    check certified within the budget filled in where the spec gave none,
-    so that go_bound does not enumerate them again."""
-    pa, sa = asn.pairs[0], asn.selfrec[0]
-    codes = pa.cprime, pa.cdouble_code(), sa.code
-    ds = [min_distance(c, budget).d_exact for c in codes]
+                         asn: ConstituentAssignment, budget: int) -> tuple[QcCode, GoReport]:
+    """go_bound's report, whose chain gives the constituents' [n,k,d] check,
+    then the assembled code and its dimension check."""
+    go = go_bound(decomp, asn, budget)
+    d = {c.slot_label: c.distance.value for c in go.chain}
     rep.check("constituent parameters [n,k,d]", source + "/constituents",
-              fx["constituent_params"], [[c.n, c.k, d] for c, d in zip(codes, ds)])
-    found = [DistanceInfo(d, True, "enumerated") for d in ds]
-    asn = ConstituentAssignment(
-        (pa.with_distances(pa.cprime_distance or found[0], pa.cdouble_distance or found[1]),)
-        + asn.pairs[1:],
-        (replace(sa, distance=sa.distance or found[2]),) + asn.selfrec[1:])
+              fx["constituent_params"], [[c.n, c.k, d[s.label]] for s, c, _ in asn.entries(decomp)])
     qc = assemble_qc(decomp, asn)
     rep.check("dimension (constituent formula = rank)", source + "/dimension",
               [fx["dim"], fx["dim"]], [dim_from_constituents(decomp, asn), qc.k])
-    return qc, asn
+    return qc, go
 
 
 def _published_css(rep: RunReport, source: str, fx: dict, qc: QcCode) -> QuantumParams:
@@ -215,7 +205,7 @@ def run_example41(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunR
               [64, 64], [sg.cfield.order, sgs.cfield.order])
     rep.check("self-reciprocal constituent field", "example41/decomposition",
               4, decomp.selfrec_slots[0].cfield.order)
-    qc, asn = _constituents_and_qc(rep, "example41", fx, decomp, asn, budget)
+    qc, go = _constituents_and_qc(rep, "example41", fx, decomp, asn, budget)
 
     dual_rep = qc_duality_class(qc)
     rep.check_true("dual-containing (flat flags and constituent witness agree)",
@@ -226,7 +216,6 @@ def run_example41(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunR
     rep.check_true("Galois closed; flat and constituent sides agree",
                    "example41/galois", gal["flat_closed"] and gal["agree"])
 
-    go = go_bound(decomp, asn, budget)
     got_table = {}
     for subset, entry in go.d_table.items():
         got_table[",".join(map(str, subset))] = {"gen": list(entry.gen_poly.coeffs), "d": entry.distance}
@@ -258,9 +247,8 @@ def run_example42(budget: int = DEFAULT_BUDGET, long_mode: bool = False) -> RunR
     fx = load_tables()["example42"]
     decomp, asn = load_example("example42")
     _factor_check(rep, "example42", decomp.q_field, 7, [[1, 1, 0, 1], [1, 0, 1, 1]], [[1, 1]])
-    qc, asn = _constituents_and_qc(rep, "example42", fx, decomp, asn, budget)
+    qc, go = _constituents_and_qc(rep, "example42", fx, decomp, asn, budget)
     rep.check_true("dual-containing", "example42/duality", bool(duality_class(qc.lin).edc))
-    go = go_bound(decomp, asn, budget)
     rep.check("associated cyclic code distances (all seven subsets)", "example42/d-table",
               sorted(fx["d_table_distances"]),
               sorted(e.distance for e in go.d_table.values()))

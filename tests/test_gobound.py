@@ -2,7 +2,7 @@ import pytest
 
 from qckit.errors import BudgetExceeded, EmptyAssignment, RepNotACosetMin
 from qckit.gf import field_make
-from qckit.gobound import associated_cyclic_family, cyclic_from_nonzeros, go_bound
+from qckit.gobound import cyclic_code_from_gen, cyclic_from_nonzeros, go_bound
 from qckit.lincode import (
     code_from_rows,
     dual_euclidean,
@@ -129,9 +129,10 @@ def test_example41_exact_distance_regression():
 
 def test_d_table_nesting_monotonicity():
     dec, asn = load_example("example41")
-    fam = associated_cyclic_family(dec, asn)
-    codes = fam.codes
+    table = go_bound(dec, asn).d_table
+    codes = {k: cyclic_code_from_gen(dec.q_field, dec.m, e.gen_poly) for k, e in table.items()}
     dists = {k: min_distance(v).d_exact for k, v in codes.items()}
+    assert dists == {k: e.distance for k, e in table.items()}
     for i in codes:
         for j in codes:
             if set(i) <= set(j):

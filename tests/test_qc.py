@@ -7,11 +7,13 @@ from qckit import qc as qc_module
 from qckit.errors import (
     ConstituentNotHSO,
     DualMismatch,
+    FieldMismatch,
     LengthMismatch,
     NotNested,
     OrderingViolated,
     RankMismatch,
     SlotSNotESO,
+    UnknownConstituentDistance,
 )
 from qckit import lincode, poly
 from qckit.gf import field_make
@@ -342,6 +344,31 @@ def test_family_hypothesis_errors():
         build_family(FamilyPlan(F3, 11, 5, bad2, u_max=2, kind="ESO"))
 
 
+def test_family_needs_an_exact_x_minus_1_distance():
+    # a given x - 1 distance that is only a lower bound cannot anchor the floor
+    plan = _cor35_plan()
+    loose = dataclasses.replace(plan.base.selfrec[-1], distance=DistanceInfo(3, False, "bound"))
+    base = ConstituentAssignment(plan.base.pairs, (loose,))
+    with pytest.raises(UnknownConstituentDistance):
+        build_family(dataclasses.replace(plan, base=base))
+
+
+def test_validate_rejects_wrong_fields_and_counts(dec47):
+    F64 = dec47.pair_slots[0][0].cfield
+    pair, sr = PairAssignment(full_space(F64, 3)), SelfrecAssignment(full_space(F4, 3))
+    ConstituentAssignment((pair,), (sr,)).validate(dec47)
+    bad = [
+        ((PairAssignment(full_space(F4, 3)),), (sr,), "slot g1: code over"),  # C'
+        ((PairAssignment(full_space(F64, 3), full_space(F4, 3)),), (sr,), "slot g1: code over"),  # C''
+        ((pair,), (SelfrecAssignment(full_space(F64, 3)),), "slot f1: code over"),
+        ((pair, pair), (sr,), "pair assignment count"),
+        ((pair,), (), "self-reciprocal assignment count"),
+    ]
+    for pairs, selfrec, message in bad:
+        with pytest.raises(FieldMismatch, match=message):
+            ConstituentAssignment(pairs, selfrec).validate(dec47)
+
+
 def test_family_hso_slot_check():
     # a self-reciprocal slot before x-1 that is not self-orthogonal
     f2 = F2
@@ -560,18 +587,20 @@ def test_elimination_counts(ex41, monkeypatch):
     with pytest.raises(NotNested):
         css(line, line)
     assert not calls
-    # Each materialized level (u = 1, 2) eliminates twice inside assemble_qc:
-    # the dual-mode C'' = dual_euclidean(C') of its g* slot, and the trace
-    # rows in code_from_rows.  The hypothesis and level flags, the level-2
-    # copies, the dimension count and the given C'' distances eliminate nothing.
-    # Level 2's C'' is the dual of m copies of C', so only one copy block's
-    # dual is eliminated: at most ell columns, not m * ell.
+    # A fresh plan eliminates 4 times: the base's dual-mode C'' =
+    # dual_euclidean(C'), which the ordering check builds and level 1
+    # assembles from; level 1's trace rows in code_from_rows; and level 2's
+    # C'' and trace rows.  The hypothesis and level flags, the level-2
+    # copies and the dimension count eliminate nothing.  Level 2's C'' is the
+    # dual of m copies of C', so only one copy block's dual is eliminated: at
+    # most ell columns, not m * ell.  A reused plan keeps its base's C''.
     for name, plan in plans.items():
         assert eliminations(build_family, plan) == 4, name
         level2_dual = calls[2][1].shape
         assert level2_dual[1] <= plan.ell, (name, level2_dual)
         if name == "example39":
             assert level2_dual == (3, 6)  # all 63 x 66 parity rows otherwise
+        assert eliminations(build_family, plan) == 3, name
 
 
 def test_build_family_factors_once(monkeypatch):
@@ -590,9 +619,8 @@ def test_build_family_factors_once(monkeypatch):
 
 
 def test_pair_assignment_eliminates_its_dual_once(monkeypatch):
-    # a dual-mode pair keeps its C'': repeated cdouble_code(), slot_codes and
-    # go_bound calls on one assignment, and its copy with distances filled
-    # in, eliminate the dual once
+    # a dual-mode pair keeps its C'': repeated cdouble_code(), entries and
+    # go_bound calls on one assignment eliminate the dual once
     from qckit.gobound import go_bound
 
     decomp, asn = load_example("example41")
@@ -604,9 +632,6 @@ def test_pair_assignment_eliminates_its_dual_once(monkeypatch):
     assert cdouble == dual_euclidean(pa.cprime)
     for _ in range(3):
         assert pa.cdouble_code() is cdouble
-        assert asn.slot_codes(decomp)[1][1] is cdouble
+        assert asn.entries(decomp)[1][1] is cdouble
         go_bound(decomp, asn)
-    given = DistanceInfo(2, True, "given")
-    filled = pa.with_distances(given, given)
-    assert filled.cdouble_code() is cdouble and filled.cdouble_distance == given
     assert len(calls) == 1

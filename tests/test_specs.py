@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from qckit.gf import restrict
+from qckit.gobound import go_bound
 from qckit.lincode import grs_code
-from qckit import reproduce
+from qckit import lincode, qc, quantum, reproduce
 from qckit.reproduce import load_example, load_tables
 
 DATA = resources.files("qckit.data")
@@ -36,6 +37,16 @@ def test_grs_constituents_equal_grs_code_on_their_points(name, n):
     # C' is the [n,3] GRS code on the points 0, 1, ..., n - 1 with all multipliers 1
     cprime = load_example(name)[1].pairs[0].cprime
     assert cprime == grs_code(cprime.field, range(n), [1] * n, 3)
+
+
+@pytest.mark.parametrize("name", ["example41", "example42"])
+def test_engine_certified_examples_give_no_distances(name):
+    # reproduce reads these examples' constituent [n,k,d] rows from go_bound's
+    # chain, so the rows are the engine's only while the specs give no distance
+    spec = _spec(name)
+    given = [key for ent in spec["pairs"] + spec["selfrec"] for key in ent if key.endswith("distance")]
+    assert given == []
+    assert {e.distance.how for e in go_bound(*load_example(name)).chain} == {"enumerated"}
 
 
 @pytest.mark.parametrize("name", ["cor35", "example43", "example39"])
@@ -77,3 +88,26 @@ def test_data_files_are_parsed_once_and_left_unchanged(monkeypatch):
     for name in names:
         assert load(name) == json.loads((DATA / name).read_text()), name
     assert load_tables() is load("paper_tables.json")
+
+
+def test_warm_reproduce_pass_work(monkeypatch):
+    # a warm reproduce all pass makes exactly 25 distance-engine runs, at most
+    # 53 eliminations and at most 6 duals: go_bound's chain gives the
+    # constituent [n,k,d] rows, so no constituent is enumerated twice
+    counts = dict.fromkeys(("engine", "elimination", "dual"), 0)
+
+    def counted(fn, key):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    reproduce.run_target("all")
+    monkeypatch.setattr(lincode, "_min_weight", counted(lincode._min_weight, "engine"))
+    monkeypatch.setattr(lincode, "_rref", counted(lincode._rref, "elimination"))
+    dual = counted(lincode.dual_euclidean, "dual")
+    for module in (lincode, qc, quantum, reproduce):
+        monkeypatch.setattr(module, "dual_euclidean", dual)
+    reproduce.run_target("all")
+    assert counts["engine"] == 25
+    assert counts["elimination"] <= 53 and counts["dual"] <= 6, counts
