@@ -218,6 +218,34 @@ def _rref(field: GF, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return r[pivot_rows].astype(np.int64), tuple(pivots)
 
 
+def _rref_extend(field: GF, gen: np.ndarray, pivots, rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The RREF of the span of gen's rows and rows, and its pivots, where
+    gen is reduced on pivots: row i is 1 on pivots[i] and 0 on the others.
+    Only rows are eliminated.
+
+    Let R be gen, P its pivots and N the new rows.  N' = N - N[:, P] R is 0
+    on P, so R2, the RREF of N' on the columns outside P with pivots P2, is
+    reduced on P as well, and R' = R - R[:, P2] R2 clears P2 from R.  The
+    rows of R' and R2, sorted by pivot, are the RREF."""
+    n = rows.shape[1]
+    p = list(pivots)
+    rest = np.delete(np.arange(n), p)  # the columns outside P
+    r_rest = gen[:, rest]
+    r2, q = _rref(field, _matmul(field, field.neg_arr(rows[:, p]), r_rest, rows[:, rest]))
+    p2 = rest[list(q)]
+    if len(p2):
+        r_rest = _matmul(field, field.neg_arr(gen[:, p2]), r2, r_rest)
+    both = np.concatenate([p, p2]).astype(np.intp)
+    order = np.argsort(both)
+    at = np.empty_like(order)
+    at[order] = np.arange(len(both))  # the row each pivot's row takes
+    out = np.zeros((len(both), n), dtype=np.int64)
+    out[at[:len(p)], p] = 1
+    out[np.ix_(at[:len(p)], rest)] = r_rest
+    out[np.ix_(at[len(p):], rest)] = r2
+    return out, tuple(int(j) for j in both[order])
+
+
 # ---------------------------------------------------------------------------
 # the code type
 

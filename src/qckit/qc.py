@@ -52,6 +52,7 @@ from .lincode import (
     _in_span,
     _matmul,
     _parity_rows,
+    _rref_extend,
 )
 from .poly import FactorSet, Poly, factor_xm1
 
@@ -372,25 +373,38 @@ def _trace_terms(cfield: GF, K: GF, q_field: GF, points: tuple[int, ...]):
     return trace_form(cfield, K, q_field, cfield.mul_arr(basis[:, None], restrict(cfield, K, points)[None, :]))
 
 
-def assemble_qc(decomp: CrtDecomposition, assignment: ConstituentAssignment) -> QcCode:
-    """Span the trace formula over an F_q-basis of every constituent code."""
-    assignment.validate(decomp)
-    m, ell = decomp.m, decomp.ell
-    blocks = []
-    for slot, code, _ in assignment.entries(decomp):
-        if code.k == 0:
-            continue
-        points = tuple(decomp.alpha_pow(-g * slot.exponent) for g in range(m))
-        # entry (row, j, basis element, g) of the trace formula: the rows times
-        # an F_q-basis of the constituent field span the code over F_q
-        vals = _trace_terms(slot.cfield, decomp.common_field, decomp.q_field, points)(code.gen)
-        blocks.append(vals.transpose(0, 2, 3, 1).reshape(-1, m * ell))
-    rows = np.concatenate(blocks) if blocks else np.zeros((0, m * ell), dtype=np.int64)
-    lin = code_from_rows(decomp.q_field, m * ell, rows)
+def _stack(blocks: list[np.ndarray], n: int) -> np.ndarray:
+    return np.concatenate(blocks) if blocks else np.zeros((0, n), dtype=np.int64)
+
+
+def _slot_rows(decomp: CrtDecomposition, slot: Slot, gen: np.ndarray) -> np.ndarray:
+    """The trace formula at slot on the constituent rows gen: one row of F_q
+    entries per row of gen and element of an F_q-basis of the slot's field,
+    with entry g * ell + j for point g and column j.  These rows span the
+    image of gen's span over F_q."""
+    m = decomp.m
+    points = tuple(decomp.alpha_pow(-g * slot.exponent) for g in range(m))
+    # entry (row, j, basis element, g)
+    vals = _trace_terms(slot.cfield, decomp.common_field, decomp.q_field, points)(gen)
+    return vals.transpose(0, 2, 3, 1).reshape(-1, m * decomp.ell)
+
+
+def _rank_checked(decomp: CrtDecomposition, assignment: ConstituentAssignment, lin: LinearCode) -> QcCode:
+    """lin as the QC code of assignment; RankMismatch unless its dimension is
+    the constituents' count."""
     expected = dim_from_constituents(decomp, assignment)
     if lin.k != expected:
         raise RankMismatch(f"rank {lin.k} != constituent dimension {expected}")
-    return QcCode(lin, m, ell, decomp, assignment)
+    return QcCode(lin, decomp.m, decomp.ell, decomp, assignment)
+
+
+def assemble_qc(decomp: CrtDecomposition, assignment: ConstituentAssignment) -> QcCode:
+    """Span the trace formula over an F_q-basis of every constituent code."""
+    assignment.validate(decomp)
+    n = decomp.n
+    blocks = [_slot_rows(decomp, slot, code.gen)
+              for slot, code, _ in assignment.entries(decomp) if code.k]
+    return _rank_checked(decomp, assignment, code_from_rows(decomp.q_field, n, _stack(blocks, n)))
 
 
 def constituent_at_exponent(decomp: CrtDecomposition, flat: LinearCode, exp: int) -> LinearCode:
@@ -623,6 +637,75 @@ class FamilyLevel:
         }
 
 
+@dataclass(frozen=True)
+class _LevelOneImages:
+    """Level 1's trace images, from which every family level u >= 2 is
+    written down rather than assembled.
+
+    Level u holds t = m^(u-1) copies of each level-1 constituent but the
+    last, and level u - 1 in the x - 1 slot, over ell_u = t * ell columns.
+    Its column (g, c, j), for point g, copy c and column j of a copy, is
+    g * t * ell + c * ell + j.  The trace formula acts entry by entry on a
+    constituent word, so a word x put in copy c, E_c(x), has the image
+    E_c(image of x), and level u is spanned by
+      - the images of each C' and each self-reciprocal code before x - 1
+        (`tiled`), tiled across the t copies;
+      - each row of level u - 1 repeated at the m points: the x - 1 slot's
+        image of a word is that word at every point;
+      - the images of C''_u, the dual of t copies of C', which is
+        {(x_c) : sum_c x_c in C''}: E_(t-1) of the images of the C''
+        (`last`), and the copy differences E_c(v) - E_(t-1)(v) for c < t - 1
+        and v a row of `space`, the RREF of the images of the whole space at
+        the g* slots.
+    The copy differences are in RREF already: the row of (c, v) is 1 at
+    (g_v, c, j_v), where g_v * ell + j_v is v's pivot, and 0 at the other
+    rows' pivots.  Only the rest of the level's rows are eliminated.
+    """
+
+    decomp: CrtDecomposition  # level 1's
+    tiled: np.ndarray
+    last: np.ndarray
+    space: LinearCode
+
+
+def _level_one_images(decomp: CrtDecomposition, base: ConstituentAssignment) -> _LevelOneImages:
+    n = decomp.n
+    tiled, last, space = [], [], []
+    for pa, (sg, sgs) in zip(base.pairs, decomp.pair_slots):
+        tiled.append(_slot_rows(decomp, sg, pa.cprime.gen))
+        last.append(_slot_rows(decomp, sgs, pa.cdouble_code().gen))
+        space.append(_slot_rows(decomp, sgs, full_space(sgs.cfield, decomp.ell).gen))
+    for sa, slot in zip(base.selfrec[:-1], decomp.selfrec_slots[:-1]):
+        tiled.append(_slot_rows(decomp, slot, sa.code.gen))
+    return _LevelOneImages(decomp, _stack(tiled, n), _stack(last, n),
+                           code_from_rows(decomp.q_field, n, _stack(space, n)))
+
+
+def _family_level(images: _LevelOneImages, prev: LinearCode, t: int) -> LinearCode:
+    """The flat code of the family level with t copies, from level 1's
+    images and the level before, prev (see _LevelOneImages)."""
+    field, m, ell = images.decomp.q_field, images.decomp.m, images.decomp.ell
+    space = images.space
+    a, b, dv = len(images.tiled), len(images.last), space.k
+    top = (t - 1) * dv
+    # the copy differences, then the rows to eliminate, in one array whose
+    # entry (row, g, c, j) is column (g, c, j)
+    mat = np.zeros((top + a + b + prev.k, m, t, ell), dtype=np.int64)
+    diff = mat[:top].reshape(t - 1, dv, m, t, ell)
+    c = np.arange(t - 1)
+    diff[c, :, :, c] = space.gen.reshape(dv, m, ell)
+    diff[:, :, :, t - 1] = field.neg_arr(space.gen).reshape(dv, m, ell)
+    # the row of (c, v) leads at (g_v, c, j_v)
+    g_v, j_v = np.divmod(np.array(space.pivots, dtype=np.int64), ell)
+    lead = g_v * t * ell + ell * c[:, None] + j_v
+    mat[top:top + a] = images.tiled.reshape(a, m, 1, ell)
+    mat[top + a:top + a + b, :, t - 1] = images.last.reshape(b, m, ell)
+    mat[top + a + b:] = prev.gen.reshape(prev.k, 1, t, ell)
+    mat = mat.reshape(len(mat), -1)
+    gen, pivots = _rref_extend(field, mat[:top], lead.ravel(), mat[top:])
+    return LinearCode(field, mat.shape[1], gen, pivots)
+
+
 def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
     decomp1 = decompose_ring(plan.q_field, plan.m, plan.ell)
     base = plan.base
@@ -670,6 +753,7 @@ def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
 
     levels: list[FamilyLevel] = []
     prev_flat: LinearCode | None = None
+    images: _LevelOneImages | None = None
     for u in range(1, plan.u_max + 1):
         n_u = m**u * ell
         k_u = ell * ((m**u - 1) // (m - 1)) * sum_deg_pairs + u * sum_deg_k_sr + k_s
@@ -678,14 +762,16 @@ def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
         # n_u grows with u, so a materialized level follows a materialized one
         if n_u <= plan.materialize_max:
             if u == 1:  # the base itself, with the C'' the ordering check built
-                decomp_u, asn_u = decomp1, base
+                qc = assemble_qc(decomp1, base)
             else:
                 copies = m ** (u - 1)
                 decomp_u = decompose_ring(plan.q_field, m, copies * ell)
                 pairs_u = tuple(PairAssignment(concat_copies(pa.cprime, copies)) for pa in base.pairs)
                 sr_u = tuple(SelfrecAssignment(concat_copies(sa.code, copies)) for sa in base.selfrec[:-1])
                 asn_u = ConstituentAssignment(pairs_u, sr_u + (SelfrecAssignment(prev_flat),))
-            qc = assemble_qc(decomp_u, asn_u)
+                if images is None:
+                    images = _level_one_images(decomp1, base)
+                qc = _rank_checked(decomp_u, asn_u, _family_level(images, prev_flat, copies))
             level.qc = qc
             level.rank_checked = qc.k == k_u
             level.duality_checked = getattr(duality_class(qc.lin), flag)

@@ -165,6 +165,54 @@ def test_dual_of_copies_matches_elimination(p, t):
             assert d.pivots == pivots, (block, copies)
 
 
+@pytest.mark.parametrize("p,t", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_rref_extend_matches_scalar_oracle(p, t):
+    # _rref_extend(R, P, N) against the scalar RREF of R's rows stacked on
+    # N's: the same rows and pivots, whatever N holds and wherever its new
+    # pivots fall among R's
+    fld = field_make(p, t)
+    rng = np.random.default_rng(p * 10 + t)
+
+    def extended(r_rows, new):
+        r, piv = _rref(fld, r_rows)
+        gen, pivots = lincode._rref_extend(fld, r, piv, new)
+        assert gen.dtype == np.int64
+        assert (gen.tolist(), pivots) == scalar_rref(fld, np.vstack([r_rows, new]))
+        # R's rows may come in any order: only their pivots must match them
+        assert lincode._rref_extend(fld, r[::-1], piv[::-1], new)[1] == pivots
+        return pivots
+
+    def combination(rows):
+        out = np.zeros(rows.shape[1], dtype=np.int64)
+        for row in rows:
+            out = fld.add_arr(out, fld.mul_arr(row, int(rng.integers(1, fld.order))))
+        return out
+
+    r_rows = rng.integers(0, fld.order, size=(6, 20))
+    r, _ = _rref(fld, r_rows)
+    # new rows that depend on R, and zero rows: both vanish after reduction
+    dependent = np.array([combination(r_rows[:2]), combination(r_rows), np.zeros(20, dtype=np.int64)])
+    assert extended(r_rows, dependent) == _rref(fld, r_rows)[1]
+    mixed = np.vstack([dependent, rng.integers(0, fld.order, size=(3, 20))])
+    assert len(extended(r_rows, mixed)) == 9
+    # an empty R (the whole elimination is N's) and an empty N (R comes back)
+    new = _degenerate_matrix(fld, rng, 7, 20)
+    assert extended(np.zeros((0, 20), dtype=np.int64), new) == _rref(fld, new)[1]
+    assert extended(r_rows, np.zeros((0, 20), dtype=np.int64)) == _rref(fld, r_rows)[1]
+    # R's pivots are 3 and 7; N's rows lead at 0, 5 and 10: left of, between
+    # and right of them
+    r_rows = rng.integers(0, fld.order, size=(2, 12))
+    r_rows[0, :4], r_rows[0, 3], r_rows[0, 7] = 0, 1, 0
+    r_rows[1, :8], r_rows[1, 7] = 0, 1
+    new = rng.integers(0, fld.order, size=(3, 12))
+    for row, lead in zip(new, (0, 5, 10)):
+        row[:lead], row[lead] = 0, 1
+    assert extended(r_rows, new) == (0, 3, 5, 7, 10)
+    # N' wider than one window of _rref (4 * PANEL columns)
+    assert len(extended(rng.integers(0, fld.order, size=(30, 150)),
+                        _degenerate_matrix(fld, rng, 25, 150))) <= 55
+
+
 def test_dual_hermitian():
     c = code_from_rows(F4, 2, [(1, 1)])
     assert dual_hermitian(c) == c  # 1*1^2 + 1*1^2 = 0

@@ -18,6 +18,7 @@ from qckit.errors import (
 from qckit import lincode, poly
 from qckit.gf import field_make
 from qckit.lincode import (
+    LinearCode,
     code_from_rows,
     code_power_q,
     concat_copies,
@@ -25,6 +26,7 @@ from qckit.lincode import (
     dual_hermitian,
     duality_class,
     full_space,
+    grs_code,
     is_galois_closed,
     juxtapose,
     min_distance,
@@ -589,18 +591,28 @@ def test_elimination_counts(ex41, monkeypatch):
     assert not calls
     # A fresh plan eliminates 4 times: the base's dual-mode C'' =
     # dual_euclidean(C'), which the ordering check builds and level 1
-    # assembles from; level 1's trace rows in code_from_rows; and level 2's
-    # C'' and trace rows.  The hypothesis and level flags, the level-2
-    # copies and the dimension count eliminate nothing.  Level 2's C'' is the
-    # dual of m copies of C', so only one copy block's dual is eliminated: at
-    # most ell columns, not m * ell.  A reused plan keeps its base's C''.
+    # assembles from; level 1's trace rows in code_from_rows; the images of
+    # the whole space at the g* slot, V; and level 2's rows outside the copy
+    # differences, which are in RREF already (qc._LevelOneImages).  The
+    # hypothesis and level flags, the level-2 copies and the dimension count
+    # eliminate nothing, and level 2 builds no C'': no dual_euclidean runs
+    # for it.  So no elimination has more than k_2 - (m - 1) dim V rows:
+    # 302 - 10 * 25, 74 - 6 * 9 and 363 - 10 * 30.  A reused plan keeps its
+    # base's C''.
+    duals = []
+    for module in (lincode, qc_module):
+        monkeypatch.setattr(module, "dual_euclidean",
+                            lambda c, real=dual_euclidean: duals.append(c) or real(c))
+    level2 = {"cor35": (52, 355), "example43": (20, 93), "example39": (63, 426)}
     for name, plan in plans.items():
+        duals.clear()
         assert eliminations(build_family, plan) == 4, name
-        level2_dual = calls[2][1].shape
-        assert level2_dual[1] <= plan.ell, (name, level2_dual)
-        if name == "example39":
-            assert level2_dual == (3, 6)  # all 63 x 66 parity rows otherwise
+        assert len(duals) == 1, name  # the base's C''
+        assert max(rows.shape[0] for _, rows in calls) <= level2[name][0], name
+        assert calls[3][1].shape == level2[name], name
+        duals.clear()
         assert eliminations(build_family, plan) == 3, name
+        assert not duals, name
 
 
 def test_build_family_factors_once(monkeypatch):
@@ -616,6 +628,71 @@ def test_build_family_factors_once(monkeypatch):
         assert len(calls) == 1, name
         decomps = [lv.qc.decomp for lv in levels if lv.qc is not None]
         assert len(decomps) == 2 and decomps[1].factors is decomps[0].factors, name
+
+
+def _family_levels_match_assembly(plan) -> list:
+    """The u of each materialized level of plan, after checking each against
+    assemble_qc of its own decomposition and provenance."""
+    checked = []
+    for lv in build_family(plan):
+        if lv.qc is not None:
+            decomp = decompose_ring(plan.q_field, plan.m, lv.qc.ell)
+            assert lv.qc.lin == assemble_qc(decomp, lv.qc.assignment).lin, lv.u
+            assert lv.rank_checked and lv.duality_checked, lv.u
+            checked.append(lv.u)
+    return checked
+
+
+def test_family_levels_match_assemble_qc():
+    # every level with n <= 1100 of the shipped recipes, written down from
+    # level 1's images, is the code assemble_qc spans
+    plans = {name: dataclasses.replace(plan, u_max=3, materialize_max=1100)
+             for name, plan in family_plans().items()}
+    assert {name: _family_levels_match_assembly(plan) for name, plan in plans.items()} == \
+        {"cor35": [1, 2], "example43": [1, 2, 3], "example39": [1, 2]}
+
+
+def test_family_levels_match_assemble_qc_on_other_slot_shapes():
+    # no pair slot: m = 2 over F_3, where x + 1 is an exceptional slot; there
+    # are no copy differences and every level is eliminated whole
+    dec = decompose_ring(F3, 2, 4)
+    eso = code_from_rows(F3, 4, [(1, 1, 1, 0)])
+    plan = FamilyPlan(F3, 2, 4, ConstituentAssignment((), (SelfrecAssignment(eso), SelfrecAssignment(eso))),
+                      u_max=4, kind="ESO", materialize_max=64)
+    assert not dec.pair_slots and _family_levels_match_assembly(plan) == [1, 2, 3, 4]
+    # two pair slots: m = 13 over F_3 has two pairs of cubic factors, so V
+    # holds the images of both g* slots
+    dec = decompose_ring(F3, 13, 4)
+    assert len(dec.pair_slots) == 2
+    pairs = tuple(PairAssignment(grs_code(sg.cfield, [0, 1, 2, 3], [1] * 4, 2)) for sg, _ in dec.pair_slots)
+    plan = FamilyPlan(F3, 13, 4, ConstituentAssignment(pairs, (SelfrecAssignment(eso),)),
+                      u_max=2, kind="ESO", materialize_max=676)
+    assert _family_levels_match_assembly(plan) == [1, 2]
+    # an ESO family with a Hermitian slot before x - 1: m = 3 over F_2, whose
+    # x^2 + x + 1 slot holds an HSO code over F_4, tiled up to 27 copies
+    dec = decompose_ring(F2, 3, 2)
+    slot = dec.selfrec_slots[0]
+    assert slot.degree == 2 and not slot.exceptional
+    hso = code_from_rows(slot.cfield, 2, [(1, 1)])
+    assert duality_class(hso).hso
+    line = code_from_rows(F2, 2, [(1, 1)])
+    plan = FamilyPlan(F2, 3, 2, ConstituentAssignment((), (SelfrecAssignment(hso), SelfrecAssignment(line))),
+                      u_max=4, kind="ESO", materialize_max=162)
+    assert _family_levels_match_assembly(plan) == [1, 2, 3, 4]
+
+
+def test_family_level_rank_check_raises(monkeypatch):
+    # a level written down from level 1's images keeps assemble_qc's rank
+    # check: one that lost a row raises
+    real = qc_module._family_level
+
+    def short(*args):
+        lin = real(*args)
+        return LinearCode(lin.field, lin.n, lin.gen[:-1], lin.pivots[:-1])
+
+    monkeypatch.setattr(qc_module, "_family_level", short)
+    with pytest.raises(RankMismatch):
+        build_family(family_plans()["example43"])
 
 
 def test_pair_assignment_eliminates_its_dual_once(monkeypatch):
