@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from importlib import resources
 from pathlib import Path
@@ -309,3 +311,39 @@ def test_unassigned_slots_default_to_zero(tmp_path, capsys):
     rc, payload = run_json(["build", "--spec", str(path)], capsys)
     assert rc == 0 and payload["k"] == 1
     assert payload["distance"]["d_exact"] == 21  # repetition-like single slot
+
+
+PINNED_SPECS = ("cor35", "example39", "example41", "example42", "example43")
+PINNED_FAMILIES = (("cor35", "ESO"), ("example43", "EDC"), ("example39", "ESD"))
+
+
+def cli_outputs(tmp_path) -> dict:
+    """{command: [exit code, JSON output or None, stderr]} for build, gobound
+    and quantum on every shipped spec and three family ledgers.  quantum reads
+    the code that build wrote.  tests/data/cli_outputs.json holds the result."""
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv + ["--json"])
+        return [rc, _without_timing(json.loads(out.getvalue())) if out.getvalue() else None,
+                err.getvalue()]
+
+    outputs = {}
+    for name in PINNED_SPECS:
+        spec, code = str(DATA / f"spec_{name}.json"), str(tmp_path / f"{name}.json")
+        outputs[f"build {name} --budget 100000"] = run(
+            ["build", "--spec", spec, "--budget", "100000", "--out", code])
+        outputs[f"gobound {name}"] = run(["gobound", "--spec", spec])
+        outputs[f"quantum {name} --budget 100000"] = run(
+            ["quantum", "--code", code, "--budget", "100000"])
+    for name, kind in PINNED_FAMILIES:
+        outputs[f"family {name} --levels 3 --kind {kind}"] = run(
+            ["family", "--spec", str(DATA / f"spec_{name}.json"), "--levels", "3", "--kind", kind])
+    return outputs
+
+
+def test_cli_outputs_match_pinned_output(tmp_path):
+    # build, gobound, quantum and family on the shipped specs, pinned from an
+    # earlier release: a library change that alters any reported value shows here
+    pinned = json.loads((Path(__file__).parent / "data" / "cli_outputs.json").read_text())
+    assert cli_outputs(tmp_path) == pinned
