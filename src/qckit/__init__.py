@@ -55,7 +55,6 @@ from .qc import (
     dim_from_constituents,
     extract_assignment,
     galois_closure_theorem_check,
-    is_galois_closed_qc,
     is_shift_invariant,
     phi,
     phi_inv,

@@ -159,7 +159,7 @@ def cmd_quantum(args) -> int:
 
 def cmd_reproduce(args) -> int:
     reports = run_target(args.target, budget=args.budget, long_mode=args.long)
-    payload = {"reports": [r.to_json() for r in reports], "seed": args.seed}
+    payload = {"reports": [r.to_json() for r in reports]}
     text = "\n".join(r.render() for r in reports)
     _emit(args, payload, text)
     return 1 if any(r.failed for r in reports) else 0
@@ -168,8 +168,6 @@ def cmd_reproduce(args) -> int:
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qckit",
                                 description="quasi-cyclic code construction and certification")
-    p.add_argument("--seed", type=int, default=12345,
-                   help="seed echoed into reports (randomized suites live in the test suite)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def budget_arg(text: str) -> int:

@@ -32,7 +32,7 @@ from .errors import (
     ReciprocalMismatch,
     ZeroConstantTerm,
 )
-from .gf import GF, embed, field_make, is_prime, multiplicative_order, primitive_mth_root, restrict
+from .gf import GF, field_make, is_prime, multiplicative_order, primitive_mth_root, restrict
 
 
 @dataclass(frozen=True)
@@ -96,13 +96,6 @@ class Poly:
         if self.is_zero() or self.coeffs[-1] == 1:
             return self
         return self.scale(self.field.inv(self.coeffs[-1]))
-
-    def eval_in(self, big: GF, x: int) -> int:
-        """Evaluate at a point of an extension, embedding the coefficients."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = big.add(big.mul(acc, x), embed(self.field, big, c))
-        return acc
 
     def reciprocal(self) -> "Poly":
         """Monic normalization of x^deg(f) * f(1/x); needs f(0) != 0."""

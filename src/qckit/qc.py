@@ -41,11 +41,13 @@ from .lincode import (
     DEFAULT_BUDGET,
     LinearCode,
     code_from_rows,
+    code_power_q,
     concat_copies,
     dual_euclidean,
     dual_hermitian,
     duality_class,
     full_space,
+    is_galois_closed,
     min_distance,
     zero_code,
     _gram,
@@ -191,13 +193,6 @@ def _circulant(c: np.ndarray) -> np.ndarray:
     return c[..., (np.arange(m)[None, :] - np.arange(m)[:, None]) % m]
 
 
-def ring_mul(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cyclic convolution: product in F_q[x]/(x^m-1)."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    return _matmul(field, a[None, :], _circulant(b))[0]
-
-
 def r_hermitian_ip(field: GF, x_tuple: np.ndarray, y_tuple: np.ndarray) -> np.ndarray:
     """Sum_j x_j * conj(y_j) in F_q[x]/(x^m-1); tuples are (ell, m) arrays."""
     x_tuple = np.asarray(x_tuple, dtype=np.int64)
@@ -207,10 +202,6 @@ def r_hermitian_ip(field: GF, x_tuple: np.ndarray, y_tuple: np.ndarray) -> np.nd
     m = x_tuple.shape[1]
     circ = _circulant(ring_conj(field, y_tuple)).reshape(-1, m)  # stacked over j
     return _matmul(field, x_tuple.reshape(1, -1), circ)[0]
-
-
-def shift(vec: np.ndarray, s: int) -> np.ndarray:
-    return np.roll(np.asarray(vec), s)
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +537,6 @@ def qc_dual(qc: QcCode) -> QcCode:
 # Galois closure
 
 
-def is_galois_closed_qc(qc: QcCode, r: int) -> bool:
-    from .lincode import is_galois_closed
-
-    return is_galois_closed(qc.lin, r)
-
-
 def galois_closure_theorem_check(qc: QcCode, r: int) -> dict:
     """Both sides of the closure equivalence, computed independently.
 
@@ -562,12 +547,10 @@ def galois_closure_theorem_check(qc: QcCode, r: int) -> dict:
     half-power map of each slot field, not to x -> x^r.  In the general
     (non-aligned) case the faithful condition couples slots:
     X_u(C) = X_{u r^{-1}}(C)^{(r)} for every slot exponent u."""
-    from .lincode import code_power_q, is_galois_closed
-
     decomp = qc.decomp
     if decomp is None:
         raise LengthMismatch("theorem check needs provenance")
-    flat_closed = is_galois_closed_qc(qc, r)
+    flat_closed = is_galois_closed(qc.lin, r)
     m = decomp.m
     table = decomp.factors.cosets
     aligned = all((s.exponent * r) % m in table.coset_of(s.exponent) for s in decomp.slots)
@@ -756,7 +739,7 @@ def build_family(plan: FamilyPlan) -> list[FamilyLevel]:
     images: _LevelOneImages | None = None
     for u in range(1, plan.u_max + 1):
         n_u = m**u * ell
-        k_u = ell * ((m**u - 1) // (m - 1)) * sum_deg_pairs + u * sum_deg_k_sr + k_s
+        k_u = ell * sum(m**i for i in range(u)) * sum_deg_pairs + u * sum_deg_k_sr + k_s
         d_u = m ** (u - 1) * d_s.value
         level = FamilyLevel(u, n_u, k_u, d_u)
         # n_u grows with u, so a materialized level follows a materialized one

@@ -6,12 +6,14 @@ sets from one scalar elimination per set, duals from
 brute-force orthogonality over the whole ambient space or from a scalar
 kernel elimination, containments from ranks, echelon forms and
 Gram matrices from one scalar field operation per entry, irreducibility from
-trial division, field add and mul tables from coefficient lists, and mid-size distances from a MacWilliams transform of the
-naive dual enumeration.
+trial division, field add and mul tables from coefficient lists, polynomial
+values by Horner's rule, and mid-size distances from a MacWilliams transform
+of the naive dual enumeration.
 """
 
 from __future__ import annotations
 
+from qckit.gf import embed
 
 
 def naive_min_distance(code) -> int | None:
@@ -150,6 +152,15 @@ def brute_dual_vectors(code):
         if ok:
             out.append(tuple(vec))
     return out
+
+
+def poly_value(poly, big, x):
+    """poly at a point x of the extension big, by Horner's rule on its
+    coefficients embedded into big."""
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = big.add(big.mul(acc, x), embed(poly.field, big, c))
+    return acc
 
 
 def pmod(a, f, p):

@@ -200,6 +200,18 @@ def test_family_command(capsys):
     assert payload["levels"][0]["materialized"]
 
 
+def test_family_command_with_m_equal_to_one(tmp_path, capsys):
+    # m = 1 has the x - 1 slot only: every level is that constituent again
+    spec = tmp_path / "m1.json"
+    spec.write_text(json.dumps({"q": {"p": 2, "t": 1}, "m": 1, "ell": 2,
+                                "selfrec": [{"rep": 0, "rows": [[1, 1]]}]}))
+    rc, payload = run_json(["family", "--spec", str(spec), "--levels", "3", "--kind", "ESO"], capsys)
+    assert rc == 0
+    validate(payload, "family.json")
+    assert [(lv["n"], lv["k"], lv["d_lower"], lv["rank_checked"], lv["duality_checked"])
+            for lv in payload["levels"]] == [(2, 1, 2, True, True)] * 3
+
+
 def test_quantum_command(tmp_path, capsys):
     out = tmp_path / "code.json"
     main(["build", "--spec", SPEC41, "--out", str(out)])

@@ -38,7 +38,6 @@ from qckit.lincode import (
     subspace_leq,
     zero_code,
     _block_zeros,
-    _copy_block,
     _gram,
     _information_sets,
     _matmul,
@@ -140,17 +139,18 @@ def test_free_columns_are_the_sorted_non_pivots(c):
     assert np.array_equal(duality_class(c)._free, c.gen[:, free])
 
 
-@pytest.mark.parametrize("p,t", [(2, 1), (3, 1), (61, 1), (67, 1), (2, 2), (3, 2), (3, 5), (5, 5)])
+@pytest.mark.parametrize("p,t", [(2, 1), (3, 1), (61, 1), (67, 1), (2, 2), (3, 2), (3, 5), (5, 5),
+                                 (2, 6)])
 def test_dual_of_copies_matches_elimination(p, t):
-    # The closed form for the dual of copies against the elimination of the
-    # whole parity rows, bit for bit.  F_61 is the largest prime on uint16,
-    # F_67 the smallest on int64.  The edge blocks: the zero code, the full
-    # space (whose block dual is zero) and the repetition code, which is
-    # copies of [1] with a zero block dual.
+    # The dual of t copies of a block against the scalar RREF of the scalar
+    # kernel.  F_61 is the largest prime on uint16, F_67 the smallest on
+    # int64.  The edge blocks: the zero code, the full space (whose dual is
+    # zero) and the repetition codes, copies of [1] (whose dual is zero);
+    # <(1, 1, 1)> over F_64 is the C' of examples 4.1 and 4.3.
     fld = field_make(p, t)
     rng = np.random.default_rng(p * 10 + t)
     blocks = [zero_code(fld, 3), full_space(fld, 4), code_from_rows(fld, 1, [[1]]),
-              code_from_rows(fld, 5, [[1] * 5])]
+              code_from_rows(fld, 3, [[1] * 3]), code_from_rows(fld, 5, [[1] * 5])]
     for _ in range(8):
         b = int(rng.integers(1, 8))
         k = int(rng.integers(0, b + 1))
@@ -158,11 +158,10 @@ def test_dual_of_copies_matches_elimination(p, t):
     for block in blocks:
         for copies in range(1, 6):
             c = concat_copies(block, copies)
-            assert _copy_block(c) <= block.n  # so the closed form runs for copies >= 2
             d = dual_euclidean(c)
-            gen, pivots = _rref(fld, _parity_rows(c))
-            assert d.gen.dtype == gen.dtype and np.array_equal(d.gen, gen), (block, copies)
-            assert d.pivots == pivots, (block, copies)
+            assert d.gen.dtype == np.int64
+            assert (d.gen.tolist(), d.pivots) == scalar_rref(fld, scalar_kernel(fld, c.gen, c.n)), \
+                (block, copies)
 
 
 @pytest.mark.parametrize("p,t", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])

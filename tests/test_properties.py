@@ -34,7 +34,6 @@ from qckit.qc import (
     phi,
     phi_inv,
     r_hermitian_ip,
-    shift,
     sqrt_like_check,
 )
 from qckit.reproduce import example_plan
@@ -134,13 +133,13 @@ def run_phi_suite():
                 b = rng.integers(0, fld.order, size=m * ell)
                 if not np.array_equal(phi_inv(phi(a, m, ell), m, ell), a):
                     bad.append(("bijection", fld.order, m, ell))
-                pa = phi(shift(a, ell), m, ell)
+                pa = phi(np.roll(a, ell), m, ell)
                 ref = phi(a, m, ell)
                 if any(not np.array_equal(pa[j], np.roll(ref[j], 1)) for j in range(ell)):
                     bad.append(("intertwine", fld.order, m, ell))
                 ips = []
                 for k in range(m):
-                    s = shift(a, k * ell)
+                    s = np.roll(a, k * ell)
                     val = 0
                     for x, y in zip(s, b):
                         val = fld.add(val, fld.mul(int(x), int(y)))

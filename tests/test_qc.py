@@ -49,7 +49,6 @@ from qckit.qc import (
     dim_from_constituents,
     extract_assignment,
     galois_closure_theorem_check,
-    is_galois_closed_qc,
     is_shift_invariant,
     phi,
     phi_inv,
@@ -57,11 +56,8 @@ from qckit.qc import (
     qc_duality_class,
     r_hermitian_ip,
     ring_conj,
-    ring_mul,
-    shift,
     sqrt_like_check,
 )
-from qckit.poly import Poly
 from qckit.quantum import css
 from qckit.reproduce import example_plan, load_example
 
@@ -126,7 +122,7 @@ def test_phi_intertwines_shift_with_x():
     for (m, ell, fld) in ((3, 2, F2), (5, 2, F3), (3, 3, F3)):
         for _ in range(8):
             vec = rng.integers(0, fld.order, size=m * ell)
-            shifted = phi(shift(vec, ell), m, ell)
+            shifted = phi(np.roll(vec, ell), m, ell)
             original = phi(vec, m, ell)
             for j in range(ell):
                 assert np.array_equal(shifted[j], np.roll(original[j], 1))
@@ -139,22 +135,6 @@ def test_ring_conj_and_hermitian_ip():
     assert not r_hermitian_ip(F2, x, x).any()
 
 
-def test_ring_mul_matches_poly_product_mod_xm_minus_1():
-    rng = np.random.default_rng(9)
-    for fld in (F2, F4, F5):
-        for m in (1, 2, 5, 7):
-            for _ in range(10):
-                a = rng.integers(0, fld.order, size=m)
-                b = rng.integers(0, fld.order, size=m)
-                # reduce mod x^m - 1 by folding the coefficient of x^i onto x^(i mod m)
-                want = [0] * m
-                for i, c in enumerate((Poly.make(fld, a) * Poly.make(fld, b)).coeffs):
-                    want[i % m] = fld.add(want[i % m], c)
-                got = ring_mul(fld, a, b)
-                assert Poly.make(fld, got) == Poly.make(fld, want)
-                assert got.shape == (m,)
-
-
 def test_prop22_orthogonality_correspondence():
     # <phi(a), phi(b)>_H = 0 iff all T^{k ell} shifts of a are orthogonal to b
     rng = np.random.default_rng(2)
@@ -164,7 +144,7 @@ def test_prop22_orthogonality_correspondence():
             b = rng.integers(0, fld.order, size=m * ell)
             ips = []
             for k in range(m):
-                s = shift(a, k * ell)
+                s = np.roll(a, k * ell)
                 val = 0
                 for x, y in zip(s, b):
                     val = fld.add(val, fld.mul(int(x), int(y)))
@@ -294,7 +274,7 @@ def test_galois_closure_theorem(ex41, dec47):
     chk2 = galois_closure_theorem_check(qc, 2)
     assert not chk2["flat_closed"] and chk2["agree"]
     qz = assemble_qc(dec47, assignment_all_zero(dec47))
-    assert is_galois_closed_qc(qz, 2)
+    assert is_galois_closed(qz.lin, 2)
 
 
 def _cor35_plan(u_max=3, materialize_max=60):
@@ -444,6 +424,16 @@ def test_m_equals_one_assembly():
     cs = code_from_rows(F5, 4, [(1, 2, 3, 4)])
     qc = assemble_qc(dec, ConstituentAssignment((), (SelfrecAssignment(cs),)))
     assert qc.lin == cs
+
+
+def test_m_equals_one_family():
+    # with m = 1 every level is the x - 1 constituent again: the ledger's
+    # dimension counts 1 + m + ... + m^(u-1) = u copies of the pair slots
+    cs = code_from_rows(F2, 2, [(1, 1)])
+    asn = ConstituentAssignment((), (SelfrecAssignment(cs),))
+    levels = build_family(FamilyPlan(F2, 1, 2, asn, u_max=3, kind="ESO"))
+    assert [lv.params() for lv in levels] == [(2, 1, 2)] * 3
+    assert all(lv.qc.lin == cs and lv.rank_checked and lv.duality_checked for lv in levels)
 
 
 def test_hermitian_slot_self_duality():
